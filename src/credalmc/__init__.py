@@ -10,7 +10,6 @@ from .states import (
 )
 from .credal import (
     BeliefFunction,
-    Capacity,
     Contamination,
     CredalModel,
     CredalValidationError,
@@ -18,8 +17,6 @@ from .credal import (
     ProbInterval,
     Vacuous,
     VertexSet,
-    choquet,
-    validate,
 )
 from .transition import UpperTransitionOperator
 from .chain import ImpreciseMarkovChain, PathGamble
@@ -51,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BeliefFunction",
-    "Capacity",
     "Contamination",
     "ConvergenceError",
     "CredalModel",
@@ -73,7 +69,6 @@ __all__ = [
     "UpperTransitionOperator",
     "Vacuous",
     "VertexSet",
-    "choquet",
     "contamination_evolve",
     "contamination_limit",
     "count_assignments",
@@ -88,5 +83,4 @@ __all__ = [
     "limit_upper",
     "precise_stationary",
     "tree_expectation",
-    "validate",
 ]

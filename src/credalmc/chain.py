@@ -3,7 +3,9 @@
 Marginal and conditional queries operate on gambles of size |X| and
 never materialize the path space, so their cost is linear in the number
 of time steps.  Joint queries over path gambles fold a dense table over
-X^N one time axis at a time and are meant for desk-scale horizons.
+X^N one time axis at a time and are meant for desk-scale horizons; each
+backward step makes one kernel call per last state, batched over every
+history that ends in it.
 
 Time indices are 1-based: X(1) is the initial state and a chain with
 horizon N has N - 1 transition steps.
@@ -173,6 +175,7 @@ class ImpreciseMarkovChain:
         One backward step conditions only on the last coordinate: the
         slice of the table at each history is a gamble in the final time
         axis, evaluated under the row model of the history's last state.
+        All histories sharing a last state go to that row in one call.
         """
         if f.horizon != self.horizon:
             raise DimensionMismatch(
@@ -181,11 +184,11 @@ class ImpreciseMarkovChain:
         s = len(self.space)
         table = f.values
         for k in range(self.horizon - 1, down_to - 1, -1):
-            op = self.operator_at(k)
             new = np.empty((s,) * k)
-            for idx in np.ndindex(*(s,) * k):
-                row = op.rows[idx[-1]]
-                new[idx] = row.upper(Gamble(self.space, table[idx]))
+            for x, row in enumerate(self.operator_at(k).rows):
+                # Column j is the gamble at the j-th history ending in x.
+                H = table[..., x, :].reshape(-1, s).T
+                new[..., x] = row.upper_many(H).reshape((s,) * (k - 1))
             table = new
         return table
 
@@ -226,15 +229,8 @@ class ImpreciseMarkovChain:
             )
         if n == 1:
             return 0.0
-        labels = self.space.labels
-        gap = 0.0
-        for x_n in labels:
-            values = []
-            for hist_idx in np.ndindex(*(len(labels),) * (n - 1)):
-                hist = tuple(labels[i] for i in hist_idx)
-                values.append(self.joint_upper_given(hist + (x_n,), f))
-            gap = max(gap, max(values) - min(values))
-        return gap
+        table = self._fold(f, down_to=n).reshape(-1, len(self.space))
+        return float(np.ptp(table, axis=0).max())
 
     # ------------------------------------------------------------------
     # Chapman-Kolmogorov path mass bounds.

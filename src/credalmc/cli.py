@@ -309,8 +309,11 @@ def parse_gamble(space: StateSpace, text: str) -> Gamble:
 def cmd_evolve(sc: Scenario, args) -> tuple[list[str], list[list]]:
     if not args.event:
         raise ScenarioError("schema-error", "evolve needs --event")
+    try:
+        ind = sc.space.indicator([s.strip() for s in args.event.split(",")])
+    except KeyError as exc:
+        raise ScenarioError("schema-error", f"bad --event: {exc.args[0]}") from exc
     chain = sc.to_chain()
-    ind = sc.space.indicator([s.strip() for s in args.event.split(",")])
     rows = []
     for n in range(1, sc.horizon + 1):
         rows.append(
@@ -341,8 +344,12 @@ def cmd_regularity(sc: Scenario, args) -> tuple[list[str], list[list]]:
 
 
 def cmd_joint(sc: Scenario, args) -> tuple[list[str], list[list]]:
+    length = sc.horizon if args.length is None else args.length
+    if not 1 <= length <= sc.horizon:
+        raise ScenarioError(
+            "schema-error", f"--length must lie in [1, {sc.horizon}], got {length}"
+        )
     chain = sc.to_chain()
-    length = args.length or sc.horizon
     rows = []
     for path in itertools.product(sc.space.labels, repeat=length):
         lo, up = chain.path_mass_bounds(path)

@@ -1,23 +1,31 @@
 """Credal-set models and their upper/lower expectation functionals.
 
-Five representations of a closed convex set of mass functions are
+Six representations of a closed convex set of mass functions are
 supported: a singleton (Linear), the full simplex (Vacuous), an explicit
 vertex list (VertexSet), an epsilon-contamination of a precise mass
 function (Contamination), a belief function given by focal elements
 (BeliefFunction), and per-state probability intervals (ProbInterval).
 
-Every model exposes `upper(h)` (the maximum linear expectation over the
-set), `lower(h)` (its conjugate) and `vertices()` (a finite spanning set
-containing all extreme points).  Validation happens at construction and
-is never silently repaired; an inconsistent credal set invalidates every
-downstream bound.
+Each family has one numeric kernel on raw arrays: `stack(rows)` packs
+the parameters of m models of that family, and `kernel(params, H)`
+returns the (m, k) upper expectations of the k columns of a gamble
+matrix H of shape (s, k) under each of them.  Upper transition
+operators stack their rows once and make one kernel call per family;
+a model's own `upper(h)` is the m = k = 1 case.
+
+Every model also exposes `lower(h)` (the conjugate of `upper`) and
+`vertices()` (a finite spanning set containing all extreme points).
+Validation happens at construction and is never silently repaired; an
+inconsistent credal set invalidates every downstream bound.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +34,6 @@ from .states import (
     Gamble,
     MassFunction,
     StateSpace,
-    expectation,
     _check_space,
     _freeze,
 )
@@ -37,6 +44,9 @@ VERTEX_DEDUP_TOL = 1e-12
 #: Feasibility slack used in ProbInterval vertex enumeration.
 _FEAS_TOL = 1e-9
 
+#: Refuse vertex enumerations over more candidate points than this.
+VERTEX_GUARD = 2**16
+
 
 class CredalValidationError(ValueError):
     """A credal model failed validation; `code` names the failure."""
@@ -46,13 +56,38 @@ class CredalValidationError(ValueError):
         self.code = code
 
 
+class SizeGuardError(RuntimeError):
+    """An enumeration would exceed its size guard."""
+
+
 class CredalModel:
     """Base class for the credal-set representations."""
 
     space: StateSpace
 
-    def upper(self, h: Gamble) -> float:
+    @classmethod
+    def stack(cls, rows: Sequence["CredalModel"]):
+        """Parameters of `rows`, all of this family, packed for `kernel`."""
         raise NotImplementedError
+
+    @staticmethod
+    def kernel(params, H: np.ndarray) -> np.ndarray:
+        """Upper expectations of the columns of H (s, k) under each of the
+        m stacked models, as an (m, k) array."""
+        raise NotImplementedError
+
+    @functools.cached_property
+    def _params(self):
+        return self.stack([self])
+
+    def upper_many(self, H: np.ndarray) -> np.ndarray:
+        """Upper expectations of the k columns of a raw (s, k) array."""
+        return self.kernel(self._params, H)[0]
+
+    def upper(self, h: Gamble) -> float:
+        """Maximum linear expectation of h over the credal set."""
+        self._check(h)
+        return float(self.kernel(self._params, h.values[:, None])[0, 0])
 
     def lower(self, h: Gamble) -> float:
         """Conjugate lower expectation: lower(h) = -upper(-h)."""
@@ -76,6 +111,19 @@ def _dedup(masses: Sequence[MassFunction]) -> list[MassFunction]:
     return out
 
 
+def _starts(sizes: Sequence[int]) -> np.ndarray:
+    """Offsets of consecutive blocks of the given sizes, for reduceat."""
+    return np.concatenate(([0], np.cumsum(sizes[:-1]))).astype(np.intp)
+
+
+def _guard(count: int, what: str) -> None:
+    if count > VERTEX_GUARD:
+        raise SizeGuardError(
+            f"{what} would enumerate {count} candidate vertices "
+            f"(guard {VERTEX_GUARD})"
+        )
+
+
 @dataclass(frozen=True)
 class Linear(CredalModel):
     """The singleton credal set {m}; upper and lower coincide."""
@@ -86,9 +134,13 @@ class Linear(CredalModel):
     def space(self) -> StateSpace:
         return self.mass.space
 
-    def upper(self, h: Gamble) -> float:
-        self._check(h)
-        return expectation(self.mass, h)
+    @classmethod
+    def stack(cls, rows):
+        return np.array([r.mass.weights for r in rows])
+
+    @staticmethod
+    def kernel(W, H):
+        return W @ H
 
     def vertices(self) -> list[MassFunction]:
         return [self.mass]
@@ -100,9 +152,13 @@ class Vacuous(CredalModel):
 
     space: StateSpace
 
-    def upper(self, h: Gamble) -> float:
-        self._check(h)
-        return h.max()
+    @classmethod
+    def stack(cls, rows):
+        return len(rows)
+
+    @staticmethod
+    def kernel(m, H):
+        return np.repeat(H.max(axis=0)[None, :], m, axis=0)
 
     def vertices(self) -> list[MassFunction]:
         return [MassFunction.degenerate(self.space, x) for x in self.space]
@@ -129,9 +185,15 @@ class VertexSet(CredalModel):
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "points", points)
 
-    def upper(self, h: Gamble) -> float:
-        self._check(h)
-        return max(expectation(p, h) for p in self.points)
+    @classmethod
+    def stack(cls, rows):
+        P = np.array([p.weights for r in rows for p in r.points])
+        return P, _starts([len(r.points) for r in rows])
+
+    @staticmethod
+    def kernel(params, H):
+        P, starts = params
+        return np.maximum.reduceat(P @ H, starts, axis=0)
 
     def vertices(self) -> list[MassFunction]:
         return list(self.points)
@@ -161,9 +223,15 @@ class Contamination(CredalModel):
     def space(self) -> StateSpace:
         return self.base.space
 
-    def upper(self, h: Gamble) -> float:
-        self._check(h)
-        return (1.0 - self.epsilon) * expectation(self.base, h) + self.epsilon * h.max()
+    @classmethod
+    def stack(cls, rows):
+        B = np.array([r.base.weights for r in rows])
+        return B, np.array([[r.epsilon] for r in rows])
+
+    @staticmethod
+    def kernel(params, H):
+        B, eps = params
+        return (1.0 - eps) * (B @ H) + eps * H.max(axis=0)
 
     def vertices(self) -> list[MassFunction]:
         out = []
@@ -205,6 +273,8 @@ class BeliefFunction(CredalModel):
                 raise CredalValidationError(
                     "empty-credal-set", "focal elements must be nonempty"
                 )
+            if not math.isfinite(w):
+                raise CredalValidationError("non-finite", f"focal mass {w}")
             if w < -1e-12:
                 raise CredalValidationError(
                     "mass-sum-violation", f"negative focal mass {w}"
@@ -217,18 +287,24 @@ class BeliefFunction(CredalModel):
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "focal", focal)
 
-    def upper(self, h: Gamble) -> float:
-        self._check(h)
-        total = 0.0
-        for ev, w in self.focal:
-            total += w * max(h.values[self.space.index(x)] for x in ev.members)
-        return float(total)
+    @classmethod
+    def stack(cls, rows):
+        masks = np.array([ev.mask() for r in rows for ev, _ in r.focal])
+        w = np.array([[w] for r in rows for _, w in r.focal])
+        return masks[:, :, None], w, _starts([len(r.focal) for r in rows])
+
+    @staticmethod
+    def kernel(params, H):
+        masks, w, starts = params
+        focal_max = np.where(masks, H[None, :, :], -np.inf).max(axis=1)
+        return np.add.reduceat(w * focal_max, starts, axis=0)
 
     def vertices(self) -> list[MassFunction]:
         # One selection assigns each focal element's mass wholly to one of
         # its members; selections span the credal set (some may be
         # non-extreme interior points, which is harmless for max/min).
         choices = [sorted(ev.members) for ev, _ in self.focal]
+        _guard(math.prod(len(c) for c in choices), "BeliefFunction.vertices")
         out = []
         for picks in itertools.product(*choices):
             w = np.zeros(len(self.space))
@@ -239,26 +315,13 @@ class BeliefFunction(CredalModel):
 
 
 @dataclass(frozen=True)
-class Capacity:
-    """A normalized monotone set function on events, for Choquet integration."""
-
-    space: StateSpace
-    fn: Callable[[frozenset], float]
-
-    def __call__(self, members) -> float:
-        members = frozenset(members)
-        if not members:
-            return 0.0
-        return float(self.fn(members))
-
-
-@dataclass(frozen=True)
 class ProbInterval(CredalModel):
     """A credal set cut from the simplex by per-state mass bounds.
 
-    The event upper probability min{sum of upper over A, 1 - sum of lower
-    outside A} is 2-alternating, so upper expectations are computed
-    exactly by Choquet integration against it.
+    The upper expectation is the greedy allocation of de Campos, Huete
+    and Moral (1994): start from the lower bounds and hand the slack
+    1 - sum(lower) to the states in decreasing order of h, each up to
+    its upper bound.
     """
 
     space: StateSpace
@@ -272,6 +335,10 @@ class ProbInterval(CredalModel):
         if lo.shape != (n,) or up.shape != (n,):
             raise CredalValidationError(
                 "space-mismatch", "bound arrays must have one entry per state"
+            )
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(up))):
+            raise CredalValidationError(
+                "non-finite", "interval bounds must be finite"
             )
         if np.any(lo < -1e-12) or np.any(up > 1 + 1e-12) or np.any(lo > up + 1e-12):
             raise CredalValidationError(
@@ -306,18 +373,32 @@ class ProbInterval(CredalModel):
             min(self.upper_mass[mask].sum(), 1.0 - self.lower_mass[~mask].sum())
         )
 
-    def capacity(self) -> Capacity:
-        return Capacity(self.space, self.event_upper)
+    @classmethod
+    def stack(cls, rows):
+        L = np.array([r.lower_mass for r in rows])
+        D = np.array([r.upper_mass for r in rows]) - L
+        return L, D, (1.0 - L.sum(axis=1))[:, None, None]
 
-    def upper(self, h: Gamble) -> float:
-        self._check(h)
-        return choquet(self.capacity(), h)
+    @staticmethod
+    def kernel(params, H):
+        L, D, slack = params
+        # Sort each column once, by decreasing h; every row hands out its
+        # slack along that order.  The j best states together receive
+        # F_j = min(sum of their upper - lower, slack), so summing by
+        # parts the gain over L @ H is sum_j F_j * (h_(j) - h_(j+1)),
+        # with h_(s+1) = 0.
+        order = np.argsort(-H, axis=0)
+        filled = np.minimum(np.cumsum(D[:, order], axis=1), slack)
+        steps = H[order, np.arange(H.shape[1])]
+        steps[:-1] -= steps[1:]
+        return L @ H + (filled * steps).sum(axis=1)
 
     def vertices(self) -> list[MassFunction]:
         # Every vertex of an interval polytope on the simplex has at most
         # one coordinate strictly between its bounds; enumerate bound
         # patterns with one free coordinate forced by normalization.
         n = len(self.space)
+        _guard(n * 2 ** (n - 1), "ProbInterval.vertices")
         lo, up = self.lower_mass, self.upper_mass
         out = []
         for free in range(n):
@@ -331,44 +412,3 @@ class ProbInterval(CredalModel):
                     w[free] = min(max(w[free], lo[free]), up[free])
                     out.append(MassFunction(self.space, w))
         return _dedup(out)
-
-
-def choquet(c: Capacity, h: Gamble) -> float:
-    """Choquet integral of a gamble against a capacity.
-
-    Exact finite evaluation over the sorted distinct values of h:
-    min h + sum over gaps (a_{i+1} - a_i) * c({z : h(z) >= a_{i+1}}).
-    """
-    if c.space != h.space:
-        raise CredalValidationError("space-mismatch", "capacity/gamble space differ")
-    alphas = np.unique(h.values)
-    total = float(alphas[0])
-    labels = c.space.labels
-    for a0, a1 in zip(alphas[:-1], alphas[1:]):
-        level = frozenset(
-            labels[i] for i in range(len(labels)) if h.values[i] >= a1
-        )
-        total += float(a1 - a0) * c(level)
-    return total
-
-
-def validate(model: CredalModel) -> None:
-    """Re-run the construction-time invariants of a model.
-
-    Models validate at construction, so this only guards values built by
-    other means (e.g. unpickling); raises CredalValidationError on failure.
-    """
-    if isinstance(model, VertexSet):
-        VertexSet(model.space, model.points)
-    elif isinstance(model, Contamination):
-        Contamination(model.base, model.epsilon)
-    elif isinstance(model, BeliefFunction):
-        BeliefFunction(model.space, model.focal)
-    elif isinstance(model, ProbInterval):
-        ProbInterval(model.space, model.lower_mass, model.upper_mass)
-    elif isinstance(model, (Linear, Vacuous)):
-        pass
-    else:
-        raise CredalValidationError(
-            "unknown-model", f"not a credal model: {type(model).__name__}"
-        )

@@ -9,6 +9,7 @@ iterates settle into a periodic limit cycle, found by `detect_cycle`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,24 +75,35 @@ def contamination_limit(
     epsilon: float,
     h: Gamble,
     tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> float:
     """Closed-form invariant upper expectation of a contamination model.
 
-    Evaluates eps * sum_k (1 - eps)^k max T^k h, truncating once the
-    geometric tail bound (1 - eps)^(K+1) * max|h| drops below tol.
+    Evaluates eps * sum_k (1 - eps)^k max T^k h over the K terms needed
+    for the geometric tail bound (1 - eps)^K * max|h| to drop to tol.
+    K is computed up front; past max_iter terms this raises
+    ConvergenceError instead of running.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     bound = h.sup_norm()
+    terms = 1
+    if bound > tol:
+        terms = max(1, math.ceil(math.log(tol / bound) / math.log1p(-epsilon)))
+    if terms > max_iter:
+        raise ConvergenceError(
+            f"contamination series needs {terms} terms for tol {tol:.1e} "
+            f"at epsilon {epsilon:.1e}, more than max_iter={max_iter}"
+        )
     total = 0.0
     weight = epsilon
     g = h
-    k = 0
-    while (1.0 - epsilon) ** (k) * bound > tol or k == 0:
+    for _ in range(terms):
         total += weight * g.max()
         g = precise.apply(g)
         weight *= 1.0 - epsilon
-        k += 1
     return total
 
 

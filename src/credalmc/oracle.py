@@ -22,14 +22,11 @@ from typing import Sequence
 import numpy as np
 
 from .chain import ImpreciseMarkovChain, PathGamble
+from .credal import SizeGuardError
 from .states import MassFunction
 
 #: Refuse enumerations with more assignments than this.
 ASSIGNMENT_GUARD = 2**40
-
-
-class SizeGuardError(RuntimeError):
-    """The enumeration would exceed the assignment guard."""
 
 
 @dataclass(frozen=True)

@@ -177,6 +177,8 @@ class MassFunction:
             raise DimensionMismatch(
                 f"mass function needs {len(space)} weights, got {weights.shape}"
             )
+        if not np.all(np.isfinite(weights)):
+            raise ValueError(f"weights must be finite: {weights}")
         if np.any(weights < -MASS_TOL) or np.any(weights > 1 + MASS_TOL):
             raise ValueError(f"weights outside [0, 1]: {weights}")
         total = weights.sum()

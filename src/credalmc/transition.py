@@ -1,7 +1,13 @@
-"""Upper transition operators: one credal model per source state."""
+"""Upper transition operators: one credal model per source state.
+
+The rows are grouped by credal family and their parameters stacked on
+first use, so applying the operator to k gambles at once costs one
+kernel call per family present.
+"""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -68,15 +74,42 @@ class UpperTransitionOperator:
     def is_precise(self) -> bool:
         return all(isinstance(r, Linear) for r in self.rows)
 
+    @functools.cached_property
+    def _families(self):
+        """(kernel, stacked parameters, row indices) for each family."""
+        groups: dict[type, list[int]] = {}
+        for i, row in enumerate(self.rows):
+            groups.setdefault(type(row), []).append(i)
+        return tuple(
+            (cls.kernel, cls.stack([self.rows[i] for i in idx]), np.array(idx))
+            for cls, idx in groups.items()
+        )
+
+    def apply_many(self, H) -> np.ndarray:
+        """Apply the operator to each column of a raw (s, k) array."""
+        H = np.asarray(H, dtype=float)
+        if H.ndim != 2 or H.shape[0] != len(self.space):
+            raise DimensionMismatch(
+                f"need an array of shape ({len(self.space)}, k), got {H.shape}"
+            )
+        families = self._families
+        if len(families) == 1:
+            kernel, params, _ = families[0]
+            return kernel(params, H)
+        out = np.empty((len(self.rows), H.shape[1]))
+        for kernel, params, idx in families:
+            out[idx] = kernel(params, H)
+        return out
+
     def apply(self, h: Gamble) -> Gamble:
         if h.space != self.space:
             raise DimensionMismatch("gamble on a different state space")
-        return Gamble(self.space, [row.upper(h) for row in self.rows])
+        return Gamble(self.space, self.apply_many(h.values[:, None])[:, 0])
 
     def apply_lower(self, h: Gamble) -> Gamble:
         if h.space != self.space:
             raise DimensionMismatch("gamble on a different state space")
-        return Gamble(self.space, [row.lower(h) for row in self.rows])
+        return Gamble(self.space, -self.apply_many(-h.values[:, None])[:, 0])
 
     def power(self, h: Gamble, n: int) -> Gamble:
         """n-fold application of `apply`; n = 0 is the identity."""
@@ -102,9 +135,10 @@ class UpperTransitionOperator:
             n_max = self.default_n_max()
         if n_max < 1:
             raise ValueError("n_max must be >= 1")
-        iterates = [self.space.indicator([y]) for y in self.space]
+        # Column y holds the iterate T^n I_{y}.
+        iterates = np.eye(len(self.space))
         for n in range(1, n_max + 1):
-            iterates = [self.apply(g) for g in iterates]
-            if all(g.min() > REGULARITY_EPS for g in iterates):
+            iterates = self.apply_many(iterates)
+            if iterates.min() > REGULARITY_EPS:
                 return n
         return None

@@ -199,3 +199,29 @@ def test_cli_error_paths(capsys, tmp_path):
     bad.write_text(json.dumps({"states": ["a", "a"]}))
     code, _, err = _run(capsys, "evolve", str(bad), "--event", "a")
     assert code != 0 and "error:schema-error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("evolve", "example_5_3", "--event", "zz"),
+        ("evolve", "example_5_3", "--event", "a,,b"),
+        ("joint", "example_5_3_n2", "--length", "4"),
+        ("joint", "example_5_3_n2", "--length", "0"),
+    ],
+    ids=["unknown-event", "empty-event-label", "length-above-horizon", "length-zero"],
+)
+def test_cli_input_errors_exit_2(capsys, argv):
+    command, name, *flags = argv
+    code, out, err = _run(capsys, command, str(bundled_scenario_path(name)), *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:schema-error:")
+
+
+def test_joint_length_defaults_to_horizon(capsys):
+    path = str(bundled_scenario_path("example_5_3_n2"))
+    _, full, _ = _run(capsys, "joint", path)
+    _, explicit, _ = _run(capsys, "joint", path, "--length", "2")
+    assert full == explicit
+    assert len(full.splitlines()) == 1 + 4

@@ -12,12 +12,11 @@ from credalmc import (
     Linear,
     MassFunction,
     ProbInterval,
+    SizeGuardError,
     StateSpace,
     Vacuous,
     VertexSet,
-    choquet,
     expectation,
-    validate,
 )
 from helpers import FAMILIES, random_gamble, random_model
 
@@ -32,7 +31,9 @@ ROW_A = ProbInterval(ABC, np.array([9, 9, 162]) / 200, np.array([19, 19, 172]) /
 class TestValidation:
     def test_valid_interval(self):
         m = ProbInterval(AB, [0.6, 0.1], [0.9, 0.4])
-        validate(m)
+        assert list(m.lower_mass) == [0.6, 0.1]
+        assert list(m.upper_mass) == [0.9, 0.4]
+        assert not m.lower_mass.flags.writeable
 
     def test_empty_interval(self):
         with pytest.raises(CredalValidationError) as exc:
@@ -66,6 +67,52 @@ class TestValidation:
         with pytest.raises(CredalValidationError) as exc:
             VertexSet(AB, [])
         assert exc.value.code == "empty-credal-set"
+
+
+NAN = float("nan")
+
+# One constructor per family with a non-finite parameter; Vacuous has no
+# numeric parameter to reject.
+NON_FINITE = {
+    "linear": lambda: Linear(MassFunction(AB, [NAN, 1.0])),
+    "vertices": lambda: VertexSet(
+        AB, [MassFunction(AB, [0.5, 0.5]), MassFunction(AB, [NAN, 0.5])]
+    ),
+    "contamination-base": lambda: Contamination(MassFunction(AB, [1.0, NAN]), 0.1),
+    "contamination-epsilon": lambda: Contamination(MassFunction(AB, [0.5, 0.5]), NAN),
+    "belief": lambda: BeliefFunction(
+        AB, [(Event(AB, ["a"]), NAN), (Event(AB, ["a", "b"]), 1.0)]
+    ),
+    "interval-lower": lambda: ProbInterval(AB, [NAN, 0.1], [0.9, 0.4]),
+    "interval-upper": lambda: ProbInterval(AB, [0.6, 0.1], [0.9, float("inf")]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE))
+def test_non_finite_parameters_rejected(name):
+    with pytest.raises(ValueError):
+        NON_FINITE[name]()
+
+
+class TestVertexGuard:
+    def test_interval_guard_before_enumeration(self):
+        # 20 * 2^19 bound patterns; the guard must fire without enumerating.
+        space = StateSpace([f"x{i}" for i in range(20)])
+        m = ProbInterval(space, np.zeros(20), np.full(20, 0.1))
+        with pytest.raises(SizeGuardError):
+            m.vertices()
+
+    def test_belief_guard_before_enumeration(self):
+        space = StateSpace([f"x{i}" for i in range(40)])
+        halves = [Event(space, space.labels[:20]), Event(space, space.labels[20:])]
+        focal = [(halves[j % 2], 0.25) for j in range(4)]
+        with pytest.raises(SizeGuardError):
+            BeliefFunction(space, focal).vertices()
+
+    def test_small_models_still_enumerate(self):
+        space = StateSpace([f"x{i}" for i in range(8)])
+        m = ProbInterval(space, np.zeros(8), np.full(8, 0.5))
+        assert len(m.vertices()) > 0
 
 
 class TestUpperLower:
@@ -114,20 +161,22 @@ class TestEventUpper:
         assert ROW_B.event_upper({"a", "b"}) == pytest.approx(0.91)
 
 
-class TestChoquet:
-    def test_indicator_reduces_to_capacity(self):
-        cap = ROW_B.capacity()
+class TestIntervalUpper:
+    def test_indicator_reduces_to_event_upper(self):
         for members in ({"a"}, {"b", "c"}, {"a", "c"}):
-            assert choquet(cap, Event(ABC, members).indicator()) == pytest.approx(
+            assert ROW_B.upper(Event(ABC, members).indicator()) == pytest.approx(
                 ROW_B.event_upper(members)
             )
 
     def test_constant_gamble(self):
-        assert choquet(ROW_B.capacity(), ABC.constant(0.7)) == pytest.approx(0.7)
+        assert ROW_B.upper(ABC.constant(0.7)) == pytest.approx(0.7)
 
     def test_row_b_worked_value(self):
+        # Slack 0.1 goes to a (up to 0.77), then b; for the lower value
+        # it goes to c (up to 0.14), then b.
         h = Gamble(ABC, [1.0, 0.5, 0.0])
-        assert choquet(ROW_B.capacity(), h) == pytest.approx(0.84)
+        assert ROW_B.upper(h) == pytest.approx(0.84)
+        assert ROW_B.lower(h) == pytest.approx(0.79)
 
 
 class TestVertices:
@@ -222,17 +271,16 @@ def test_interval_event_upper_is_two_alternating():
                 assert lhs <= rhs + 1e-12
 
 
-def test_choquet_equals_vertex_envelope_on_intervals():
-    # 2-alternation makes Choquet integration exact for interval models.
+def test_kernel_equals_vertex_envelope_on_intervals():
+    # One stacked kernel call over 20 interval rows and 5 gambles.
     rng = np.random.default_rng(19)
     from helpers import random_prob_interval
 
     for n in (2, 3, 4):
         space = StateSpace(["a", "b", "c", "d"][:n])
-        for _ in range(20):
-            m = random_prob_interval(rng, space)
-            verts = m.vertices()
-            for _ in range(5):
-                h = random_gamble(rng, space)
-                env = max(expectation(v, h) for v in verts)
-                assert m.upper(h) == pytest.approx(env, abs=1e-10)
+        rows = [random_prob_interval(rng, space) for _ in range(20)]
+        H = rng.uniform(-1.0, 1.0, size=(n, 5))
+        got = ProbInterval.kernel(ProbInterval.stack(rows), H)
+        for i, m in enumerate(rows):
+            W = np.array([v.weights for v in m.vertices()])
+            assert got[i] == pytest.approx((W @ H).max(axis=0), abs=1e-10)

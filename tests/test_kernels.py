@@ -1,0 +1,266 @@
+"""Batched family kernels against independent references.
+
+(a) `apply_many` against the per-row vertex envelope at small s;
+(b) the interval, belief and vertex-set kernels against a linear
+    program at s = 48 and 100, where vertices cannot be enumerated;
+(c) the batched `is_regular`, joint fold and Markov-condition gap
+    against unbatched per-row loops.
+"""
+
+import numpy as np
+import pytest
+
+from credalmc import (
+    BeliefFunction,
+    DimensionMismatch,
+    Event,
+    Gamble,
+    ImpreciseMarkovChain,
+    PathGamble,
+    ProbInterval,
+    StateSpace,
+    UpperTransitionOperator,
+    VertexSet,
+)
+from helpers import FAMILIES, random_any_model, random_mass, random_model
+
+LABELS = ["a", "b", "c", "d", "e"]
+
+
+def _gamble_matrix(rng, s):
+    """Columns: two random, a constant, two-level ties, an indicator, one low state."""
+    cols = [
+        rng.uniform(-1.0, 1.0, size=s),
+        rng.uniform(-1.0, 1.0, size=s),
+        np.full(s, rng.uniform(-2.0, 2.0)),
+        rng.choice([0.0, 0.5], size=s),
+        (np.arange(s) == rng.integers(s)).astype(float),
+        np.where(np.arange(s) == 0, -1.0, 0.25),
+    ]
+    return np.stack(cols, axis=1)
+
+
+def _envelope(model, H):
+    W = np.array([v.weights for v in model.vertices()])
+    return (W @ H).max(axis=0)
+
+
+# ----------------------------------------------------------------------
+# (a) apply_many equals the per-row vertex envelope
+
+
+@pytest.mark.parametrize("family", FAMILIES + ("mixed",))
+def test_apply_many_matches_vertex_envelope(family):
+    rng = np.random.default_rng(len(family))
+    for _ in range(15):
+        s = int(rng.integers(2, 6))
+        space = StateSpace(LABELS[:s])
+        if family == "mixed":
+            rows = [random_any_model(rng, space) for _ in range(s)]
+        else:
+            rows = [random_model(rng, space, family) for _ in range(s)]
+        op = UpperTransitionOperator(space, rows)
+        H = _gamble_matrix(rng, s)
+        got = op.apply_many(H)
+        assert got.shape == H.shape
+        for x, row in enumerate(rows):
+            assert got[x] == pytest.approx(_envelope(row, H), abs=1e-12)
+        # The single-gamble paths are columns of the batched result.
+        lower = -op.apply_many(-H)
+        for j in range(H.shape[1]):
+            h = Gamble(space, H[:, j])
+            assert op.apply(h).values == pytest.approx(got[:, j], abs=1e-15)
+            assert op.apply_lower(h).values == pytest.approx(lower[:, j], abs=1e-15)
+            assert [r.upper(h) for r in rows] == pytest.approx(got[:, j], abs=1e-15)
+
+
+def test_apply_many_checks_shape(ex54_op):
+    with pytest.raises(DimensionMismatch):
+        ex54_op.apply_many(np.zeros(3))
+    with pytest.raises(DimensionMismatch):
+        ex54_op.apply_many(np.zeros((2, 4)))
+
+
+# ----------------------------------------------------------------------
+# (b) linear-programming oracle at sizes beyond vertex enumeration
+
+
+def _lp_upper(c_obj, A_eq, b_eq, bounds):
+    from scipy.optimize import linprog
+
+    res = linprog(-c_obj, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+def _lp_interval(m, h):
+    s = len(h)
+    return _lp_upper(
+        h, np.ones((1, s)), [1.0], list(zip(m.lower_mass, m.upper_mass))
+    )
+
+
+def _lp_belief(m, h):
+    # Variables a[j, x]: the share of focal mass j given to state x in F_j.
+    idx = [(j, m.space.index(x)) for j, (ev, _) in enumerate(m.focal) for x in ev.members]
+    A = np.zeros((len(m.focal), len(idx)))
+    for col, (j, _) in enumerate(idx):
+        A[j, col] = 1.0
+    c = np.array([h[x] for _, x in idx])
+    return _lp_upper(c, A, [w for _, w in m.focal], [(0, None)] * len(idx))
+
+
+def _lp_vertices(m, h):
+    # Variables: convex weights over the listed points.
+    P = np.array([p.weights for p in m.points])
+    k = len(P)
+    return _lp_upper(P @ h, np.ones((1, k)), [1.0], [(0, None)] * k)
+
+
+def _wide_interval(rng, space):
+    s = len(space)
+    centre = rng.dirichlet(np.ones(s))
+    lo = centre * rng.uniform(0.0, 1.0, size=s)
+    up = np.minimum(centre + rng.uniform(0.0, 2.0 / s, size=s), 1.0)
+    return ProbInterval(space, lo, up)
+
+
+def _wide_belief(rng, space):
+    s = len(space)
+    k = int(rng.integers(2, 6))
+    focal = []
+    for w in rng.dirichlet(np.ones(k)):
+        members = [x for x in space.labels if rng.random() < 0.2] or [space.labels[0]]
+        focal.append((Event(space, members), float(w)))
+    return BeliefFunction(space, focal)
+
+
+def _wide_vertices(rng, space):
+    return VertexSet(space, [random_mass(rng, space) for _ in range(int(rng.integers(2, 8)))])
+
+
+@pytest.mark.parametrize("s", [48, 100])
+@pytest.mark.parametrize(
+    "make,lp",
+    [(_wide_interval, _lp_interval), (_wide_belief, _lp_belief), (_wide_vertices, _lp_vertices)],
+    ids=["interval", "belief", "vertices"],
+)
+def test_kernel_matches_lp_oracle(s, make, lp):
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(s)
+    space = StateSpace([f"x{i}" for i in range(s)])
+    rows = [make(rng, space) for _ in range(4)]
+    H = rng.uniform(-1.0, 1.0, size=(s, 3))
+    H[:, 2] = np.round(H[:, 2])  # heavy ties
+    cls = type(rows[0])
+    got = cls.kernel(cls.stack(rows), H)
+    for i, m in enumerate(rows):
+        for j in range(H.shape[1]):
+            assert got[i, j] == pytest.approx(lp(m, H[:, j]), abs=1e-9)
+
+
+# ----------------------------------------------------------------------
+# (c) batched queries against unbatched per-row loops
+
+
+def _apply_ref(op, h):
+    return Gamble(op.space, [row.upper(h) for row in op.rows])
+
+
+def _is_regular_ref(op, n_max):
+    iterates = [op.space.indicator([y]) for y in op.space]
+    for n in range(1, n_max + 1):
+        iterates = [_apply_ref(op, g) for g in iterates]
+        if all(g.min() > 1e-12 for g in iterates):
+            return n
+    return None
+
+
+def _fold_ref(chain, f, down_to):
+    s = len(chain.space)
+    table = f.values
+    for k in range(chain.horizon - 1, down_to - 1, -1):
+        op = chain.operator_at(k)
+        new = np.empty((s,) * k)
+        for idx in np.ndindex(*(s,) * k):
+            new[idx] = op.rows[idx[-1]].upper(Gamble(chain.space, table[idx]))
+        table = new
+    return table
+
+
+def _gap_ref(chain, n, f):
+    if n == 1:
+        return 0.0
+    s = len(chain.space)
+    table = _fold_ref(chain, f, n)
+    gap = 0.0
+    for x in range(s):
+        values = [table[hist + (x,)] for hist in np.ndindex(*(s,) * (n - 1))]
+        gap = max(gap, max(values) - min(values))
+    return gap
+
+
+def _random_chain(rng, stationary):
+    s = int(rng.integers(2, 5))
+    space = StateSpace(LABELS[:s])
+    horizon = int(rng.integers(2, 5))
+
+    def op():
+        return UpperTransitionOperator(space, [random_any_model(rng, space) for _ in range(s)])
+
+    transitions = op() if stationary else [op() for _ in range(horizon - 1)]
+    return ImpreciseMarkovChain(random_any_model(rng, space), transitions, horizon)
+
+
+def test_is_regular_matches_per_row_loop():
+    rng = np.random.default_rng(211)
+    verdicts = set()
+    for _ in range(40):
+        s = int(rng.integers(2, 6))
+        space = StateSpace(LABELS[:s])
+        rows = [random_any_model(rng, space) for _ in range(s)]
+        # Some rows become a deterministic shift, so that some operators
+        # are not regular.
+        perm = rng.permutation(s)
+        rows = [
+            UpperTransitionOperator.from_matrix(space, np.eye(s)[perm]).rows[x]
+            if rng.random() < 0.5 else row
+            for x, row in enumerate(rows)
+        ]
+        op = UpperTransitionOperator(space, rows)
+        got = op.is_regular()
+        assert got == _is_regular_ref(op, op.default_n_max())
+        verdicts.add(got is None)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("stationary", [True, False], ids=["stationary", "per-step"])
+def test_joint_fold_matches_per_row_loop(stationary):
+    rng = np.random.default_rng(223 + stationary)
+    for _ in range(10):
+        chain = _random_chain(rng, stationary)
+        s, N = len(chain.space), chain.horizon
+        f = PathGamble(chain.space, N, rng.uniform(-1.0, 1.0, size=(s,) * N))
+        ref = chain.initial.upper(Gamble(chain.space, _fold_ref(chain, f, 1)))
+        assert chain.joint_upper(f) == pytest.approx(ref, abs=1e-12)
+        prefix = tuple(rng.choice(chain.space.labels, size=N - 1))
+        idx = tuple(chain.space.index(x) for x in prefix)
+        assert chain.joint_upper_given(prefix, f) == pytest.approx(
+            _fold_ref(chain, f, N - 1)[idx], abs=1e-12
+        )
+
+
+@pytest.mark.parametrize("stationary", [True, False], ids=["stationary", "per-step"])
+def test_markov_invariance_gap_matches_per_row_loop(stationary):
+    rng = np.random.default_rng(227 + stationary)
+    for _ in range(10):
+        chain = _random_chain(rng, stationary)
+        s, N = len(chain.space), chain.horizon
+        for n in range(1, N + 1):
+            # The gap is defined only for tables that depend on times n..N.
+            tail = rng.uniform(-1.0, 1.0, size=(s,) * (N - n + 1))
+            table = np.broadcast_to(tail.reshape((1,) * (n - 1) + tail.shape), (s,) * N)
+            f = PathGamble(chain.space, N, table, depends_on=range(n, N + 1))
+            assert chain.markov_invariance_gap(n, f) == pytest.approx(
+                _gap_ref(chain, n, f), abs=1e-12
+            )

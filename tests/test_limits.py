@@ -98,6 +98,19 @@ class TestContaminationLimit:
         got = contamination_limit(ex53_precise_op, 0.1, ab.indicator(["a"]), tol=1e-9)
         assert got == pytest.approx(EX53_LIMIT, abs=1e-6)
 
+    def test_tiny_epsilon_hits_iteration_cap(self, ex53_precise_op, ab):
+        # About 2.3e8 terms would be needed; the count is known up front.
+        with pytest.raises(ConvergenceError):
+            contamination_limit(ex53_precise_op, 1e-7, ab.indicator(["a"]))
+
+    def test_term_count_within_cap(self, ex53_precise_op, ab):
+        h = ab.indicator(["a"])
+        # (1 - 0.1)^K <= 1e-9 first holds at K = 197.
+        got = contamination_limit(ex53_precise_op, 0.1, h, tol=1e-9, max_iter=197)
+        assert got == pytest.approx(EX53_LIMIT, abs=1e-6)
+        with pytest.raises(ConvergenceError):
+            contamination_limit(ex53_precise_op, 0.1, h, tol=1e-9, max_iter=196)
+
 
 class TestContaminationEvolve:
     def test_n_zero_is_initial_upper(self, ex53_initial, ex53_precise_op, ab):
