@@ -37,11 +37,7 @@ from .oracle import (
     TreeAssignment,
     count_assignments,
     envelope,
-    envelope_given,
-    envelope_many,
-    path_mass_envelope,
     path_probabilities,
-    tree_expectation,
 )
 
 __version__ = "0.1.0"
@@ -74,13 +70,9 @@ __all__ = [
     "count_assignments",
     "detect_cycle",
     "envelope",
-    "envelope_given",
-    "envelope_many",
     "expectation",
-    "path_mass_envelope",
     "path_probabilities",
     "invariant_singleton_bounds",
     "limit_upper",
     "precise_stationary",
-    "tree_expectation",
 ]

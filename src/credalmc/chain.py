@@ -143,14 +143,18 @@ class ImpreciseMarkovChain:
     # ------------------------------------------------------------------
     # Marginal and conditional queries (gamble-sized, linear in n).
 
+    def _backward(self, n: int, ell: int, h: Gamble) -> Gamble:
+        """Upper expectation of h(X(n)) given X(ell), as a gamble on X(ell)."""
+        for k in range(n - 1, ell - 1, -1):
+            h = self.operator_at(k).apply(h)
+        return h
+
     def marginal_upper(self, n: int, h: Gamble) -> float:
         """Upper expectation of h(X(n)): fold h back to time 1, then close
         with the initial model."""
         if not 1 <= n <= self.horizon:
             raise ValueError(f"time {n} out of range [1, {self.horizon}]")
-        for k in range(n - 1, 0, -1):
-            h = self.operator_at(k).apply(h)
-        return self.initial.upper(h)
+        return self.initial.upper(self._backward(n, 1, h))
 
     def marginal_lower(self, n: int, h: Gamble) -> float:
         return -self.marginal_upper(n, -h)
@@ -159,9 +163,7 @@ class ImpreciseMarkovChain:
         """Upper expectation of h(X(n)) given X(ell) = x_ell, ell < n."""
         if not 1 <= ell < n <= self.horizon:
             raise ValueError(f"need 1 <= {ell} < {n} <= {self.horizon}")
-        for k in range(n - 1, ell - 1, -1):
-            h = self.operator_at(k).apply(h)
-        return h.at(x_ell)
+        return self._backward(n, ell, h).at(x_ell)
 
     def conditional_lower(self, ell: int, x_ell: str, n: int, h: Gamble) -> float:
         return -self.conditional_upper(ell, x_ell, n, -h)
@@ -235,6 +237,20 @@ class ImpreciseMarkovChain:
     # ------------------------------------------------------------------
     # Chapman-Kolmogorov path mass bounds.
 
+    def _step_masses(
+        self, lo: float, up: float, n: int, x_n: str, path: Sequence[str]
+    ) -> tuple[float, float]:
+        """Multiply (lo, up) by the one-step lower and upper probabilities
+        of moving from x_n at time n along `path`."""
+        prev = x_n
+        for j, x in enumerate(path):
+            op = self.operator_at(n + j)
+            ind = self.space.indicator([x])
+            up *= op.apply(ind).at(prev)
+            lo *= op.apply_lower(ind).at(prev)
+            prev = x
+        return lo, up
+
     def path_mass_bounds(self, path: Sequence[str]) -> tuple[float, float]:
         """Tight (lower, upper) bounds on the mass of an initial path.
 
@@ -245,14 +261,8 @@ class ImpreciseMarkovChain:
         if not 1 <= m <= self.horizon:
             raise ValueError("path length out of range")
         first = self.space.indicator([path[0]])
-        up = self.initial.upper(first)
-        lo = self.initial.lower(first)
-        for k in range(1, m):
-            ind = self.space.indicator([path[k]])
-            op = self.operator_at(k)
-            up *= op.apply(ind).at(path[k - 1])
-            lo *= op.apply_lower(ind).at(path[k - 1])
-        return lo, up
+        lo, up = self.initial.lower(first), self.initial.upper(first)
+        return self._step_masses(lo, up, 1, path[0], path[1:])
 
     def path_mass_bounds_given(
         self, n: int, x_n: str, path: Sequence[str]
@@ -261,13 +271,4 @@ class ImpreciseMarkovChain:
         m = n + len(path)
         if not (1 <= n < m <= self.horizon):
             raise ValueError("conditional path indices out of range")
-        up = 1.0
-        lo = 1.0
-        prev = x_n
-        for j, x in enumerate(path):
-            op = self.operator_at(n + j)
-            ind = self.space.indicator([x])
-            up *= op.apply(ind).at(prev)
-            lo *= op.apply_lower(ind).at(prev)
-            prev = x
-        return lo, up
+        return self._step_masses(1.0, 1.0, n, x_n, path)

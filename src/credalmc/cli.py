@@ -60,6 +60,9 @@ from .limits import ConvergenceError, NotRegularError, limit_upper
 from .states import Event, Gamble, MassFunction, StateSpace
 from .transition import UpperTransitionOperator
 
+#: Refuse to enumerate more label paths than this in `joint` and `verify`.
+PATH_GUARD = 2**12
+
 
 class ScenarioError(ValueError):
     """A scenario file failed to parse or validate; `code` names the failure."""
@@ -303,7 +306,18 @@ def parse_gamble(space: StateSpace, text: str) -> Gamble:
             vals[space.index(label.strip())] = float(num)
         except (KeyError, ValueError) as exc:
             raise ScenarioError("schema-error", f"bad gamble entry {part!r}") from exc
+    if not np.all(np.isfinite(vals)):
+        raise ScenarioError("schema-error", f"gamble values must be finite: {text!r}")
     return Gamble(space, vals)
+
+
+def _label_paths(space: StateSpace, length: int):
+    """Every label path of the given length, refusing more than PATH_GUARD."""
+    if len(space) ** length > PATH_GUARD:
+        raise oracle.SizeGuardError(
+            f"{len(space)}^{length} paths exceed the guard of {PATH_GUARD}"
+        )
+    return itertools.product(space.labels, repeat=length)
 
 
 def cmd_evolve(sc: Scenario, args) -> tuple[list[str], list[list]]:
@@ -325,6 +339,12 @@ def cmd_evolve(sc: Scenario, args) -> tuple[list[str], list[list]]:
 def cmd_limit(sc: Scenario, args) -> tuple[list[str], list[list]]:
     if not args.gamble:
         raise ScenarioError("schema-error", "limit needs --gamble")
+    if not args.tol > 0:
+        raise ScenarioError("schema-error", f"--tol must be positive, got {args.tol}")
+    if args.max_iter < 0:
+        raise ScenarioError(
+            "schema-error", f"--max-iter must be >= 0, got {args.max_iter}"
+        )
     op = _single_operator(sc)
     h = parse_gamble(sc.space, args.gamble)
     report = limit_upper(op, h, tol=args.tol, max_iter=args.max_iter)
@@ -335,6 +355,8 @@ def cmd_limit(sc: Scenario, args) -> tuple[list[str], list[list]]:
 
 
 def cmd_regularity(sc: Scenario, args) -> tuple[list[str], list[list]]:
+    if args.n_max is not None and args.n_max < 1:
+        raise ScenarioError("schema-error", f"--n-max must be >= 1, got {args.n_max}")
     op = _single_operator(sc)
     n = op.is_regular(args.n_max)
     if n is None:
@@ -351,7 +373,7 @@ def cmd_joint(sc: Scenario, args) -> tuple[list[str], list[list]]:
         )
     chain = sc.to_chain()
     rows = []
-    for path in itertools.product(sc.space.labels, repeat=length):
+    for path in _label_paths(sc.space, length):
         lo, up = chain.path_mass_bounds(path)
         rows.append([">".join(path), lo, up])
     return ["path", "lower", "upper"], rows
@@ -371,25 +393,23 @@ def cmd_credal_approx(sc: Scenario, args) -> tuple[list[str], list[list]]:
 
 def cmd_verify(sc: Scenario, args) -> tuple[list[str], list[list]]:
     chain = sc.to_chain()
-    rows = []
-    for path in itertools.product(sc.space.labels, repeat=sc.horizon):
-        f = PathGamble.path_indicator(sc.space, sc.horizon, path)
-        e_lo, e_up = chain.joint_lower(f), chain.joint_upper(f)
-        o_lo, o_up = oracle.envelope(chain, f)
-        gap = max(abs(e_lo - o_lo), abs(e_up - o_up))
-        rows.append([">".join(path), e_lo, e_up, o_lo, o_up, gap])
+    paths = _label_paths(sc.space, sc.horizon)
+    oracle.count_assignments(chain, sc.horizon)  # size guard, before any table
+    queries = [
+        (">".join(path), PathGamble.path_indicator(sc.space, sc.horizon, path))
+        for path in paths
+    ]
     rng = np.random.default_rng(args.seed)
     s = len(sc.space)
     for j in range(3):
-        f = PathGamble(
-            sc.space,
-            sc.horizon,
-            rng.uniform(-1.0, 1.0, size=(s,) * sc.horizon),
-        )
+        values = rng.uniform(-1.0, 1.0, size=(s,) * sc.horizon)
+        queries.append((f"random[{j}]", PathGamble(sc.space, sc.horizon, values)))
+    o_lo, o_up = oracle.envelope(chain, [f for _, f in queries])
+    rows = []
+    for (name, f), lo, up in zip(queries, o_lo.tolist(), o_up.tolist()):
         e_lo, e_up = chain.joint_lower(f), chain.joint_upper(f)
-        o_lo, o_up = oracle.envelope(chain, f)
-        gap = max(abs(e_lo - o_lo), abs(e_up - o_up))
-        rows.append([f"random[{j}]", e_lo, e_up, o_lo, o_up, gap])
+        gap = max(abs(e_lo - lo), abs(e_up - up))
+        rows.append([name, e_lo, e_up, lo, up, gap])
     return (
         ["query", "engine_lower", "engine_upper", "oracle_lower", "oracle_upper", "gap"],
         rows,

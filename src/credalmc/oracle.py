@@ -1,10 +1,15 @@
 """Brute-force ground truth for the backwards-recursion engine.
 
 Enumerates every compatible precise probability tree whose local models
-are drawn from the vertex lists of the chain's credal models, computes
-each tree's exact expectation by a sum-product over all paths, and takes
-the min/max.  Deliberately independent of the recursion it validates:
-nothing here applies an upper transition operator.
+are drawn from the vertex lists of the chain's credal models, and takes
+the min/max of each gamble's exact expectation over them.  There is one
+sum-product, `path_probabilities`, which gives one tree's probability of
+every path (optionally conditional on a history), and one enumeration,
+`envelope`, which contracts that tensor with any number of path gambles
+per tree.  A path indicator's expectation is its entry of the tensor,
+so path-mass envelopes need nothing more.  Deliberately independent of
+the recursion it validates: nothing here applies an upper transition
+operator or a credal kernel.
 
 Choices at different situations are independent (the row credal set
 depends only on the last state, but the chosen mass function may differ
@@ -65,54 +70,34 @@ def count_assignments(chain: ImpreciseMarkovChain, horizon: int) -> int:
 
 
 def path_probabilities(
-    chain: ImpreciseMarkovChain, assignment: TreeAssignment, horizon: int
-) -> np.ndarray:
-    """Joint probability of every length-`horizon` path in one tree."""
-    s = len(chain.space)
-    table = np.array(assignment.initial_choice.weights)
-    for k in range(1, horizon):
-        nxt = np.empty(table.shape + (s,))
-        for idx in np.ndindex(*table.shape):
-            try:
-                q = assignment.situation_choices[idx]
-            except KeyError:
-                raise ValueError(f"assignment misses situation {idx}") from None
-            nxt[idx] = table[idx] * q.weights
-        table = nxt
-    return table
-
-
-def tree_expectation(
-    chain: ImpreciseMarkovChain, assignment: TreeAssignment, f: PathGamble
-) -> float:
-    """Exact expectation of f in one compatible tree (sum over all paths)."""
-    return float(
-        np.sum(path_probabilities(chain, assignment, f.horizon) * f.values)
-    )
-
-
-def tree_expectation_given(
     chain: ImpreciseMarkovChain,
     assignment: TreeAssignment,
-    prefix: tuple[int, ...],
-    f: PathGamble,
-) -> float:
-    """Exact conditional expectation of f given the history `prefix`."""
-    n = len(prefix)
-    if n == f.horizon:
-        return float(f.values[prefix])
+    horizon: int,
+    prefix: tuple[int, ...] = (),
+) -> np.ndarray:
+    """Probability of every path continuing `prefix` up to `horizon` in one tree.
+
+    With an empty prefix this is the joint law of X(1:horizon), a tensor
+    of shape (|X|,) * horizon.  Given a history `prefix` of n state
+    indices it is the law of X(n+1:horizon) conditional on X(1:n) =
+    prefix, of shape (|X|,) * (horizon - n); a full-length prefix gives
+    the 0-d tensor 1.
+    """
     s = len(chain.space)
-    table = np.ones(())
-    shape: tuple[int, ...] = ()
-    for k in range(n, f.horizon):
-        nxt = np.empty(shape + (s,))
-        for idx in np.ndindex(*shape):
-            q = assignment.situation_choices[prefix + idx]
-            nxt[idx] = table[idx] * q.weights
-        table = nxt
-        shape = shape + (s,)
-    tail = f.values[prefix]
-    return float(np.sum(table * tail))
+    if prefix:
+        table = np.ones(())
+    else:
+        table = np.array(assignment.initial_choice.weights)
+    for _ in range(len(prefix) + table.ndim, horizon):
+        try:
+            weights = [
+                assignment.situation_choices[prefix + idx].weights
+                for idx in np.ndindex(*table.shape)
+            ]
+        except KeyError as exc:
+            raise ValueError(f"assignment misses situation {exc.args[0]}") from None
+        table = table[..., None] * np.reshape(weights, table.shape + (s,))
+    return table
 
 
 def _assignments(chain: ImpreciseMarkovChain, horizon: int, markov_only: bool):
@@ -142,80 +127,30 @@ def _assignments(chain: ImpreciseMarkovChain, horizon: int, markov_only: bool):
 
 def envelope(
     chain: ImpreciseMarkovChain,
-    f: PathGamble,
-    markov_only: bool = False,
-) -> tuple[float, float]:
-    """Tight (lower, upper) bounds on E(f) over all compatible trees.
-
-    With markov_only=True the enumeration is restricted to trees whose
-    choice depends only on (time, last state).
-    """
-    lo = np.inf
-    up = -np.inf
-    for a in _assignments(chain, f.horizon, markov_only):
-        v = tree_expectation(chain, a, f)
-        lo = min(lo, v)
-        up = max(up, v)
-    return float(lo), float(up)
-
-
-def envelope_many(
-    chain: ImpreciseMarkovChain,
     fs: Sequence[PathGamble],
+    prefix: Sequence[str] = (),
     markov_only: bool = False,
-) -> list[tuple[float, float]]:
-    """Envelopes of several path gambles in one pass over the assignments.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Tight (lower, upper) bounds on E(f | X(1:n) = prefix) for each f in fs.
 
-    Each tree's path-probability tensor is computed once and reused for
-    every gamble, so the cost is one enumeration rather than len(fs).
+    One pass over the compatible trees serves every gamble: each tree's
+    path-probability tensor is computed once and contracted with all of
+    them.  The bound on a path indicator is the envelope of that path's
+    mass.  With markov_only=True the enumeration is restricted to trees
+    whose choice depends only on (time, last state).
     """
     if not fs:
-        return []
+        raise ValueError("envelope needs at least one path gamble")
     horizon = fs[0].horizon
-    for f in fs:
-        if f.horizon != horizon:
-            raise ValueError("all path gambles must share one horizon")
+    if any(f.horizon != horizon for f in fs):
+        raise ValueError("all path gambles must share one horizon")
+    idx = tuple(chain.space.index(x) for x in prefix)
+    tails = np.stack([f.values[idx] for f in fs]).reshape(len(fs), -1)
     lo = np.full(len(fs), np.inf)
     up = np.full(len(fs), -np.inf)
     for a in _assignments(chain, horizon, markov_only):
-        probs = path_probabilities(chain, a, horizon)
-        for i, f in enumerate(fs):
-            v = float(np.sum(probs * f.values))
-            lo[i] = min(lo[i], v)
-            up[i] = max(up[i], v)
-    return [(float(l), float(u)) for l, u in zip(lo, up)]
-
-
-def path_mass_envelope(
-    chain: ImpreciseMarkovChain, horizon: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise (lower, upper) envelope of all length-N path masses.
-
-    The expectation of a path indicator is the corresponding entry of
-    the path-probability tensor, so one pass covers every path at once.
-    """
-    s = len(chain.space)
-    lo = np.full((s,) * horizon, np.inf)
-    up = np.full((s,) * horizon, -np.inf)
-    for a in _assignments(chain, horizon, markov_only=False):
-        probs = path_probabilities(chain, a, horizon)
-        np.minimum(lo, probs, out=lo)
-        np.maximum(up, probs, out=up)
+        probs = path_probabilities(chain, a, horizon, idx)
+        v = (probs.reshape(-1) * tails).sum(axis=1)
+        np.minimum(lo, v, out=lo)
+        np.maximum(up, v, out=up)
     return lo, up
-
-
-def envelope_given(
-    chain: ImpreciseMarkovChain,
-    prefix: Sequence[str],
-    f: PathGamble,
-    markov_only: bool = False,
-) -> tuple[float, float]:
-    """Conditional envelope of E(f | x_{1:n}) over all compatible trees."""
-    idx = tuple(chain.space.index(x) for x in prefix)
-    lo = np.inf
-    up = -np.inf
-    for a in _assignments(chain, f.horizon, markov_only):
-        v = tree_expectation_given(chain, a, idx, f)
-        lo = min(lo, v)
-        up = max(up, v)
-    return float(lo), float(up)

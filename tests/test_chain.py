@@ -107,7 +107,7 @@ class TestJoint:
             3,
         )
         f = PathGamble(ab, 3, rng.uniform(-1, 1, size=(2, 2, 2)))
-        lo, up = envelope(chain, f)
+        (lo,), (up,) = envelope(chain, [f])
         assert lo == pytest.approx(up, abs=1e-12)
         assert chain.joint_upper(f) == pytest.approx(up, abs=1e-12)
 

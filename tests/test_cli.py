@@ -1,9 +1,10 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
-from credalmc import Contamination, CredalValidationError, ProbInterval
+from credalmc import Contamination, CredalValidationError, ProbInterval, oracle
 from credalmc.cli import (
     ScenarioError,
     bundled_scenario_path,
@@ -185,6 +186,63 @@ def test_verify_command_small_gaps(capsys):
         assert gap <= 1e-10
 
 
+VERIFY_N2_SEED0 = [
+    "a>a,0.081,0.2115,0.081,0.2115",
+    "a>b,0.459,0.7785,0.459,0.7785",
+    "b>a,0.0765,0.346,0.0765,0.346",
+    "b>b,0.0135,0.094,0.0135,0.094",
+    "random[0],-0.588590605639,-0.35153423561,-0.588590605639,-0.35153423561",
+    "random[1],0.565829412813,0.745886714006,0.565829412813,0.745886714006",
+    "random[2],0.511515945785,0.729225241131,0.511515945785,0.729225241131",
+]
+
+
+def test_verify_golden_rows(capsys):
+    path = str(bundled_scenario_path("example_5_3_n2"))
+    code, out, _ = _run(capsys, "verify", path, "--seed", "0")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "query,engine_lower,engine_upper,oracle_lower,oracle_upper,gap"
+    # The gap column is round-off noise, so only its size is pinned.
+    assert [line.rsplit(",", 1)[0] for line in lines[1:]] == VERIFY_N2_SEED0
+    assert all(float(line.rsplit(",", 1)[1]) <= 1e-10 for line in lines[1:])
+
+
+def test_verify_enumerates_the_trees_once(capsys, monkeypatch):
+    calls = []
+    inner = oracle.path_probabilities
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "path_probabilities", counted)
+    path = str(bundled_scenario_path("example_5_3_n2"))
+    code, _, _ = _run(capsys, "verify", path)
+    assert code == 0
+    chain = load_bundled("example_5_3_n2").to_chain()
+    assert len(calls) == oracle.count_assignments(chain, 2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("joint", "example_5_3"),
+        ("joint", "example_5_4"),
+        ("verify", "example_5_3_precise"),
+    ],
+    ids=["joint-2^25", "joint-3^60", "verify-2^25"],
+)
+def test_path_enumeration_guard_exits_3(capsys, argv):
+    command, name = argv
+    t0 = time.perf_counter()
+    code, out, err = _run(capsys, command, str(bundled_scenario_path(name)))
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:SizeGuardError:")
+
+
 def test_byte_stable_output(capsys):
     path = str(bundled_scenario_path("example_5_3"))
     _, out1, _ = _run(capsys, "evolve", path, "--event", "a")
@@ -208,8 +266,25 @@ def test_cli_error_paths(capsys, tmp_path):
         ("evolve", "example_5_3", "--event", "a,,b"),
         ("joint", "example_5_3_n2", "--length", "4"),
         ("joint", "example_5_3_n2", "--length", "0"),
+        ("regularity", "example_5_4", "--n-max", "0"),
+        ("limit", "example_5_3", "--gamble", "a:1", "--tol", "0"),
+        ("limit", "example_5_3", "--gamble", "a:1", "--tol", "-1"),
+        ("limit", "example_5_3", "--gamble", "a:nan"),
+        ("limit", "example_5_3", "--gamble", "a:inf"),
+        ("limit", "example_5_3", "--gamble", "a:1", "--max-iter", "-1"),
     ],
-    ids=["unknown-event", "empty-event-label", "length-above-horizon", "length-zero"],
+    ids=[
+        "unknown-event",
+        "empty-event-label",
+        "length-above-horizon",
+        "length-zero",
+        "n-max-zero",
+        "tol-zero",
+        "tol-negative",
+        "gamble-nan",
+        "gamble-inf",
+        "max-iter-negative",
+    ],
 )
 def test_cli_input_errors_exit_2(capsys, argv):
     command, name, *flags = argv

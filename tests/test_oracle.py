@@ -14,10 +14,7 @@ from credalmc import (
     VertexSet,
     count_assignments,
     envelope,
-    envelope_given,
-    envelope_many,
-    path_mass_envelope,
-    tree_expectation,
+    path_probabilities,
 )
 from helpers import random_small_chain
 
@@ -26,6 +23,15 @@ AB = StateSpace(["a", "b"])
 
 def _chain_with_two_vertices(horizon, ex53_initial, ex53_op):
     return ImpreciseMarkovChain(ex53_initial, ex53_op, horizon)
+
+
+def _tree_expectation(chain, assignment, f):
+    return float(np.sum(path_probabilities(chain, assignment, f.horizon) * f.values))
+
+
+def _envelope(chain, f, **kw):
+    lo, up = envelope(chain, [f], **kw)
+    return float(lo[0]), float(up[0])
 
 
 class TestCountAssignments:
@@ -63,7 +69,7 @@ class TestTreeExpectation:
             },
         )
         f = PathGamble.path_indicator(ab, 2, ["a", "a"])
-        assert tree_expectation(chain, assignment, f) == pytest.approx(0.2115)
+        assert _tree_expectation(chain, assignment, f) == pytest.approx(0.2115)
 
     def test_constant_path_gamble(self, ex53_initial, ex53_op, ab):
         chain = _chain_with_two_vertices(2, ex53_initial, ex53_op)
@@ -75,21 +81,62 @@ class TestTreeExpectation:
             },
         )
         f = PathGamble(ab, 2, np.full((2, 2), 3.5))
-        assert tree_expectation(chain, assignment, f) == pytest.approx(3.5)
+        assert _tree_expectation(chain, assignment, f) == pytest.approx(3.5)
 
     def test_incomplete_assignment_rejected(self, ex53_initial, ex53_op, ab):
         chain = _chain_with_two_vertices(2, ex53_initial, ex53_op)
         assignment = TreeAssignment(MassFunction(ab, [0.9, 0.1]), {})
         f = PathGamble.path_indicator(ab, 2, ["a", "a"])
         with pytest.raises(ValueError):
-            tree_expectation(chain, assignment, f)
+            _tree_expectation(chain, assignment, f)
+
+    def test_matches_the_per_situation_loop(self):
+        # Reference: the loop that filled the tensor one situation at a time.
+        rng = np.random.default_rng(149)
+        for _ in range(10):
+            chain = random_small_chain(rng, max_assignments=600)
+            s, N = len(chain.space), chain.horizon
+
+            def pick(model):
+                verts = model.vertices()
+                return verts[int(rng.integers(len(verts)))]
+
+            choices = {
+                idx: pick(chain.operator_at(k).rows[idx[-1]])
+                for k in range(1, N)
+                for idx in np.ndindex(*(s,) * k)
+            }
+            assignment = TreeAssignment(pick(chain.initial), choices)
+            want = np.array(assignment.initial_choice.weights)
+            for _ in range(1, N):
+                nxt = np.empty(want.shape + (s,))
+                for idx in np.ndindex(*want.shape):
+                    nxt[idx] = want[idx] * choices[idx].weights
+                want = nxt
+            got = path_probabilities(chain, assignment, N)
+            np.testing.assert_array_equal(got, want)
+
+    def test_prefix_gives_conditional_continuation(self, ex53_initial, ex53_op, ab):
+        chain = _chain_with_two_vertices(3, ex53_initial, ex53_op)
+        q = {(i,): MassFunction(ab, [0.235, 0.765]) for i in range(2)}
+        q.update(
+            {idx: MassFunction(ab, [0.865, 0.135]) for idx in np.ndindex(2, 2)}
+        )
+        assignment = TreeAssignment(MassFunction(ab, [0.9, 0.1]), q)
+        given_b = path_probabilities(chain, assignment, 3, prefix=(1,))
+        np.testing.assert_allclose(
+            given_b, np.outer([0.235, 0.765], [0.865, 0.135]), rtol=0, atol=1e-15
+        )
+        joint = path_probabilities(chain, assignment, 3)
+        np.testing.assert_allclose(joint[1] / 0.1, given_b, rtol=0, atol=1e-15)
+        assert path_probabilities(chain, assignment, 3, prefix=(1, 0, 1)) == 1.0
 
 
 class TestEnvelope:
     def test_example_path_indicator(self, ex53_initial, ex53_op, ab):
         chain = _chain_with_two_vertices(2, ex53_initial, ex53_op)
         f = PathGamble.path_indicator(ab, 2, ["a", "a"])
-        lo, up = envelope(chain, f)
+        lo, up = _envelope(chain, f)
         assert up == pytest.approx(0.2115)
         assert up == pytest.approx(chain.joint_upper(f), abs=1e-12)
 
@@ -99,7 +146,7 @@ class TestEnvelope:
         )
         rng = np.random.default_rng(101)
         f = PathGamble(ab, 2, rng.uniform(-1, 1, size=(2, 2)))
-        lo, up = envelope(chain, f)
+        lo, up = _envelope(chain, f)
         assert lo == pytest.approx(f.values.min())
         assert up == pytest.approx(f.values.max())
 
@@ -110,17 +157,38 @@ class TestEnvelope:
             2,
         )
         f = PathGamble(ab, 2, [[1.0, -2.0], [0.5, 0.0]])
-        lo, up = envelope(chain, f)
+        lo, up = _envelope(chain, f)
         assert lo == pytest.approx(up, abs=1e-14)
 
     def test_conjugacy(self, ex53_initial, ex53_op, ab):
         chain = _chain_with_two_vertices(2, ex53_initial, ex53_op)
         rng = np.random.default_rng(103)
         f = PathGamble(ab, 2, rng.uniform(-1, 1, size=(2, 2)))
-        lo, up = envelope(chain, f)
-        neg_lo, neg_up = envelope(chain, -f)
+        lo, up = _envelope(chain, f)
+        neg_lo, neg_up = _envelope(chain, -f)
         assert lo == pytest.approx(-neg_up, abs=1e-14)
         assert up == pytest.approx(-neg_lo, abs=1e-14)
+
+
+    def test_full_length_prefix_returns_the_path_value(self, ex53_initial, ex53_op, ab):
+        chain = _chain_with_two_vertices(3, ex53_initial, ex53_op)
+        rng = np.random.default_rng(139)
+        f = PathGamble(ab, 3, rng.uniform(-1, 1, size=(2, 2, 2)))
+        lo, up = envelope(chain, [f, -f], prefix=("b", "a", "b"))
+        assert list(lo) == [f.values[1, 0, 1], -f.values[1, 0, 1]]
+        assert list(up) == list(lo)
+
+    def test_empty_gamble_list_rejected(self, ex53_initial, ex53_op):
+        chain = _chain_with_two_vertices(2, ex53_initial, ex53_op)
+        with pytest.raises(ValueError):
+            envelope(chain, [])
+
+    def test_mixed_horizons_rejected(self, ex53_initial, ex53_op, ab):
+        chain = _chain_with_two_vertices(3, ex53_initial, ex53_op)
+        f2 = PathGamble.path_indicator(ab, 2, ["a", "a"])
+        f3 = PathGamble.path_indicator(ab, 3, ["a", "a", "a"])
+        with pytest.raises(ValueError):
+            envelope(chain, [f2, f3])
 
 
 class TestOracleEquivalence:
@@ -137,8 +205,7 @@ class TestOracleEquivalence:
                 )
                 for _ in range(2)
             ]
-            oracle_vals = envelope_many(chain, fs)
-            for f, (lo, up) in zip(fs, oracle_vals):
+            for f, lo, up in zip(fs, *envelope(chain, fs)):
                 assert chain.joint_upper(f) == pytest.approx(up, abs=1e-10)
                 assert chain.joint_lower(f) == pytest.approx(lo, abs=1e-10)
 
@@ -156,25 +223,24 @@ class TestOracleEquivalence:
             prefix = tuple(
                 chain.space.labels[i] for i in rng.integers(0, s, size=n)
             )
-            lo, up = envelope_given(chain, prefix, f)
+            lo, up = _envelope(chain, f, prefix=prefix)
             assert chain.joint_upper_given(prefix, f) == pytest.approx(up, abs=1e-10)
             assert chain.joint_lower_given(prefix, f) == pytest.approx(lo, abs=1e-10)
 
     def test_path_mass_envelope_matches_per_path(self, ex53_initial, ex53_op, ab):
         chain = _chain_with_two_vertices(2, ex53_initial, ex53_op)
-        lo, up = path_mass_envelope(chain, 2)
-        for idx in np.ndindex(2, 2):
-            path = [ab.labels[i] for i in idx]
-            f = PathGamble.path_indicator(ab, 2, path)
-            plo, pup = envelope(chain, f)
-            assert lo[idx] == pytest.approx(plo, abs=1e-14)
-            assert up[idx] == pytest.approx(pup, abs=1e-14)
+        paths = [[ab.labels[i] for i in idx] for idx in np.ndindex(2, 2)]
+        fs = [PathGamble.path_indicator(ab, 2, path) for path in paths]
+        lo, up = envelope(chain, fs)
+        for f, l, u in zip(fs, lo, up):
+            assert (l, u) == _envelope(chain, f)
+        assert (lo[0], up[0]) == pytest.approx((0.081, 0.2115))
 
     def test_interior_points_do_not_move_envelope(self, ex53_initial, ex53_op, ab):
         chain = _chain_with_two_vertices(2, ex53_initial, ex53_op)
         rng = np.random.default_rng(113)
         f = PathGamble(ab, 2, rng.uniform(-1, 1, size=(2, 2)))
-        base = envelope(chain, f)
+        base = _envelope(chain, f)
 
         def pad(model):
             verts = model.vertices()
@@ -188,7 +254,7 @@ class TestOracleEquivalence:
             UpperTransitionOperator(ab, [pad(r) for r in chain.transitions[0].rows]),
             2,
         )
-        got = envelope(padded, f)
+        got = _envelope(padded, f)
         assert got[0] == pytest.approx(base[0], abs=1e-12)
         assert got[1] == pytest.approx(base[1], abs=1e-12)
 
@@ -202,7 +268,7 @@ def test_markov_restricted_envelope_is_inner():
         f = PathGamble(
             chain.space, chain.horizon, rng.uniform(-1, 1, size=(s,) * chain.horizon)
         )
-        lo, up = envelope(chain, f)
-        mlo, mup = envelope(chain, f, markov_only=True)
+        lo, up = _envelope(chain, f)
+        mlo, mup = _envelope(chain, f, markov_only=True)
         assert mup <= up + 1e-12
         assert mlo >= lo - 1e-12
