@@ -28,7 +28,6 @@ from .limits import (
     contamination_evolve,
     contamination_limit,
     detect_cycle,
-    invariant_singleton_bounds,
     limit_upper,
     precise_stationary,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "envelope",
     "expectation",
     "path_probabilities",
-    "invariant_singleton_bounds",
     "limit_upper",
     "precise_stationary",
 ]

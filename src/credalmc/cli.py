@@ -88,112 +88,114 @@ class Scenario:
 # Deserialization
 
 
-def _require(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise ScenarioError("schema-error", f"{where}: missing field {key!r}")
-    return obj[key]
+def _parse(where: str, obj, read):
+    """`read(obj)` for a JSON object, with malformed input as schema-error.
+
+    A missing field or unknown tag (KeyError), a bad value (ValueError) or
+    a wrong shape (TypeError) becomes ``ScenarioError("schema-error")``
+    prefixed with `where`.  Credal validation errors and scenario errors
+    raised further down, which carry their own path, pass through.
+    """
+    if not isinstance(obj, dict):
+        raise ScenarioError(
+            "schema-error", f"{where}: expected an object, got {type(obj).__name__}"
+        )
+    try:
+        return read(obj)
+    except (CredalValidationError, ScenarioError):
+        raise
+    except KeyError as exc:
+        message = f"{where}: missing or unknown {exc}"
+        raise ScenarioError("schema-error", message) from exc
+    except (ValueError, TypeError) as exc:
+        raise ScenarioError("schema-error", f"{where}: {exc}") from exc
+
+
+#: JSON tag -> (class, read(space, obj) -> model, write(model) -> fields).
+_MODELS = {
+    "linear": (
+        Linear,
+        lambda sp, o: Linear(MassFunction(sp, o["mass"])),
+        lambda m: {"mass": list(m.mass.weights)},
+    ),
+    "vacuous": (Vacuous, lambda sp, o: Vacuous(sp), lambda m: {}),
+    "vertices": (
+        VertexSet,
+        lambda sp, o: VertexSet(sp, [MassFunction(sp, p) for p in o["points"]]),
+        lambda m: {"points": [list(p.weights) for p in m.points]},
+    ),
+    "contamination": (
+        Contamination,
+        lambda sp, o: Contamination(MassFunction(sp, o["base"]), o["epsilon"]),
+        lambda m: {"base": list(m.base.weights), "epsilon": m.epsilon},
+    ),
+    "belief": (
+        BeliefFunction,
+        lambda sp, o: BeliefFunction(
+            sp, [(Event(sp, f["members"]), f["mass"]) for f in o["focal"]]
+        ),
+        lambda m: {
+            "focal": [{"members": sorted(ev.members), "mass": w} for ev, w in m.focal]
+        },
+    ),
+    "prob_interval": (
+        ProbInterval,
+        lambda sp, o: ProbInterval(sp, o["lower"], o["upper"]),
+        lambda m: {"lower": list(m.lower_mass), "upper": list(m.upper_mass)},
+    ),
+}
+_MODEL_TAGS = {cls: tag for tag, (cls, _, _) in _MODELS.items()}
+
+#: JSON tag -> read(space, obj, where) -> operator.
+_OPERATORS = {
+    "rows": lambda sp, o, where: UpperTransitionOperator(
+        sp,
+        [model_from_json(sp, r, f"{where}.rows[{i}]") for i, r in enumerate(o["rows"])],
+    ),
+    "matrix": lambda sp, o, where: UpperTransitionOperator.from_matrix(sp, o["matrix"]),
+    "contamination": lambda sp, o, where: UpperTransitionOperator.contamination_of(
+        sp, o["matrix"], o["epsilon"]
+    ),
+    "interval": lambda sp, o, where: UpperTransitionOperator.from_interval_matrices(
+        sp, o["lower"], o["upper"]
+    ),
+}
 
 
 def model_from_json(space: StateSpace, obj: dict, where: str) -> CredalModel:
-    if not isinstance(obj, dict):
-        raise ScenarioError("schema-error", f"{where}: model must be an object")
-    kind = _require(obj, "type", where)
-    try:
-        if kind == "linear":
-            return Linear(MassFunction(space, _require(obj, "mass", where)))
-        if kind == "vacuous":
-            return Vacuous(space)
-        if kind == "vertices":
-            pts = [
-                MassFunction(space, p) for p in _require(obj, "points", where)
-            ]
-            return VertexSet(space, pts)
-        if kind == "contamination":
-            return Contamination(
-                MassFunction(space, _require(obj, "base", where)),
-                _require(obj, "epsilon", where),
-            )
-        if kind == "belief":
-            focal = [
-                (
-                    Event(space, _require(f, "members", f"{where}.focal[{j}]")),
-                    _require(f, "mass", f"{where}.focal[{j}]"),
-                )
-                for j, f in enumerate(_require(obj, "focal", where))
-            ]
-            return BeliefFunction(space, focal)
-        if kind == "prob_interval":
-            return ProbInterval(
-                space,
-                _require(obj, "lower", where),
-                _require(obj, "upper", where),
-            )
-    except (CredalValidationError, ScenarioError):
-        raise
-    except (ValueError, KeyError) as exc:
-        raise ScenarioError("schema-error", f"{where}: {exc}") from exc
-    raise ScenarioError("schema-error", f"{where}: unknown model type {kind!r}")
+    return _parse(where, obj, lambda o: _MODELS[o["type"]][1](space, o))
 
 
 def operator_from_json(
     space: StateSpace, obj: dict, where: str
 ) -> UpperTransitionOperator:
-    if not isinstance(obj, dict):
-        raise ScenarioError("schema-error", f"{where}: operator must be an object")
-    kind = _require(obj, "type", where)
-    try:
-        if kind == "rows":
-            rows = [
-                model_from_json(space, r, f"{where}.rows[{i}]")
-                for i, r in enumerate(_require(obj, "rows", where))
-            ]
-            return UpperTransitionOperator(space, rows)
-        if kind == "matrix":
-            return UpperTransitionOperator.from_matrix(
-                space, _require(obj, "matrix", where)
-            )
-        if kind == "contamination":
-            return UpperTransitionOperator.contamination_of(
-                space, _require(obj, "matrix", where), _require(obj, "epsilon", where)
-            )
-        if kind == "interval":
-            return UpperTransitionOperator.from_interval_matrices(
-                space, _require(obj, "lower", where), _require(obj, "upper", where)
-            )
-    except (CredalValidationError, ScenarioError):
-        raise
-    except ValueError as exc:
-        raise ScenarioError("schema-error", f"{where}: {exc}") from exc
-    raise ScenarioError("schema-error", f"{where}: unknown operator type {kind!r}")
+    return _parse(where, obj, lambda o: _OPERATORS[o["type"]](space, o, where))
 
 
-def scenario_from_json(doc: dict) -> Scenario:
-    if not isinstance(doc, dict):
-        raise ScenarioError("schema-error", "top level must be an object")
-    try:
-        space = StateSpace(_require(doc, "states", "scenario"))
-    except ValueError as exc:
-        raise ScenarioError("schema-error", f"states: {exc}") from exc
-    initial = model_from_json(space, _require(doc, "initial", "scenario"), "initial")
-    horizon = _require(doc, "horizon", "scenario")
-    if not isinstance(horizon, int) or horizon < 1:
-        raise ScenarioError("schema-error", "horizon must be a positive integer")
-    trans_doc = _require(doc, "transition", "scenario")
+def _read_scenario(doc: dict) -> Scenario:
+    space = StateSpace(doc["states"])
+    initial = model_from_json(space, doc["initial"], "initial")
+    horizon = doc["horizon"]
+    if type(horizon) is not int or horizon < 1:
+        raise ValueError(f"horizon must be a positive integer, got {horizon!r}")
+    trans_doc = doc["transition"]
     if isinstance(trans_doc, list):
-        ops = tuple(
+        if len(trans_doc) != horizon - 1:
+            raise ValueError(
+                f"transition list needs {horizon - 1} operators, got {len(trans_doc)}"
+            )
+        transitions: "UpperTransitionOperator | tuple" = tuple(
             operator_from_json(space, t, f"transition[{i}]")
             for i, t in enumerate(trans_doc)
         )
-        if len(ops) != horizon - 1:
-            raise ScenarioError(
-                "schema-error",
-                f"transition list needs {horizon - 1} operators, got {len(ops)}",
-            )
-        transitions: "UpperTransitionOperator | tuple" = ops
     else:
         transitions = operator_from_json(space, trans_doc, "transition")
     queries = tuple(doc.get("queries", []))
     return Scenario(space, initial, transitions, horizon, queries)
+
+
+def scenario_from_json(doc: dict) -> Scenario:
+    return _parse("scenario", doc, _read_scenario)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -222,33 +224,10 @@ def load_bundled(name: str) -> Scenario:
 
 
 def model_to_json(model: CredalModel) -> dict:
-    if isinstance(model, Linear):
-        return {"type": "linear", "mass": list(model.mass.weights)}
-    if isinstance(model, Vacuous):
-        return {"type": "vacuous"}
-    if isinstance(model, VertexSet):
-        return {"type": "vertices", "points": [list(p.weights) for p in model.points]}
-    if isinstance(model, Contamination):
-        return {
-            "type": "contamination",
-            "base": list(model.base.weights),
-            "epsilon": model.epsilon,
-        }
-    if isinstance(model, BeliefFunction):
-        return {
-            "type": "belief",
-            "focal": [
-                {"members": sorted(ev.members), "mass": w}
-                for ev, w in model.focal
-            ],
-        }
-    if isinstance(model, ProbInterval):
-        return {
-            "type": "prob_interval",
-            "lower": list(model.lower_mass),
-            "upper": list(model.upper_mass),
-        }
-    raise TypeError(f"cannot serialize {type(model).__name__}")
+    tag = _MODEL_TAGS.get(type(model))
+    if tag is None:
+        raise TypeError(f"cannot serialize {type(model).__name__}")
+    return {"type": tag, **_MODELS[tag][2](model)}
 
 
 def operator_to_json(op: UpperTransitionOperator) -> dict:
@@ -320,6 +299,14 @@ def _label_paths(space: StateSpace, length: int):
     return itertools.product(space.labels, repeat=length)
 
 
+def _marginal_rows(sc: Scenario, indicators: list[Gamble]):
+    """Yield [n, lower, upper] for n = 1..horizon and each indicator, n-major."""
+    chain = sc.to_chain()
+    for n in range(1, sc.horizon + 1):
+        for ind in indicators:
+            yield [n, chain.marginal_lower(n, ind), chain.marginal_upper(n, ind)]
+
+
 def cmd_evolve(sc: Scenario, args) -> tuple[list[str], list[list]]:
     if not args.event:
         raise ScenarioError("schema-error", "evolve needs --event")
@@ -327,13 +314,7 @@ def cmd_evolve(sc: Scenario, args) -> tuple[list[str], list[list]]:
         ind = sc.space.indicator([s.strip() for s in args.event.split(",")])
     except KeyError as exc:
         raise ScenarioError("schema-error", f"bad --event: {exc.args[0]}") from exc
-    chain = sc.to_chain()
-    rows = []
-    for n in range(1, sc.horizon + 1):
-        rows.append(
-            [n, chain.marginal_lower(n, ind), chain.marginal_upper(n, ind)]
-        )
-    return ["n", "lower", "upper"], rows
+    return ["n", "lower", "upper"], list(_marginal_rows(sc, [ind]))
 
 
 def cmd_limit(sc: Scenario, args) -> tuple[list[str], list[list]]:
@@ -380,14 +361,9 @@ def cmd_joint(sc: Scenario, args) -> tuple[list[str], list[list]]:
 
 
 def cmd_credal_approx(sc: Scenario, args) -> tuple[list[str], list[list]]:
-    chain = sc.to_chain()
-    rows = []
-    for n in range(1, sc.horizon + 1):
-        for x in sc.space:
-            ind = sc.space.indicator([x])
-            rows.append(
-                [n, x, chain.marginal_lower(n, ind), chain.marginal_upper(n, ind)]
-            )
+    indicators = [sc.space.indicator([x]) for x in sc.space]
+    states = itertools.cycle(sc.space.labels)
+    rows = [[n, next(states), lo, up] for n, lo, up in _marginal_rows(sc, indicators)]
     return ["n", "state", "lower", "upper"], rows
 
 

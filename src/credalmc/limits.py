@@ -204,18 +204,3 @@ def detect_cycle(
         f"no cycle of period <= {max_period} found in {max_iter} iterations; "
         "the search window may be too small"
     )
-
-
-def invariant_singleton_bounds(
-    op: UpperTransitionOperator,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> dict[str, tuple[float, float]]:
-    """Outer approximation of the invariant credal set by singleton bounds."""
-    out = {}
-    for x in op.space:
-        ind = op.space.indicator([x])
-        up = limit_upper(op, ind, tol, max_iter).value
-        lo = -limit_upper(op, -ind, tol, max_iter).value
-        out[x] = (lo, up)
-    return out

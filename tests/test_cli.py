@@ -11,6 +11,7 @@ from credalmc.cli import (
     load_bundled,
     load_scenario,
     main,
+    model_to_json,
     parse_gamble,
     scenario_from_json,
     scenario_to_json,
@@ -99,6 +100,91 @@ def test_round_trip_all_bundled():
         assert sc.to_chain().marginal_upper(sc.horizon, h) == pytest.approx(
             sc2.to_chain().marginal_upper(sc.horizon, h), abs=1e-12
         )
+
+
+# One row per model family under `rows`, then every operator shorthand.
+EVERY_TAG_DOC = {
+    "states": ["a", "b", "c"],
+    "initial": {"type": "linear", "mass": [0.5, 0.3, 0.2]},
+    "transition": [
+        {
+            "type": "rows",
+            "rows": [
+                {"type": "linear", "mass": [0.2, 0.5, 0.3]},
+                {"type": "vacuous"},
+                {"type": "vertices", "points": [[0.6, 0.4, 0.0], [0.1, 0.1, 0.8]]},
+            ],
+        },
+        {
+            "type": "rows",
+            "rows": [
+                {"type": "contamination", "base": [0.7, 0.2, 0.1], "epsilon": 0.2},
+                {
+                    "type": "belief",
+                    "focal": [
+                        {"members": ["a"], "mass": 0.5},
+                        {"members": ["b", "c"], "mass": 0.3},
+                        {"members": ["a", "b", "c"], "mass": 0.2},
+                    ],
+                },
+                {
+                    "type": "prob_interval",
+                    "lower": [0.1, 0.2, 0.3],
+                    "upper": [0.4, 0.5, 0.6],
+                },
+            ],
+        },
+        {
+            "type": "matrix",
+            "matrix": [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]],
+        },
+        {
+            "type": "contamination",
+            "matrix": [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]],
+            "epsilon": 0.1,
+        },
+        {
+            "type": "interval",
+            "lower": [[0.1, 0.2, 0.3], [0.3, 0.3, 0.1], [0.0, 0.0, 0.5]],
+            "upper": [[0.4, 0.5, 0.6], [0.5, 0.5, 0.3], [0.5, 0.5, 1.0]],
+        },
+    ],
+    "horizon": 6,
+    "queries": [{"command": "evolve", "event": "a"}],
+}
+
+
+def _rounded(doc):
+    """`doc` through JSON with every float cut to 12 significant digits.
+
+    MassFunction renormalises its weights, which can move them by an ulp,
+    so a round trip is compared at the precision of the CSV output.
+    """
+    return json.loads(json.dumps(doc), parse_float=lambda t: float(f"{float(t):.12g}"))
+
+
+def test_round_trip_every_tag():
+    sc = scenario_from_json(EVERY_TAG_DOC)
+    doc = scenario_to_json(sc)
+    sc2 = scenario_from_json(json.loads(json.dumps(doc)))
+    assert _rounded(scenario_to_json(sc2)) == _rounded(doc)
+    tags = [row["type"] for op in doc["transition"] for row in op["rows"]]
+    assert tags == [
+        "linear", "vacuous", "vertices", "contamination", "belief", "prob_interval",
+        *["linear"] * 3, *["contamination"] * 3, *["prob_interval"] * 3,
+    ]
+    chain, chain2 = sc.to_chain(), sc2.to_chain()
+    for x in sc.space:
+        ind = sc.space.indicator([x])
+        for n in range(1, sc.horizon + 1):
+            assert chain2.marginal_lower(n, ind) == pytest.approx(
+                chain.marginal_lower(n, ind), abs=1e-12
+            )
+            assert chain2.marginal_upper(n, ind) == pytest.approx(
+                chain.marginal_upper(n, ind), abs=1e-12
+            )
+    with pytest.raises(TypeError):
+        model_to_json(object())
 
 
 def test_parse_gamble_defaults_to_zero():
@@ -243,6 +329,19 @@ def test_path_enumeration_guard_exits_3(capsys, argv):
     assert err.startswith("error:SizeGuardError:")
 
 
+def test_verify_tree_guard_exits_3_quickly(capsys, tmp_path):
+    doc = json.loads(bundled_scenario_path("example_5_4").read_text())
+    doc["horizon"] = 3  # 3,188,646 trees: past oracle.ASSIGNMENT_GUARD
+    p = tmp_path / "ex54_h3.json"
+    p.write_text(json.dumps(doc))
+    t0 = time.perf_counter()
+    code, out, err = _run(capsys, "verify", str(p))
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:SizeGuardError:")
+
+
 def test_byte_stable_output(capsys):
     path = str(bundled_scenario_path("example_5_3"))
     _, out1, _ = _run(capsys, "evolve", path, "--event", "a")
@@ -300,3 +399,34 @@ def test_joint_length_defaults_to_horizon(capsys):
     _, explicit, _ = _run(capsys, "joint", path, "--length", "2")
     assert full == explicit
     assert len(full.splitlines()) == 1 + 4
+
+
+_VALID_DOC = {
+    "states": ["a", "b"],
+    "initial": {"type": "vacuous"},
+    "transition": {"type": "matrix", "matrix": [[0.5, 0.5], [0.5, 0.5]]},
+    "horizon": 3,
+}
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [
+        {"initial": {"type": "belief", "focal": 5}},
+        {"initial": {"type": "belief", "focal": [5]}},
+        {"initial": {"type": "vertices", "points": 5}},
+        {"transition": {"type": "rows", "rows": 5}},
+        {"states": 5},
+        {"queries": 5},
+        {"horizon": True},
+    ],
+    ids=["focal-int", "focal-entry-int", "points-int", "rows-int", "states-int",
+         "queries-int", "horizon-bool"],
+)
+def test_malformed_scenario_exits_2(capsys, tmp_path, patch):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({**_VALID_DOC, **patch}))
+    code, out, err = _run(capsys, "evolve", str(p), "--event", "a")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:schema-error:")
