@@ -1,11 +1,10 @@
 """Backwards recursion for imprecise Markov chains.
 
-Marginal and conditional queries operate on gambles of size |X| and
-never materialize the path space, so their cost is linear in the number
-of time steps.  Joint queries over path gambles fold a dense table over
-X^N one time axis at a time and are meant for desk-scale horizons; each
-backward step makes one kernel call per last state, batched over every
-history that ends in it.
+Every query runs one recursion, `ImpreciseMarkovChain._fold`, on a raw
+array: marginal and conditional queries fold a gamble on X, so their
+cost is linear in the number of time steps, and joint queries fold the
+dense table over X^N one time axis per step, for desk-scale horizons.
+`Gamble` and `PathGamble` are built and checked only at the boundary.
 
 Time indices are 1-based: X(1) is the initial state and a chain with
 horizon N has N - 1 transition steps.
@@ -19,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .credal import CredalModel
-from .states import DimensionMismatch, Gamble, StateSpace
+from .states import DimensionMismatch, Gamble, StateSpace, _check_space
 from .transition import UpperTransitionOperator
 
 
@@ -140,21 +139,36 @@ class ImpreciseMarkovChain:
             raise ValueError(f"step index {k} out of range")
         return self.transitions[0] if self.stationary else self.transitions[k - 1]
 
+    def _fold(self, table: np.ndarray, top: int, down_to: int) -> np.ndarray:
+        """Fold a raw (|X|,) * d table over X(top - d + 1), ..., X(top) back
+        to time `down_to`.  A step applies the operator to the slice of
+        every history along the last axis (one kernel call per family) and
+        keeps the row of that history's last state; a table over one time
+        has no history, so the step is T h."""
+        s = len(self.space)
+        for k in range(top - 1, down_to - 1, -1):
+            vals = self.operator_at(k).apply_many(table.reshape(-1, s).T)
+            vals = vals.reshape((s,) + table.shape[:-1])
+            table = vals if table.ndim == 1 else np.diagonal(vals, 0, 0, -1)
+        return table
+
+    def _path_table(self, f: PathGamble) -> np.ndarray:
+        if f.horizon != self.horizon:
+            raise DimensionMismatch(
+                f"path gamble horizon {f.horizon} != chain horizon {self.horizon}"
+            )
+        return f.values
+
     # ------------------------------------------------------------------
     # Marginal and conditional queries (gamble-sized, linear in n).
-
-    def _backward(self, n: int, ell: int, h: Gamble) -> Gamble:
-        """Upper expectation of h(X(n)) given X(ell), as a gamble on X(ell)."""
-        for k in range(n - 1, ell - 1, -1):
-            h = self.operator_at(k).apply(h)
-        return h
 
     def marginal_upper(self, n: int, h: Gamble) -> float:
         """Upper expectation of h(X(n)): fold h back to time 1, then close
         with the initial model."""
         if not 1 <= n <= self.horizon:
             raise ValueError(f"time {n} out of range [1, {self.horizon}]")
-        return self.initial.upper(self._backward(n, 1, h))
+        _check_space(self, h)
+        return self.initial.upper(Gamble(self.space, self._fold(h.values, n, 1)))
 
     def marginal_lower(self, n: int, h: Gamble) -> float:
         return -self.marginal_upper(n, -h)
@@ -163,7 +177,8 @@ class ImpreciseMarkovChain:
         """Upper expectation of h(X(n)) given X(ell) = x_ell, ell < n."""
         if not 1 <= ell < n <= self.horizon:
             raise ValueError(f"need 1 <= {ell} < {n} <= {self.horizon}")
-        return self._backward(n, ell, h).at(x_ell)
+        _check_space(self, h)
+        return float(self._fold(h.values, n, ell)[self.space.index(x_ell)])
 
     def conditional_lower(self, ell: int, x_ell: str, n: int, h: Gamble) -> float:
         return -self.conditional_upper(ell, x_ell, n, -h)
@@ -171,32 +186,9 @@ class ImpreciseMarkovChain:
     # ------------------------------------------------------------------
     # Joint queries over path gambles.
 
-    def _fold(self, f: PathGamble, down_to: int) -> np.ndarray:
-        """Fold the table over X^N down to a table over X^down_to.
-
-        One backward step conditions only on the last coordinate: the
-        slice of the table at each history is a gamble in the final time
-        axis, evaluated under the row model of the history's last state.
-        All histories sharing a last state go to that row in one call.
-        """
-        if f.horizon != self.horizon:
-            raise DimensionMismatch(
-                f"path gamble horizon {f.horizon} != chain horizon {self.horizon}"
-            )
-        s = len(self.space)
-        table = f.values
-        for k in range(self.horizon - 1, down_to - 1, -1):
-            new = np.empty((s,) * k)
-            for x, row in enumerate(self.operator_at(k).rows):
-                # Column j is the gamble at the j-th history ending in x.
-                H = table[..., x, :].reshape(-1, s).T
-                new[..., x] = row.upper_many(H).reshape((s,) * (k - 1))
-            table = new
-        return table
-
     def joint_upper(self, f: PathGamble) -> float:
         """Upper expectation of a path gamble over all compatible trees."""
-        table = self._fold(f, down_to=1)
+        table = self._fold(self._path_table(f), self.horizon, 1)
         return self.initial.upper(Gamble(self.space, table))
 
     def joint_lower(self, f: PathGamble) -> float:
@@ -208,10 +200,7 @@ class ImpreciseMarkovChain:
         if not 1 <= n <= self.horizon:
             raise ValueError("prefix length out of range")
         idx = tuple(self.space.index(x) for x in prefix)
-        if n == self.horizon:
-            return float(f.values[idx])
-        table = self._fold(f, down_to=n)
-        return float(table[idx])
+        return float(self._fold(self._path_table(f), self.horizon, n)[idx])
 
     def joint_lower_given(self, prefix: Sequence[str], f: PathGamble) -> float:
         return -self.joint_upper_given(prefix, -f)
@@ -229,10 +218,8 @@ class ImpreciseMarkovChain:
             raise ValueError(
                 "path gamble must declare depends_on within {n, ..., N}"
             )
-        if n == 1:
-            return 0.0
-        table = self._fold(f, down_to=n).reshape(-1, len(self.space))
-        return float(np.ptp(table, axis=0).max())
+        table = self._fold(self._path_table(f), self.horizon, n)
+        return float(np.ptp(table.reshape(-1, len(self.space)), axis=0).max())
 
     # ------------------------------------------------------------------
     # Chapman-Kolmogorov path mass bounds.
@@ -241,15 +228,15 @@ class ImpreciseMarkovChain:
         self, lo: float, up: float, n: int, x_n: str, path: Sequence[str]
     ) -> tuple[float, float]:
         """Multiply (lo, up) by the one-step lower and upper probabilities
-        of moving from x_n at time n along `path`."""
-        prev = x_n
-        for j, x in enumerate(path):
-            op = self.operator_at(n + j)
-            ind = self.space.indicator([x])
-            up *= op.apply(ind).at(prev)
-            lo *= op.apply_lower(ind).at(prev)
-            prev = x
-        return lo, up
+        of moving from x_n at time n along `path`: one kernel call per step,
+        on the current state's row, for the indicator and its negation."""
+        eye = np.eye(len(self.space))
+        for k, (prev, x) in enumerate(zip([x_n, *path], path), n):
+            ind = eye[self.space.index(x)]
+            row = self.operator_at(k).rows[self.space.index(prev)]
+            u, minus_l = row.upper_many(np.stack([ind, -ind], axis=1))
+            up, lo = up * u, lo * -minus_l
+        return float(lo), float(up)
 
     def path_mass_bounds(self, path: Sequence[str]) -> tuple[float, float]:
         """Tight (lower, upper) bounds on the mass of an initial path.

@@ -111,6 +111,14 @@ def _parse(where: str, obj, read):
         raise ScenarioError("schema-error", f"{where}: {exc}") from exc
 
 
+def _list(obj: dict, key: str) -> list:
+    """`obj[key]` if it is a JSON array; a string would iterate as letters."""
+    value = obj[key]
+    if not isinstance(value, list):
+        raise TypeError(f"{key!r} must be a list, got {type(value).__name__}")
+    return value
+
+
 #: JSON tag -> (class, read(space, obj) -> model, write(model) -> fields).
 _MODELS = {
     "linear": (
@@ -132,7 +140,7 @@ _MODELS = {
     "belief": (
         BeliefFunction,
         lambda sp, o: BeliefFunction(
-            sp, [(Event(sp, f["members"]), f["mass"]) for f in o["focal"]]
+            sp, [(Event(sp, _list(f, "members")), f["mass"]) for f in o["focal"]]
         ),
         lambda m: {
             "focal": [{"members": sorted(ev.members), "mass": w} for ev, w in m.focal]
@@ -173,7 +181,7 @@ def operator_from_json(
 
 
 def _read_scenario(doc: dict) -> Scenario:
-    space = StateSpace(doc["states"])
+    space = StateSpace(_list(doc, "states"))
     initial = model_from_json(space, doc["initial"], "initial")
     horizon = doc["horizon"]
     if type(horizon) is not int or horizon < 1:
@@ -190,7 +198,7 @@ def _read_scenario(doc: dict) -> Scenario:
         )
     else:
         transitions = operator_from_json(space, trans_doc, "transition")
-    queries = tuple(doc.get("queries", []))
+    queries = tuple(_list(doc, "queries")) if "queries" in doc else ()
     return Scenario(space, initial, transitions, horizon, queries)
 
 

@@ -30,6 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .states import (
+    MASS_TOL,
     Event,
     Gamble,
     MassFunction,
@@ -40,6 +41,9 @@ from .states import (
 
 #: Coordinatewise tolerance used when removing duplicate vertices.
 VERTEX_DEDUP_TOL = 1e-12
+
+#: Slack on a single focal mass or interval bound (sums use MASS_TOL).
+BOUND_SLACK = 1e-12
 
 #: Feasibility slack used in ProbInterval vertex enumeration.
 _FEAS_TOL = 1e-9
@@ -275,12 +279,12 @@ class BeliefFunction(CredalModel):
                 )
             if not math.isfinite(w):
                 raise CredalValidationError("non-finite", f"focal mass {w}")
-            if w < -1e-12:
+            if w < -BOUND_SLACK:
                 raise CredalValidationError(
                     "mass-sum-violation", f"negative focal mass {w}"
                 )
         total = sum(w for _, w in focal)
-        if abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > MASS_TOL:
             raise CredalValidationError(
                 "mass-sum-violation", f"focal masses sum to {total}, not 1"
             )
@@ -340,12 +344,12 @@ class ProbInterval(CredalModel):
             raise CredalValidationError(
                 "non-finite", "interval bounds must be finite"
             )
-        if np.any(lo < -1e-12) or np.any(up > 1 + 1e-12) or np.any(lo > up + 1e-12):
+        if np.max([-lo, up - 1.0, lo - up]) > BOUND_SLACK:
             raise CredalValidationError(
                 "empty-credal-set",
                 "need 0 <= lower <= upper <= 1 for every state",
             )
-        if lo.sum() > 1 + 1e-9 or up.sum() < 1 - 1e-9:
+        if lo.sum() > 1 + MASS_TOL or up.sum() < 1 - MASS_TOL:
             raise CredalValidationError(
                 "empty-credal-set",
                 f"sum of lower bounds {lo.sum()} and upper bounds {up.sum()} "
@@ -355,7 +359,7 @@ class ProbInterval(CredalModel):
         for i in range(n):
             others_up = up.sum() - up[i]
             others_lo = lo.sum() - lo[i]
-            if lo[i] + others_up < 1 - 1e-9 or up[i] + others_lo > 1 + 1e-9:
+            if lo[i] + others_up < 1 - MASS_TOL or up[i] + others_lo > 1 + MASS_TOL:
                 raise CredalValidationError(
                     "non-reachable-bounds",
                     f"bounds for state {space.labels[i]!r} cannot be attained",

@@ -189,7 +189,7 @@ def detect_cycle(
                 for j in range(p + 1)
             ):
                 rep = history[-1 - 2 * p]
-                residual = op.power(rep, p).sup_dist(rep)
+                residual = history[-1 - p].sup_dist(rep)  # T^p rep vs rep
                 return CycleReport(
                     period=p,
                     representative=rep,

@@ -12,9 +12,13 @@ from typing import Iterable
 import numpy as np
 
 #: Tolerance on nonnegativity and normalization of mass functions.
-#: Inputs within this tolerance are renormalized exactly once at
+#: Inputs within this tolerance are clipped at zero and renormalized at
 #: construction; anything further off is rejected.
 MASS_TOL = 1e-9
+
+#: Clipped weights summing to one within RENORM_ULPS * |X| ulps are kept
+#: as given, so construction is idempotent and round trips are exact.
+RENORM_ULPS = 2
 
 
 class DimensionMismatch(ValueError):
@@ -165,7 +169,7 @@ class MassFunction:
     """A probability mass function on the state space.
 
     Weights must be nonnegative and sum to one within MASS_TOL; they are
-    clipped and renormalized exactly once here.
+    clipped and, unless they sum to one up to rounding, renormalized.
     """
 
     space: StateSpace
@@ -184,7 +188,9 @@ class MassFunction:
         total = weights.sum()
         if abs(total - 1.0) > MASS_TOL:
             raise ValueError(f"weights sum to {total}, not 1")
-        weights = np.clip(weights, 0.0, None) / np.clip(weights, 0.0, None).sum()
+        weights = np.clip(weights, 0.0, None)
+        if abs(weights.sum() - 1.0) > RENORM_ULPS * len(space) * np.finfo(float).eps:
+            weights = weights / weights.sum()
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "weights", _freeze(weights))
 

@@ -111,14 +111,6 @@ class UpperTransitionOperator:
             raise DimensionMismatch("gamble on a different state space")
         return Gamble(self.space, -self.apply_many(-h.values[:, None])[:, 0])
 
-    def power(self, h: Gamble, n: int) -> Gamble:
-        """n-fold application of `apply`; n = 0 is the identity."""
-        if n < 0:
-            raise ValueError("power requires n >= 0")
-        for _ in range(n):
-            h = self.apply(h)
-        return h
-
     def default_n_max(self) -> int:
         # Wielandt bound for precise primitive matrices; the imprecise
         # case has no published bound, so is_regular treats exhaustion of

@@ -203,3 +203,25 @@ def test_non_stationary_chain_accepts_per_step_operators(ab):
     assert chain.marginal_upper(3, ind) == pytest.approx(0.0)
     with pytest.raises(ValueError):
         ImpreciseMarkovChain(Linear(MassFunction(ab, [1.0, 0.0])), [op1], 3)
+
+
+def test_gamble_count_does_not_grow_with_n(ex53_initial, ex53_op, ab, monkeypatch):
+    """Gambles are built at the boundary only, never per backward step."""
+    built = []
+    init = Gamble.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    chain = ImpreciseMarkovChain(ex53_initial, ex53_op, 40)
+    ind = ab.indicator(["a"])
+    monkeypatch.setattr(Gamble, "__init__", counted)
+    counts = []
+    for n in (2, 40):
+        built.clear()
+        chain.marginal_lower(n, ind)
+        chain.marginal_upper(n, ind)
+        chain.path_mass_bounds(["a", "b"] * (n // 2))
+        counts.append(len(built))
+    assert counts[0] == counts[1]

@@ -248,6 +248,22 @@ def test_joint_fold_matches_per_row_loop(stationary):
         assert chain.joint_upper_given(prefix, f) == pytest.approx(
             _fold_ref(chain, f, N - 1)[idx], abs=1e-12
         )
+        # Marginal and conditional queries are the same fold on a gamble.
+        h = Gamble(chain.space, rng.uniform(-1.0, 1.0, size=s))
+        for n in range(1, N + 1):
+            lifted = PathGamble.from_gamble(h, n, N)
+            assert chain.marginal_upper(n, h) == pytest.approx(
+                chain.joint_upper(lifted), abs=1e-12
+            )
+            for ell in range(1, n):
+                prefix = tuple(rng.choice(chain.space.labels, size=ell))
+                assert chain.conditional_upper(ell, prefix[-1], n, h) == pytest.approx(
+                    chain.joint_upper_given(prefix, lifted), abs=1e-12
+                )
+        # A full-length prefix folds over zero steps.
+        path = tuple(rng.choice(chain.space.labels, size=N))
+        idx = tuple(chain.space.index(x) for x in path)
+        assert chain.joint_upper_given(path, f) == f.values[idx]
 
 
 @pytest.mark.parametrize("stationary", [True, False], ids=["stationary", "per-step"])

@@ -198,5 +198,7 @@ class TestDetectCycle:
         rng = np.random.default_rng(97)
         h = random_gamble(rng, ab)
         rep = detect_cycle(cycle_op, h, tol=1e-12)
-        back = cycle_op.power(rep.representative, rep.period)
+        back = rep.representative
+        for _ in range(rep.period):
+            back = cycle_op.apply(back)
         assert back.sup_dist(rep.representative) <= 1e-12

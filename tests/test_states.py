@@ -75,6 +75,17 @@ def test_mass_function_renormalizes_within_tolerance():
         MassFunction(AB, [-0.1, 1.1])
 
 
+@given(
+    raw=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8)
+    .filter(lambda raw: sum(raw) > 0.01)
+)
+def test_mass_function_is_idempotent(raw):
+    space = StateSpace([f"x{i}" for i in range(len(raw))])
+    once = MassFunction(space, np.array(raw) / sum(raw)).weights
+    twice = MassFunction(space, once.tolist()).weights
+    assert np.array_equal(once, twice)
+
+
 def test_event_membership_checked():
     with pytest.raises(KeyError):
         Event(AB, ["z"])
