@@ -1,9 +1,11 @@
 """Backwards recursion for imprecise Markov chains.
 
-Every query runs one recursion, `ImpreciseMarkovChain._fold`, on a raw
-array: marginal and conditional queries fold a gamble on X, so their
-cost is linear in the number of time steps, and joint queries fold the
-dense table over X^N one time axis per step, for desk-scale horizons.
+Every expectation query runs one recursion, `ImpreciseMarkovChain._fold`,
+on a raw array: marginal and conditional queries fold a gamble on X, so
+their cost is linear in the number of time steps, and joint queries fold
+the dense table over X^N one time axis per step, for desk-scale horizons.
+A path's mass bounds need no fold: they are products of entries of each
+step operator's cached one-step lower and upper probability tables.
 `Gamble` and `PathGamble` are built and checked only at the boundary.
 
 Time indices are 1-based: X(1) is the initial state and a chain with
@@ -228,14 +230,12 @@ class ImpreciseMarkovChain:
         self, lo: float, up: float, n: int, x_n: str, path: Sequence[str]
     ) -> tuple[float, float]:
         """Multiply (lo, up) by the one-step lower and upper probabilities
-        of moving from x_n at time n along `path`: one kernel call per step,
-        on the current state's row, for the indicator and its negation."""
-        eye = np.eye(len(self.space))
+        of moving from x_n at time n along `path`, read from each step
+        operator's cached (s, s) tables: no kernel call per path."""
         for k, (prev, x) in enumerate(zip([x_n, *path], path), n):
-            ind = eye[self.space.index(x)]
-            row = self.operator_at(k).rows[self.space.index(prev)]
-            u, minus_l = row.upper_many(np.stack([ind, -ind], axis=1))
-            up, lo = up * u, lo * -minus_l
+            lower, upper = self.operator_at(k)._mass_bounds
+            i, j = self.space.index(prev), self.space.index(x)
+            up, lo = up * upper[i, j], lo * lower[i, j]
         return float(lo), float(up)
 
     def path_mass_bounds(self, path: Sequence[str]) -> tuple[float, float]:

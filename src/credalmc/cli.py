@@ -262,7 +262,7 @@ def scenario_to_json(sc: Scenario) -> dict:
 
 def _fmt(v) -> str:
     if isinstance(v, float):
-        return f"{v:.12g}"
+        return f"{v + 0.0:.12g}"  # a zero built as -upper(-h) prints as 0
     return str(v)
 
 
@@ -378,22 +378,20 @@ def cmd_credal_approx(sc: Scenario, args) -> tuple[list[str], list[list]]:
 def cmd_verify(sc: Scenario, args) -> tuple[list[str], list[list]]:
     chain = sc.to_chain()
     paths = _label_paths(sc.space, sc.horizon)
-    oracle.count_assignments(chain, sc.horizon)  # size guard, before any table
-    queries = [
-        (">".join(path), PathGamble.path_indicator(sc.space, sc.horizon, path))
-        for path in paths
-    ]
     rng = np.random.default_rng(args.seed)
-    s = len(sc.space)
-    for j in range(3):
-        values = rng.uniform(-1.0, 1.0, size=(s,) * sc.horizon)
-        queries.append((f"random[{j}]", PathGamble(sc.space, sc.horizon, values)))
-    o_lo, o_up = oracle.envelope(chain, [f for _, f in queries])
-    rows = []
-    for (name, f), lo, up in zip(queries, o_lo.tolist(), o_up.tolist()):
-        e_lo, e_up = chain.joint_lower(f), chain.joint_upper(f)
-        gap = max(abs(e_lo - lo), abs(e_up - up))
-        rows.append([name, e_lo, e_up, lo, up, gap])
+    draws = rng.uniform(-1.0, 1.0, size=(3,) + (len(sc.space),) * sc.horizon)
+    fs = [PathGamble(sc.space, sc.horizon, values) for values in draws]
+    o_lo, o_up, mass_lo, mass_up = oracle.envelope(chain, fs)
+    # Path rows check the product `joint` prints; random rows check the fold.
+    rows = [
+        [">".join(path), *chain.path_mass_bounds(path), lo, up]
+        for path, lo, up in zip(paths, mass_lo.ravel().tolist(), mass_up.ravel().tolist())
+    ] + [
+        [f"random[{j}]", chain.joint_lower(f), chain.joint_upper(f), lo, up]
+        for j, (f, lo, up) in enumerate(zip(fs, o_lo.tolist(), o_up.tolist()))
+    ]
+    for row in rows:
+        row.append(max(abs(row[1] - row[3]), abs(row[2] - row[4])))
     return (
         ["query", "engine_lower", "engine_upper", "oracle_lower", "oracle_upper", "gap"],
         rows,

@@ -6,10 +6,9 @@ the min/max of each gamble's exact expectation over them.  There is one
 sum-product, `path_probabilities`, which gives one tree's probability of
 every path (optionally conditional on a history), and one enumeration,
 `envelope`, which contracts that tensor with any number of path gambles
-per tree.  A path indicator's expectation is its entry of the tensor,
-so path-mass envelopes need nothing more.  Deliberately independent of
-the recursion it validates: nothing here applies an upper transition
-operator or a credal kernel.
+per tree and bounds its entries, the path masses, with no indicator
+table.  Deliberately independent of the recursion it validates: nothing
+here applies an upper transition operator or a credal kernel.
 
 Choices at different situations are independent (the row credal set
 depends only on the last state, but the chosen mass function may differ
@@ -131,14 +130,13 @@ def envelope(
     fs: Sequence[PathGamble],
     prefix: Sequence[str] = (),
     markov_only: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Tight (lower, upper) bounds on E(f | X(1:n) = prefix) for each f in fs.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Tight bounds (lo, up) on E(f | X(1:n) = prefix) for each f in fs, and
+    (mass_lo, mass_up), shaped (|X|,) * (horizon - n), on each continuation.
 
-    One pass over the compatible trees serves every gamble: each tree's
-    path-probability tensor is computed once and contracted with all of
-    them.  The bound on a path indicator is the envelope of that path's
-    mass.  With markov_only=True the enumeration is restricted to trees
-    whose choice depends only on (time, last state).
+    One pass over the trees serves all of them: each tree's path-probability
+    tensor is contracted with every f and joins the same running min/max.
+    markov_only=True enumerates only trees choosing by (time, last state).
     """
     if not fs:
         raise ValueError("envelope needs at least one path gamble")
@@ -146,12 +144,13 @@ def envelope(
     if any(f.horizon != horizon for f in fs):
         raise ValueError("all path gambles must share one horizon")
     idx = tuple(chain.space.index(x) for x in prefix)
-    tails = np.stack([f.values[idx] for f in fs]).reshape(len(fs), -1)
-    lo = np.full(len(fs), np.inf)
-    up = np.full(len(fs), -np.inf)
+    m, shape = len(fs), fs[0].values[idx].shape
+    tails = np.stack([f.values[idx] for f in fs]).reshape(m, -1)
+    lo = np.full(m + tails.shape[1], np.inf)
+    up = -lo
     for a in _assignments(chain, horizon, markov_only):
-        probs = path_probabilities(chain, a, horizon, idx)
-        v = (probs.reshape(-1) * tails).sum(axis=1)
+        probs = path_probabilities(chain, a, horizon, idx).reshape(-1)
+        v = np.concatenate([(probs * tails).sum(axis=1), probs])
         np.minimum(lo, v, out=lo)
         np.maximum(up, v, out=up)
-    return lo, up
+    return lo[:m], up[:m], lo[m:].reshape(shape), up[m:].reshape(shape)

@@ -85,6 +85,12 @@ class UpperTransitionOperator:
             for cls, idx in groups.items()
         )
 
+    @functools.cached_property
+    def _mass_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lower, upper) one-step tables: entry [x, y] bounds P(x -> y)."""
+        eye = np.eye(len(self.space))
+        return -self.apply_many(-eye), self.apply_many(eye)
+
     def apply_many(self, H) -> np.ndarray:
         """Apply the operator to each column of a raw (s, k) array."""
         H = np.asarray(H, dtype=float)

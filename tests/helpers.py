@@ -89,11 +89,13 @@ def random_small_chain(
     max_horizon: int = 3,
     max_vertices: int = 3,
     max_assignments: int = 1200,
+    stationary: bool = True,
 ) -> ImpreciseMarkovChain:
     """A random chain small enough for the tree oracle.
 
     Mixes all model families; rejects draws whose models exceed the
     vertex cap or whose tree enumeration exceeds the assignment cap.
+    A non-stationary chain draws its own operator for every step.
     """
     for _ in range(200):
         n_states = int(rng.integers(2, max_states + 1))
@@ -107,9 +109,12 @@ def random_small_chain(
                     return m
             return Linear(random_mass(rng, space))
 
+        def op():
+            return UpperTransitionOperator(space, [draw() for _ in range(n_states)])
+
         initial = draw()
-        op = UpperTransitionOperator(space, [draw() for _ in range(n_states)])
-        chain = ImpreciseMarkovChain(initial, op, horizon)
+        transitions = op() if stationary else [op() for _ in range(horizon - 1)]
+        chain = ImpreciseMarkovChain(initial, transitions, horizon)
         try:
             if count_assignments(chain, horizon) <= max_assignments:
                 return chain

@@ -111,10 +111,14 @@ def test_criterion_5_oracle_equivalence(suite):
             [chain.space.labels[i] for i in idx] for idx in np.ndindex(*(s,) * N)
         ]
         fs = [f] + [PathGamble.path_indicator(chain.space, N, p) for p in paths]
-        lo, up = envelope(chain, fs)
+        lo, up, mass_lo, mass_up = envelope(chain, fs)
         for g, g_lo, g_up in zip(fs, lo, up):
             assert abs(chain.joint_upper(g) - g_up) <= 1e-10
             assert abs(chain.joint_lower(g) - g_lo) <= 1e-10
+        for path, idx in zip(paths, np.ndindex(*(s,) * N)):
+            p_lo, p_up = chain.path_mass_bounds(path)
+            assert abs(p_up - mass_up[idx]) <= 1e-10
+            assert abs(p_lo - mass_lo[idx]) <= 1e-10
     _pass(5, "engine matches tree-oracle envelope on 200 chains", time.perf_counter() - t0, 60.0)
 
 

@@ -107,7 +107,7 @@ class TestJoint:
             3,
         )
         f = PathGamble(ab, 3, rng.uniform(-1, 1, size=(2, 2, 2)))
-        (lo,), (up,) = envelope(chain, [f])
+        (lo,), (up,), _, _ = envelope(chain, [f])
         assert lo == pytest.approx(up, abs=1e-12)
         assert chain.joint_upper(f) == pytest.approx(up, abs=1e-12)
 
@@ -184,6 +184,25 @@ class TestPathMassBounds:
                     f = PathGamble(space, chain.horizon, table)
                     assert up == pytest.approx(chain.joint_upper(f), abs=1e-12)
                     assert lo == pytest.approx(chain.joint_lower(f), abs=1e-12)
+
+    def test_per_step_chain_matches_joint_and_oracle(self):
+        rng = np.random.default_rng(59)
+        horizons = set()
+        for _ in range(10):
+            chain = random_small_chain(rng, max_assignments=600, stationary=False)
+            s, N = len(chain.space), chain.horizon
+            horizons.add(N)
+            zero = PathGamble(chain.space, N, np.zeros((s,) * N))
+            _, _, mass_lo, mass_up = envelope(chain, [zero])
+            for idx in np.ndindex(*(s,) * N):
+                path = [chain.space.labels[i] for i in idx]
+                f = PathGamble.path_indicator(chain.space, N, path)
+                lo, up = chain.path_mass_bounds(path)
+                assert up == pytest.approx(chain.joint_upper(f), abs=1e-12)
+                assert lo == pytest.approx(chain.joint_lower(f), abs=1e-12)
+                assert up == pytest.approx(mass_up[idx], abs=1e-12)
+                assert lo == pytest.approx(mass_lo[idx], abs=1e-12)
+        assert 3 in horizons  # some chains take two distinct step operators
 
     def test_conditional_form(self, ex53_initial, ex53_op, ab):
         chain = ImpreciseMarkovChain(ex53_initial, ex53_op, 3)

@@ -1,10 +1,17 @@
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from credalmc import Contamination, CredalValidationError, ProbInterval, oracle
+from credalmc import (
+    Contamination,
+    CredalValidationError,
+    ImpreciseMarkovChain,
+    ProbInterval,
+    oracle,
+)
 from credalmc.cli import (
     ScenarioError,
     bundled_scenario_path,
@@ -295,6 +302,49 @@ def test_verify_enumerates_the_trees_once(capsys, monkeypatch):
     assert code == 0
     chain = load_bundled("example_5_3_n2").to_chain()
     assert len(calls) == oracle.count_assignments(chain, 2)
+
+
+def test_verify_folds_only_the_random_gambles(capsys, monkeypatch):
+    calls = {"joint_upper": 0, "path_mass_bounds": 0}
+    for name in calls:
+        inner = getattr(ImpreciseMarkovChain, name)
+
+        def counted(self, *args, _inner=inner, _name=name):
+            calls[_name] += 1
+            return _inner(self, *args)
+
+        monkeypatch.setattr(ImpreciseMarkovChain, name, counted)
+    code, _, _ = _run(capsys, "verify", str(bundled_scenario_path("example_5_3_n2")))
+    assert code == 0
+    # Path rows read the product `joint` prints; each random gamble is
+    # folded once for its upper and once for its lower bound.
+    assert calls == {"joint_upper": 2 * 3, "path_mass_bounds": 2**2}
+
+
+def test_verify_at_the_path_guard_holds_no_path_table(capsys, tmp_path):
+    doc = json.loads(bundled_scenario_path("example_5_3_precise").read_text())
+    doc["horizon"] = 12  # 4096 paths, the path guard; one tree
+    p = tmp_path / "precise_h12.json"
+    p.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        code, out, _ = _run(capsys, "verify", str(p))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 2**12 + 3
+    # One 4096 x 4096 float table is 128 MiB.
+    assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("argv", [("evolve", "--event", "a"), ("credal-approx",)])
+def test_zero_bounds_print_without_sign(capsys, argv):
+    path = str(bundled_scenario_path("example_5_1"))
+    code, out, _ = _run(capsys, argv[0], path, *argv[1:])
+    assert code == 0
+    cells = [cell for line in out.splitlines()[1:] for cell in line.split(",")]
+    assert "0" in cells and "-0" not in cells
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Batched family kernels against independent references.
 
-(a) `apply_many` against the per-row vertex envelope at small s;
+(a) `apply_many` against the per-row vertex envelope at small s, and
+    the cached one-step mass tables against per-row indicator calls;
 (b) the interval, belief and vertex-set kernels against a linear
     program at s = 48 and 100, where vertices cannot be enumerated;
 (c) the batched `is_regular`, joint fold and Markov-condition gap
@@ -49,16 +50,20 @@ def _envelope(model, H):
 # (a) apply_many equals the per-row vertex envelope
 
 
+def _random_rows(rng, family):
+    s = int(rng.integers(2, 6))
+    space = StateSpace(LABELS[:s])
+    if family == "mixed":
+        return space, [random_any_model(rng, space) for _ in range(s)]
+    return space, [random_model(rng, space, family) for _ in range(s)]
+
+
 @pytest.mark.parametrize("family", FAMILIES + ("mixed",))
 def test_apply_many_matches_vertex_envelope(family):
     rng = np.random.default_rng(len(family))
     for _ in range(15):
-        s = int(rng.integers(2, 6))
-        space = StateSpace(LABELS[:s])
-        if family == "mixed":
-            rows = [random_any_model(rng, space) for _ in range(s)]
-        else:
-            rows = [random_model(rng, space, family) for _ in range(s)]
+        space, rows = _random_rows(rng, family)
+        s = len(space)
         op = UpperTransitionOperator(space, rows)
         H = _gamble_matrix(rng, s)
         got = op.apply_many(H)
@@ -72,6 +77,18 @@ def test_apply_many_matches_vertex_envelope(family):
             assert op.apply(h).values == pytest.approx(got[:, j], abs=1e-15)
             assert op.apply_lower(h).values == pytest.approx(lower[:, j], abs=1e-15)
             assert [r.upper(h) for r in rows] == pytest.approx(got[:, j], abs=1e-15)
+
+
+@pytest.mark.parametrize("family", FAMILIES + ("mixed",))
+def test_mass_bounds_match_per_row_indicators(family):
+    rng = np.random.default_rng(len(family) + 1000)
+    for _ in range(15):
+        space, rows = _random_rows(rng, family)
+        lower, upper = UpperTransitionOperator(space, rows)._mass_bounds
+        for x, row in enumerate(rows):
+            for y, ind in enumerate(np.eye(len(space))):
+                u, minus_l = row.upper_many(np.stack([ind, -ind], axis=1))
+                assert (lower[x, y], upper[x, y]) == (-minus_l, u)
 
 
 def test_apply_many_checks_shape(ex54_op):

@@ -30,7 +30,7 @@ def _tree_expectation(chain, assignment, f):
 
 
 def _envelope(chain, f, **kw):
-    lo, up = envelope(chain, [f], **kw)
+    lo, up, _, _ = envelope(chain, [f], **kw)
     return float(lo[0]), float(up[0])
 
 
@@ -174,7 +174,7 @@ class TestEnvelope:
         chain = _chain_with_two_vertices(3, ex53_initial, ex53_op)
         rng = np.random.default_rng(139)
         f = PathGamble(ab, 3, rng.uniform(-1, 1, size=(2, 2, 2)))
-        lo, up = envelope(chain, [f, -f], prefix=("b", "a", "b"))
+        lo, up, _, _ = envelope(chain, [f, -f], prefix=("b", "a", "b"))
         assert list(lo) == [f.values[1, 0, 1], -f.values[1, 0, 1]]
         assert list(up) == list(lo)
 
@@ -205,7 +205,7 @@ class TestOracleEquivalence:
                 )
                 for _ in range(2)
             ]
-            for f, lo, up in zip(fs, *envelope(chain, fs)):
+            for f, lo, up in zip(fs, *envelope(chain, fs)[:2]):
                 assert chain.joint_upper(f) == pytest.approx(up, abs=1e-10)
                 assert chain.joint_lower(f) == pytest.approx(lo, abs=1e-10)
 
@@ -231,10 +231,23 @@ class TestOracleEquivalence:
         chain = _chain_with_two_vertices(2, ex53_initial, ex53_op)
         paths = [[ab.labels[i] for i in idx] for idx in np.ndindex(2, 2)]
         fs = [PathGamble.path_indicator(ab, 2, path) for path in paths]
-        lo, up = envelope(chain, fs)
+        lo, up, _, _ = envelope(chain, fs)
         for f, l, u in zip(fs, lo, up):
             assert (l, u) == _envelope(chain, f)
         assert (lo[0], up[0]) == pytest.approx((0.081, 0.2115))
+        # The mass tensors are the envelopes of the path indicators, bit for
+        # bit, also given a history and over Markov trees only.
+        chain = _chain_with_two_vertices(3, ex53_initial, ex53_op)
+        for prefix in [(), ("b",)]:
+            tails = [[ab.labels[i] for i in t] for t in np.ndindex(*(2,) * (3 - len(prefix)))]
+            fs = [PathGamble.path_indicator(ab, 3, [*prefix, *t]) for t in tails]
+            for markov_only in (False, True):
+                lo, up, mass_lo, mass_up = envelope(
+                    chain, fs, prefix=prefix, markov_only=markov_only
+                )
+                assert mass_lo.shape == mass_up.shape == (2,) * (3 - len(prefix))
+                np.testing.assert_array_equal(mass_lo.ravel(), lo)
+                np.testing.assert_array_equal(mass_up.ravel(), up)
 
     def test_interior_points_do_not_move_envelope(self, ex53_initial, ex53_op, ab):
         chain = _chain_with_two_vertices(2, ex53_initial, ex53_op)
