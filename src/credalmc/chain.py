@@ -4,8 +4,10 @@ Every expectation query runs one recursion, `ImpreciseMarkovChain._fold`,
 on a raw array: marginal and conditional queries fold a gamble on X, so
 their cost is linear in the number of time steps, and joint queries fold
 the dense table over X^N one time axis per step, for desk-scale horizons.
-A path's mass bounds need no fold: they are products of entries of each
-step operator's cached one-step lower and upper probability tables.
+Path masses need no fold: `path_mass_bounds` broadcasts the initial
+model's singleton bounds against each step operator's cached one-step
+lower and upper probability tables, giving every path of a length at
+once, and refuses more than PATH_GUARD paths.
 `Gamble` and `PathGamble` are built and checked only at the boundary.
 
 Time indices are 1-based: X(1) is the initial state and a chain with
@@ -19,9 +21,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .credal import CredalModel
+from .credal import CredalModel, SizeGuardError
 from .states import DimensionMismatch, Gamble, StateSpace, _check_space
 from .transition import UpperTransitionOperator
+
+#: Refuse to tabulate more initial paths than this in `path_mass_bounds`.
+PATH_GUARD = 2**12
 
 
 @dataclass(frozen=True)
@@ -226,36 +231,23 @@ class ImpreciseMarkovChain:
     # ------------------------------------------------------------------
     # Chapman-Kolmogorov path mass bounds.
 
-    def _step_masses(
-        self, lo: float, up: float, n: int, x_n: str, path: Sequence[str]
-    ) -> tuple[float, float]:
-        """Multiply (lo, up) by the one-step lower and upper probabilities
-        of moving from x_n at time n along `path`, read from each step
-        operator's cached (s, s) tables: no kernel call per path."""
-        for k, (prev, x) in enumerate(zip([x_n, *path], path), n):
-            lower, upper = self.operator_at(k)._mass_bounds
-            i, j = self.space.index(prev), self.space.index(x)
-            up, lo = up * upper[i, j], lo * lower[i, j]
-        return float(lo), float(up)
+    def path_mass_bounds(self, length: int) -> tuple[np.ndarray, np.ndarray]:
+        """Tight (lower, upper) masses of every initial path of `length`.
 
-    def path_mass_bounds(self, path: Sequence[str]) -> tuple[float, float]:
-        """Tight (lower, upper) bounds on the mass of an initial path.
-
-        upper = upper_1({x_1}) * prod_k T_k I_{x_{k+1}}(x_k); the lower
-        bound is the analogous product of lower expectations.
+        Two arrays of shape (|X|,) * length indexed by state position:
+        upper[x_1, ..., x_m] = upper_1({x_1}) * prod_k U_k[x_k, x_{k+1}],
+        multiplied left to right, with U_k the step operator's cached
+        one-step upper table; the lower table uses the lower ones.
+        Refuses more than PATH_GUARD paths.
         """
-        m = len(path)
-        if not 1 <= m <= self.horizon:
+        s = len(self.space)
+        if not 1 <= length <= self.horizon:
             raise ValueError("path length out of range")
-        first = self.space.indicator([path[0]])
-        lo, up = self.initial.lower(first), self.initial.upper(first)
-        return self._step_masses(lo, up, 1, path[0], path[1:])
-
-    def path_mass_bounds_given(
-        self, n: int, x_n: str, path: Sequence[str]
-    ) -> tuple[float, float]:
-        """Bounds on the mass of X(n+1:m) = path given X(n) = x_n."""
-        m = n + len(path)
-        if not (1 <= n < m <= self.horizon):
-            raise ValueError("conditional path indices out of range")
-        return self._step_masses(1.0, 1.0, n, x_n, path)
+        if s**length > PATH_GUARD:
+            raise SizeGuardError(f"{s}^{length} paths exceed the guard of {PATH_GUARD}")
+        eye = np.eye(s)
+        lo, up = -self.initial.upper_many(-eye), self.initial.upper_many(eye)
+        for k in range(1, length):
+            lower, upper = self.operator_at(k)._mass_bounds
+            lo, up = lo[..., None] * lower, up[..., None] * upper
+        return lo, up

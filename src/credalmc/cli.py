@@ -56,13 +56,15 @@ from .credal import (
     Vacuous,
     VertexSet,
 )
-from .limits import ConvergenceError, NotRegularError, limit_upper
+from .limits import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    ConvergenceError,
+    NotRegularError,
+    limit_upper,
+)
 from .states import Event, Gamble, MassFunction, StateSpace
 from .transition import UpperTransitionOperator
-
-#: Refuse to enumerate more label paths than this in `joint` and `verify`.
-PATH_GUARD = 2**12
-
 
 class ScenarioError(ValueError):
     """A scenario file failed to parse or validate; `code` names the failure."""
@@ -298,15 +300,6 @@ def parse_gamble(space: StateSpace, text: str) -> Gamble:
     return Gamble(space, vals)
 
 
-def _label_paths(space: StateSpace, length: int):
-    """Every label path of the given length, refusing more than PATH_GUARD."""
-    if len(space) ** length > PATH_GUARD:
-        raise oracle.SizeGuardError(
-            f"{len(space)}^{length} paths exceed the guard of {PATH_GUARD}"
-        )
-    return itertools.product(space.labels, repeat=length)
-
-
 def _marginal_rows(sc: Scenario, indicators: list[Gamble]):
     """Yield [n, lower, upper] for n = 1..horizon and each indicator, n-major."""
     chain = sc.to_chain()
@@ -360,11 +353,9 @@ def cmd_joint(sc: Scenario, args) -> tuple[list[str], list[list]]:
         raise ScenarioError(
             "schema-error", f"--length must lie in [1, {sc.horizon}], got {length}"
         )
-    chain = sc.to_chain()
-    rows = []
-    for path in _label_paths(sc.space, length):
-        lo, up = chain.path_mass_bounds(path)
-        rows.append([">".join(path), lo, up])
+    tables = (t.ravel().tolist() for t in sc.to_chain().path_mass_bounds(length))
+    paths = itertools.product(sc.space.labels, repeat=length)
+    rows = [[">".join(path), lo, up] for path, lo, up in zip(paths, *tables)]
     return ["path", "lower", "upper"], rows
 
 
@@ -377,16 +368,16 @@ def cmd_credal_approx(sc: Scenario, args) -> tuple[list[str], list[list]]:
 
 def cmd_verify(sc: Scenario, args) -> tuple[list[str], list[list]]:
     chain = sc.to_chain()
-    paths = _label_paths(sc.space, sc.horizon)
+    # The path tables come first: their size guard also bounds the draws.
+    masses = chain.path_mass_bounds(sc.horizon)
     rng = np.random.default_rng(args.seed)
     draws = rng.uniform(-1.0, 1.0, size=(3,) + (len(sc.space),) * sc.horizon)
     fs = [PathGamble(sc.space, sc.horizon, values) for values in draws]
     o_lo, o_up, mass_lo, mass_up = oracle.envelope(chain, fs)
-    # Path rows check the product `joint` prints; random rows check the fold.
-    rows = [
-        [">".join(path), *chain.path_mass_bounds(path), lo, up]
-        for path, lo, up in zip(paths, mass_lo.ravel().tolist(), mass_up.ravel().tolist())
-    ] + [
+    # Path rows check the tables `joint` prints; random rows check the fold.
+    paths = itertools.product(sc.space.labels, repeat=sc.horizon)
+    tables = (t.ravel().tolist() for t in (*masses, mass_lo, mass_up))
+    rows = [[">".join(path), *cells] for path, *cells in zip(paths, *tables)] + [
         [f"random[{j}]", chain.joint_lower(f), chain.joint_upper(f), lo, up]
         for j, (f, lo, up) in enumerate(zip(fs, o_lo.tolist(), o_up.tolist()))
     ]
@@ -418,8 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--event", help="comma-separated state labels")
     parser.add_argument("--gamble", help="label:value pairs, e.g. a:1,b:0")
     parser.add_argument("--length", type=int, help="path length for `joint`")
-    parser.add_argument("--tol", type=float, default=1e-10)
-    parser.add_argument("--max-iter", type=int, default=10**6)
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    parser.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     parser.add_argument("--n-max", type=int, default=None)
     parser.add_argument("--seed", type=int, default=0)
     return parser

@@ -30,23 +30,17 @@ from typing import Sequence
 import numpy as np
 
 from .states import (
+    BOUND_SLACK,
     MASS_TOL,
+    VERTEX_DEDUP_TOL,
     Event,
     Gamble,
     MassFunction,
     StateSpace,
+    _FEAS_TOL,
     _check_space,
     _freeze,
 )
-
-#: Coordinatewise tolerance used when removing duplicate vertices.
-VERTEX_DEDUP_TOL = 1e-12
-
-#: Slack on a single focal mass or interval bound (sums use MASS_TOL).
-BOUND_SLACK = 1e-12
-
-#: Feasibility slack used in ProbInterval vertex enumeration.
-_FEAS_TOL = 1e-9
 
 #: Refuse vertex enumerations over more candidate points than this.
 VERTEX_GUARD = 2**16

@@ -1,7 +1,8 @@
 """Finite state spaces, gambles, mass functions and precise expectation.
 
 Everything in this module is immutable after construction; arrays are
-frozen so values can be shared freely between threads.
+frozen so values can be shared freely between threads.  The package's
+numeric tolerances are all defined here.
 """
 
 from __future__ import annotations
@@ -19,6 +20,20 @@ MASS_TOL = 1e-9
 #: Clipped weights summing to one within RENORM_ULPS * |X| ulps are kept
 #: as given, so construction is idempotent and round trips are exact.
 RENORM_ULPS = 2
+
+#: Coordinatewise tolerance used when removing duplicate vertices.
+VERTEX_DEDUP_TOL = 1e-12
+
+#: Slack on a single focal mass or interval bound (sums use MASS_TOL).
+BOUND_SLACK = 1e-12
+
+#: Feasibility slack used in ProbInterval vertex enumeration.
+_FEAS_TOL = 1e-9
+
+#: Strict-positivity threshold for the regularity test.  Exact zeros
+#: arise structurally (cycles); anything materially positive at desk
+#: scale exceeds this by orders of magnitude.
+REGULARITY_EPS = 1e-12
 
 
 class DimensionMismatch(ValueError):

@@ -14,12 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .credal import Contamination, CredalModel, Linear, ProbInterval
-from .states import DimensionMismatch, Gamble, MassFunction, StateSpace
-
-#: Strict-positivity threshold for the regularity test.  Exact zeros
-#: arise structurally (cycles); anything materially positive at desk
-#: scale exceeds this by orders of magnitude.
-REGULARITY_EPS = 1e-12
+from .states import REGULARITY_EPS, DimensionMismatch, Gamble, MassFunction, StateSpace
 
 
 @dataclass(frozen=True)

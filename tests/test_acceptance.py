@@ -115,10 +115,10 @@ def test_criterion_5_oracle_equivalence(suite):
         for g, g_lo, g_up in zip(fs, lo, up):
             assert abs(chain.joint_upper(g) - g_up) <= 1e-10
             assert abs(chain.joint_lower(g) - g_lo) <= 1e-10
-        for path, idx in zip(paths, np.ndindex(*(s,) * N)):
-            p_lo, p_up = chain.path_mass_bounds(path)
-            assert abs(p_up - mass_up[idx]) <= 1e-10
-            assert abs(p_lo - mass_lo[idx]) <= 1e-10
+        p_lo, p_up = chain.path_mass_bounds(N)
+        for idx in np.ndindex(*(s,) * N):
+            assert abs(p_up[idx] - mass_up[idx]) <= 1e-10
+            assert abs(p_lo[idx] - mass_lo[idx]) <= 1e-10
     _pass(5, "engine matches tree-oracle envelope on 200 chains", time.perf_counter() - t0, 60.0)
 
 
@@ -143,12 +143,12 @@ def test_criterion_7_chapman_kolmogorov(suite):
     for chain in suite:
         s = len(chain.space)
         N = chain.horizon
+        lo, up = chain.path_mass_bounds(N)
         for idx in np.ndindex(*(s,) * N):
             path = [chain.space.labels[i] for i in idx]
-            lo, up = chain.path_mass_bounds(path)
             f = PathGamble.path_indicator(chain.space, N, path)
-            assert abs(up - chain.joint_upper(f)) <= 1e-12
-            assert abs(lo - chain.joint_lower(f)) <= 1e-12
+            assert abs(up[idx] - chain.joint_upper(f)) <= 1e-12
+            assert abs(lo[idx] - chain.joint_lower(f)) <= 1e-12
     _pass(7, "path-mass products equal joint bounds", time.perf_counter() - t0, 30.0)
 
 

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from credalmc import (
     Linear,
     MassFunction,
     PathGamble,
+    SizeGuardError,
     StateSpace,
     UpperTransitionOperator,
     envelope,
@@ -160,14 +163,15 @@ class TestMarkovCondition:
 
 class TestPathMassBounds:
     def test_length_one(self, ex53_chain):
-        lo, up = ex53_chain.path_mass_bounds(["a"])
-        assert (lo, up) == pytest.approx((0.6, 0.9))
+        lo, up = ex53_chain.path_mass_bounds(1)
+        assert lo.shape == up.shape == (2,)
+        assert (lo[0], up[0]) == pytest.approx((0.6, 0.9))
 
     def test_two_step_product(self, ex53_initial, ex53_op, ab):
         chain = ImpreciseMarkovChain(ex53_initial, ex53_op, 2)
-        lo, up = chain.path_mass_bounds(["a", "a"])
-        assert up == pytest.approx(0.2115)
-        assert lo == pytest.approx(0.6 * 0.135)
+        lo, up = chain.path_mass_bounds(2)
+        assert up[0, 0] == pytest.approx(0.2115)
+        assert lo[0, 0] == pytest.approx(0.6 * 0.135)
 
     def test_consistency_with_joint(self):
         rng = np.random.default_rng(53)
@@ -175,9 +179,9 @@ class TestPathMassBounds:
             chain = random_small_chain(rng)
             space = chain.space
             for m in range(1, chain.horizon + 1):
+                lo_table, up_table = chain.path_mass_bounds(m)
                 for idx in np.ndindex(*(len(space),) * m):
-                    path = [space.labels[i] for i in idx]
-                    lo, up = chain.path_mass_bounds(path)
+                    lo, up = lo_table[idx], up_table[idx]
                     table = np.zeros((len(space),) * chain.horizon)
                     sl = tuple(idx) + (slice(None),) * (chain.horizon - m)
                     table[sl] = 1.0
@@ -194,10 +198,11 @@ class TestPathMassBounds:
             horizons.add(N)
             zero = PathGamble(chain.space, N, np.zeros((s,) * N))
             _, _, mass_lo, mass_up = envelope(chain, [zero])
+            lo_table, up_table = chain.path_mass_bounds(N)
             for idx in np.ndindex(*(s,) * N):
                 path = [chain.space.labels[i] for i in idx]
                 f = PathGamble.path_indicator(chain.space, N, path)
-                lo, up = chain.path_mass_bounds(path)
+                lo, up = lo_table[idx], up_table[idx]
                 assert up == pytest.approx(chain.joint_upper(f), abs=1e-12)
                 assert lo == pytest.approx(chain.joint_lower(f), abs=1e-12)
                 assert up == pytest.approx(mass_up[idx], abs=1e-12)
@@ -206,9 +211,41 @@ class TestPathMassBounds:
 
     def test_conditional_form(self, ex53_initial, ex53_op, ab):
         chain = ImpreciseMarkovChain(ex53_initial, ex53_op, 3)
-        lo, up = chain.path_mass_bounds_given(1, "a", ["a", "a"])
+        f = PathGamble.path_indicator(ab, 3, ["a", "a", "a"])
+        up = chain.joint_upper_given(("a",), f)
+        lo = chain.joint_lower_given(("a",), f)
         assert up == pytest.approx(0.235 * 0.235)
         assert lo == pytest.approx(0.135 * 0.135)
+
+    @pytest.mark.parametrize("stationary", [True, False])
+    def test_tables_equal_left_to_right_products(self, stationary):
+        """Every entry is, bit for bit, the product `joint` printed before
+        the tables were broadcast: initial singleton bound first, then the
+        one-step entries in time order."""
+        rng = np.random.default_rng(61 if stationary else 67)
+        for _ in range(10):
+            chain = random_small_chain(rng, stationary=stationary)
+            space = chain.space
+            for m in range(1, chain.horizon + 1):
+                lo_table, up_table = chain.path_mass_bounds(m)
+                assert lo_table.shape == up_table.shape == (len(space),) * m
+                for idx in np.ndindex(*(len(space),) * m):
+                    first = space.indicator([space.labels[idx[0]]])
+                    lo, up = chain.initial.lower(first), chain.initial.upper(first)
+                    for k in range(1, m):
+                        lower, upper = chain.operator_at(k)._mass_bounds
+                        up = up * upper[idx[k - 1], idx[k]]
+                        lo = lo * lower[idx[k - 1], idx[k]]
+                    assert up_table[idx] == up
+                    assert lo_table[idx] == lo
+
+    def test_path_guard(self, ex53_chain):
+        t0 = time.perf_counter()
+        with pytest.raises(SizeGuardError, match=r"2\^13 paths exceed the guard of 4096"):
+            ex53_chain.path_mass_bounds(13)
+        assert time.perf_counter() - t0 < 1.0
+        lo, up = ex53_chain.path_mass_bounds(12)
+        assert lo.shape == up.shape == (2,) * 12
 
 
 def test_non_stationary_chain_accepts_per_step_operators(ab):
@@ -241,6 +278,9 @@ def test_gamble_count_does_not_grow_with_n(ex53_initial, ex53_op, ab, monkeypatc
         built.clear()
         chain.marginal_lower(n, ind)
         chain.marginal_upper(n, ind)
-        chain.path_mass_bounds(["a", "b"] * (n // 2))
         counts.append(len(built))
     assert counts[0] == counts[1]
+    for length in (2, 12):
+        built.clear()
+        chain.path_mass_bounds(length)
+        assert built == []

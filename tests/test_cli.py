@@ -316,9 +316,24 @@ def test_verify_folds_only_the_random_gambles(capsys, monkeypatch):
         monkeypatch.setattr(ImpreciseMarkovChain, name, counted)
     code, _, _ = _run(capsys, "verify", str(bundled_scenario_path("example_5_3_n2")))
     assert code == 0
-    # Path rows read the product `joint` prints; each random gamble is
-    # folded once for its upper and once for its lower bound.
-    assert calls == {"joint_upper": 2 * 3, "path_mass_bounds": 2**2}
+    # Path rows read the tables `joint` prints, built in one call; each
+    # random gamble is folded once for its upper and once for its lower bound.
+    assert calls == {"joint_upper": 2 * 3, "path_mass_bounds": 1}
+
+
+def test_joint_builds_the_path_tables_once(capsys, monkeypatch):
+    calls = []
+    inner = ImpreciseMarkovChain.path_mass_bounds
+
+    def counted(self, *args):
+        calls.append(args)
+        return inner(self, *args)
+
+    monkeypatch.setattr(ImpreciseMarkovChain, "path_mass_bounds", counted)
+    code, out, _ = _run(capsys, "joint", str(bundled_scenario_path("example_5_3_n2")))
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 2**2
+    assert calls == [(2,)]
 
 
 def test_verify_at_the_path_guard_holds_no_path_table(capsys, tmp_path):
