@@ -17,7 +17,7 @@ horizon N has N - 1 transition steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,22 +34,15 @@ class PathGamble:
     """A real-valued map on length-N state sequences.
 
     `values` is a dense array of shape (|X|,) * N indexed positionally.
-    If `depends_on` is given, the table must be constant along every time
-    axis outside it; this is checked exhaustively at construction.
+    Which times the table varies along is read from `values` where a
+    query needs it (`ImpreciseMarkovChain.markov_invariance_gap`).
     """
 
     space: StateSpace
     horizon: int
     values: np.ndarray
-    depends_on: frozenset[int] | None = None
 
-    def __init__(
-        self,
-        space: StateSpace,
-        horizon: int,
-        values,
-        depends_on: Iterable[int] | None = None,
-    ):
+    def __init__(self, space: StateSpace, horizon: int, values):
         horizon = int(horizon)
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
@@ -60,19 +53,9 @@ class PathGamble:
                 f"path gamble table must have shape {expect}, got {values.shape}"
             )
         values.setflags(write=False)
-        if depends_on is not None:
-            depends_on = frozenset(int(k) for k in depends_on)
-            if not depends_on <= set(range(1, horizon + 1)):
-                raise ValueError("depends_on must be a subset of {1, ..., N}")
-            for k in range(1, horizon + 1):
-                if k not in depends_on and np.ptp(values, axis=k - 1).max() > 0:
-                    raise ValueError(
-                        f"table varies along time {k} outside depends_on"
-                    )
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "depends_on", depends_on)
 
     @classmethod
     def from_gamble(cls, h: Gamble, time: int, horizon: int) -> "PathGamble":
@@ -84,7 +67,7 @@ class PathGamble:
         table = np.broadcast_to(
             h.values.reshape(shape), (len(h.space),) * horizon
         )
-        return cls(h.space, horizon, table, depends_on={time})
+        return cls(h.space, horizon, table)
 
     @classmethod
     def path_indicator(
@@ -98,18 +81,21 @@ class PathGamble:
         return cls(space, horizon, table)
 
     def __neg__(self) -> "PathGamble":
-        return PathGamble(self.space, self.horizon, -self.values, self.depends_on)
+        return PathGamble(self.space, self.horizon, -self.values)
 
 
 @dataclass(frozen=True)
 class ImpreciseMarkovChain:
-    """Initial credal model plus transition operator(s) and a horizon."""
+    """Initial credal model plus transition operator(s) and a horizon.
+
+    `transitions` is stored as given: one `UpperTransitionOperator` for a
+    stationary chain, or a tuple of horizon - 1 operators, one per step.
+    """
 
     space: StateSpace
     initial: CredalModel
-    transitions: tuple[UpperTransitionOperator, ...]
+    transitions: "UpperTransitionOperator | tuple[UpperTransitionOperator, ...]"
     horizon: int
-    stationary: bool
 
     def __init__(
         self,
@@ -122,11 +108,9 @@ class ImpreciseMarkovChain:
             raise ValueError("horizon must be >= 1")
         space = initial.space
         if isinstance(transitions, UpperTransitionOperator):
-            stationary = True
             ops = (transitions,)
         else:
-            stationary = False
-            ops = tuple(transitions)
+            transitions = ops = tuple(transitions)
             if len(ops) != horizon - 1:
                 raise ValueError(
                     f"per-step chain needs {horizon - 1} operators, got {len(ops)}"
@@ -136,15 +120,18 @@ class ImpreciseMarkovChain:
                 raise DimensionMismatch("operator on a different state space")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "transitions", ops)
+        object.__setattr__(self, "transitions", transitions)
         object.__setattr__(self, "horizon", horizon)
-        object.__setattr__(self, "stationary", stationary)
+
+    @property
+    def stationary(self) -> bool:
+        return isinstance(self.transitions, UpperTransitionOperator)
 
     def operator_at(self, k: int) -> UpperTransitionOperator:
         """The operator governing the step from time k to k + 1."""
         if not 1 <= k <= self.horizon - 1:
             raise ValueError(f"step index {k} out of range")
-        return self.transitions[0] if self.stationary else self.transitions[k - 1]
+        return self.transitions if self.stationary else self.transitions[k - 1]
 
     def _fold(self, table: np.ndarray, top: int, down_to: int) -> np.ndarray:
         """Fold a raw (|X|,) * d table over X(top - d + 1), ..., X(top) back
@@ -215,17 +202,19 @@ class ImpreciseMarkovChain:
     def markov_invariance_gap(self, n: int, f: PathGamble) -> float:
         """Largest history dependence of the conditional upper expectation.
 
-        For an {n, ..., N}-measurable f the value given (history, x_n)
-        must not depend on the history; returns the max over x_n of the
-        spread across all histories (0.0 when n == 1).
+        f must be {n, ..., N}-measurable: its table may vary only along
+        times n, ..., N, and a table that varies along an earlier time is
+        refused.  The value given (history, x_n) must then not depend on
+        the history; returns the max over x_n of the spread across all
+        histories (0.0 when n == 1).
         """
-        if f.depends_on is None or not f.depends_on <= set(
-            range(n, self.horizon + 1)
-        ):
-            raise ValueError(
-                "path gamble must declare depends_on within {n, ..., N}"
-            )
-        table = self._fold(self._path_table(f), self.horizon, n)
+        if not 1 <= n <= self.horizon:
+            raise ValueError(f"time {n} out of range [1, {self.horizon}]")
+        table = self._path_table(f)
+        for k in range(1, n):
+            if np.ptp(table, axis=k - 1).max() > 0:
+                raise ValueError(f"path gamble varies along time {k} < n = {n}")
+        table = self._fold(table, self.horizon, n)
         return float(np.ptp(table.reshape(-1, len(self.space)), axis=0).max())
 
     # ------------------------------------------------------------------

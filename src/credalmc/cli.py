@@ -6,9 +6,11 @@ Scenario schema (JSON)::
       "states": ["a", "b"],
       "initial": <model>,
       "transition": <operator> | [<operator>, ...],   # list: one per step
-      "horizon": 25,
-      "queries": [ {"command": "...", ...}, ... ]     # optional metadata
+      "horizon": 25
     }
+
+An optional `queries` list is accepted and ignored.  The loaders return
+an `ImpreciseMarkovChain`; `scenario_to_json` writes one back.
 
 Credal models::
 
@@ -39,7 +41,6 @@ import csv
 import itertools
 import json
 import sys
-from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -72,18 +73,6 @@ class ScenarioError(ValueError):
     def __init__(self, code: str, message: str):
         super().__init__(message)
         self.code = code
-
-
-@dataclass(frozen=True)
-class Scenario:
-    space: StateSpace
-    initial: CredalModel
-    transitions: "UpperTransitionOperator | tuple[UpperTransitionOperator, ...]"
-    horizon: int
-    queries: tuple[dict, ...]
-
-    def to_chain(self) -> ImpreciseMarkovChain:
-        return ImpreciseMarkovChain(self.initial, self.transitions, self.horizon)
 
 
 # ----------------------------------------------------------------------
@@ -182,7 +171,7 @@ def operator_from_json(
     return _parse(where, obj, lambda o: _OPERATORS[o["type"]](space, o, where))
 
 
-def _read_scenario(doc: dict) -> Scenario:
+def _read_scenario(doc: dict) -> ImpreciseMarkovChain:
     space = StateSpace(_list(doc, "states"))
     initial = model_from_json(space, doc["initial"], "initial")
     horizon = doc["horizon"]
@@ -190,25 +179,22 @@ def _read_scenario(doc: dict) -> Scenario:
         raise ValueError(f"horizon must be a positive integer, got {horizon!r}")
     trans_doc = doc["transition"]
     if isinstance(trans_doc, list):
-        if len(trans_doc) != horizon - 1:
-            raise ValueError(
-                f"transition list needs {horizon - 1} operators, got {len(trans_doc)}"
-            )
-        transitions: "UpperTransitionOperator | tuple" = tuple(
+        transitions = [
             operator_from_json(space, t, f"transition[{i}]")
             for i, t in enumerate(trans_doc)
-        )
+        ]
     else:
         transitions = operator_from_json(space, trans_doc, "transition")
-    queries = tuple(_list(doc, "queries")) if "queries" in doc else ()
-    return Scenario(space, initial, transitions, horizon, queries)
+    if "queries" in doc:
+        _list(doc, "queries")  # checked for shape; nothing reads it
+    return ImpreciseMarkovChain(initial, transitions, horizon)
 
 
-def scenario_from_json(doc: dict) -> Scenario:
+def scenario_from_json(doc: dict) -> ImpreciseMarkovChain:
     return _parse("scenario", doc, _read_scenario)
 
 
-def load_scenario(path: str) -> Scenario:
+def load_scenario(path: str) -> ImpreciseMarkovChain:
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -224,7 +210,7 @@ def bundled_scenario_path(name: str):
     return resources.files("credalmc").joinpath("scenarios", f"{name}.json")
 
 
-def load_bundled(name: str) -> Scenario:
+def load_bundled(name: str) -> ImpreciseMarkovChain:
     path = bundled_scenario_path(name)
     return scenario_from_json(json.loads(path.read_text()))
 
@@ -244,22 +230,25 @@ def operator_to_json(op: UpperTransitionOperator) -> dict:
     return {"type": "rows", "rows": [model_to_json(r) for r in op.rows]}
 
 
-def scenario_to_json(sc: Scenario) -> dict:
-    if isinstance(sc.transitions, UpperTransitionOperator):
-        trans = operator_to_json(sc.transitions)
+def scenario_to_json(chain: ImpreciseMarkovChain) -> dict:
+    if chain.stationary:
+        trans = operator_to_json(chain.transitions)
     else:
-        trans = [operator_to_json(op) for op in sc.transitions]
+        trans = [operator_to_json(op) for op in chain.transitions]
     return {
-        "states": list(sc.space.labels),
-        "initial": model_to_json(sc.initial),
+        "states": list(chain.space.labels),
+        "initial": model_to_json(chain.initial),
         "transition": trans,
-        "horizon": sc.horizon,
-        "queries": list(sc.queries),
+        "horizon": chain.horizon,
     }
 
 
 # ----------------------------------------------------------------------
 # Commands
+
+
+#: A command's result: the CSV header and its rows.
+Table = tuple[list[str], list[list]]
 
 
 def _fmt(v) -> str:
@@ -275,9 +264,9 @@ def _emit(header: list[str], rows: list[list], out) -> None:
         writer.writerow([_fmt(v) for v in row])
 
 
-def _single_operator(sc: Scenario) -> UpperTransitionOperator:
-    if isinstance(sc.transitions, UpperTransitionOperator):
-        return sc.transitions
+def _single_operator(chain: ImpreciseMarkovChain) -> UpperTransitionOperator:
+    if chain.stationary:
+        return chain.transitions
     raise ScenarioError(
         "schema-error", "this command needs a stationary (single) transition"
     )
@@ -300,25 +289,24 @@ def parse_gamble(space: StateSpace, text: str) -> Gamble:
     return Gamble(space, vals)
 
 
-def _marginal_rows(sc: Scenario, indicators: list[Gamble]):
+def _marginal_rows(chain: ImpreciseMarkovChain, indicators: list[Gamble]):
     """Yield [n, lower, upper] for n = 1..horizon and each indicator, n-major."""
-    chain = sc.to_chain()
-    for n in range(1, sc.horizon + 1):
+    for n in range(1, chain.horizon + 1):
         for ind in indicators:
             yield [n, chain.marginal_lower(n, ind), chain.marginal_upper(n, ind)]
 
 
-def cmd_evolve(sc: Scenario, args) -> tuple[list[str], list[list]]:
+def cmd_evolve(chain: ImpreciseMarkovChain, args) -> Table:
     if not args.event:
         raise ScenarioError("schema-error", "evolve needs --event")
     try:
-        ind = sc.space.indicator([s.strip() for s in args.event.split(",")])
+        ind = chain.space.indicator([s.strip() for s in args.event.split(",")])
     except KeyError as exc:
         raise ScenarioError("schema-error", f"bad --event: {exc.args[0]}") from exc
-    return ["n", "lower", "upper"], list(_marginal_rows(sc, [ind]))
+    return ["n", "lower", "upper"], list(_marginal_rows(chain, [ind]))
 
 
-def cmd_limit(sc: Scenario, args) -> tuple[list[str], list[list]]:
+def cmd_limit(chain: ImpreciseMarkovChain, args) -> Table:
     if not args.gamble:
         raise ScenarioError("schema-error", "limit needs --gamble")
     if not args.tol > 0:
@@ -327,8 +315,8 @@ def cmd_limit(sc: Scenario, args) -> tuple[list[str], list[list]]:
         raise ScenarioError(
             "schema-error", f"--max-iter must be >= 0, got {args.max_iter}"
         )
-    op = _single_operator(sc)
-    h = parse_gamble(sc.space, args.gamble)
+    op = _single_operator(chain)
+    h = parse_gamble(chain.space, args.gamble)
     report = limit_upper(op, h, tol=args.tol, max_iter=args.max_iter)
     return (
         ["value", "iterations", "residual"],
@@ -336,10 +324,10 @@ def cmd_limit(sc: Scenario, args) -> tuple[list[str], list[list]]:
     )
 
 
-def cmd_regularity(sc: Scenario, args) -> tuple[list[str], list[list]]:
+def cmd_regularity(chain: ImpreciseMarkovChain, args) -> Table:
     if args.n_max is not None and args.n_max < 1:
         raise ScenarioError("schema-error", f"--n-max must be >= 1, got {args.n_max}")
-    op = _single_operator(sc)
+    op = _single_operator(chain)
     n = op.is_regular(args.n_max)
     if n is None:
         n_max = args.n_max if args.n_max is not None else op.default_n_max()
@@ -347,35 +335,35 @@ def cmd_regularity(sc: Scenario, args) -> tuple[list[str], list[list]]:
     return ["verdict", "n"], [["found", n]]
 
 
-def cmd_joint(sc: Scenario, args) -> tuple[list[str], list[list]]:
-    length = sc.horizon if args.length is None else args.length
-    if not 1 <= length <= sc.horizon:
+def cmd_joint(chain: ImpreciseMarkovChain, args) -> Table:
+    length = chain.horizon if args.length is None else args.length
+    if not 1 <= length <= chain.horizon:
         raise ScenarioError(
-            "schema-error", f"--length must lie in [1, {sc.horizon}], got {length}"
+            "schema-error", f"--length must lie in [1, {chain.horizon}], got {length}"
         )
-    tables = (t.ravel().tolist() for t in sc.to_chain().path_mass_bounds(length))
-    paths = itertools.product(sc.space.labels, repeat=length)
+    tables = (t.ravel().tolist() for t in chain.path_mass_bounds(length))
+    paths = itertools.product(chain.space.labels, repeat=length)
     rows = [[">".join(path), lo, up] for path, lo, up in zip(paths, *tables)]
     return ["path", "lower", "upper"], rows
 
 
-def cmd_credal_approx(sc: Scenario, args) -> tuple[list[str], list[list]]:
-    indicators = [sc.space.indicator([x]) for x in sc.space]
-    states = itertools.cycle(sc.space.labels)
-    rows = [[n, next(states), lo, up] for n, lo, up in _marginal_rows(sc, indicators)]
+def cmd_credal_approx(chain: ImpreciseMarkovChain, args) -> Table:
+    indicators = [chain.space.indicator([x]) for x in chain.space]
+    states = itertools.cycle(chain.space.labels)
+    marginals = _marginal_rows(chain, indicators)
+    rows = [[n, next(states), lo, up] for n, lo, up in marginals]
     return ["n", "state", "lower", "upper"], rows
 
 
-def cmd_verify(sc: Scenario, args) -> tuple[list[str], list[list]]:
-    chain = sc.to_chain()
+def cmd_verify(chain: ImpreciseMarkovChain, args) -> Table:
     # The path tables come first: their size guard also bounds the draws.
-    masses = chain.path_mass_bounds(sc.horizon)
+    masses = chain.path_mass_bounds(chain.horizon)
     rng = np.random.default_rng(args.seed)
-    draws = rng.uniform(-1.0, 1.0, size=(3,) + (len(sc.space),) * sc.horizon)
-    fs = [PathGamble(sc.space, sc.horizon, values) for values in draws]
+    draws = rng.uniform(-1.0, 1.0, size=(3,) + (len(chain.space),) * chain.horizon)
+    fs = [PathGamble(chain.space, chain.horizon, values) for values in draws]
     o_lo, o_up, mass_lo, mass_up = oracle.envelope(chain, fs)
     # Path rows check the tables `joint` prints; random rows check the fold.
-    paths = itertools.product(sc.space.labels, repeat=sc.horizon)
+    paths = itertools.product(chain.space.labels, repeat=chain.horizon)
     tables = (t.ravel().tolist() for t in (*masses, mass_lo, mass_up))
     rows = [[">".join(path), *cells] for path, *cells in zip(paths, *tables)] + [
         [f"random[{j}]", chain.joint_lower(f), chain.joint_upper(f), lo, up]
@@ -416,16 +404,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(command: str, sc: Scenario, args, out=None) -> None:
-    header, rows = COMMANDS[command](sc, args)
+def run(command: str, chain: ImpreciseMarkovChain, args, out=None) -> None:
+    header, rows = COMMANDS[command](chain, args)
     _emit(header, rows, out if out is not None else sys.stdout)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        sc = load_scenario(args.scenario)
-        run(args.command, sc, args)
+        run(args.command, load_scenario(args.scenario), args)
     except (ScenarioError, CredalValidationError) as exc:
         code = getattr(exc, "code", "invalid")
         print(f"error:{code}: {exc}", file=sys.stderr)

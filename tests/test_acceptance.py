@@ -133,7 +133,7 @@ def test_criterion_6_markov_property(suite):
             full = np.broadcast_to(
                 tail.reshape((1,) * (n - 1) + tail.shape), (s,) * N
             )
-            f = PathGamble(chain.space, N, full, depends_on=set(range(n, N + 1)))
+            f = PathGamble(chain.space, N, full)
             assert chain.markov_invariance_gap(n, f) <= 1e-12
     _pass(6, "conditional values are history-independent", time.perf_counter() - t0, 30.0)
 
@@ -254,7 +254,7 @@ def test_criterion_11_cycle_detection(suite):
     for chain in suite:
         if checked >= 25:
             break
-        op = chain.transitions[0]
+        op = chain.operator_at(1)
         if op.is_regular() is None:
             continue
         h = chain.space.indicator([chain.space.labels[0]])
@@ -264,17 +264,34 @@ def test_criterion_11_cycle_detection(suite):
     _pass(11, f"2-cycle has period 2; {checked} regular operators have period 1", time.perf_counter() - t0, 5.0)
 
 
-def test_criterion_12_linear_time_marginals():
+def test_criterion_12_linear_time_marginals(monkeypatch):
     op = UpperTransitionOperator.from_interval_matrices(ABC, EX54_LOWER, EX54_UPPER)
     chain = ImpreciseMarkovChain(Vacuous(ABC), op, 20001)
     h = ABC.indicator(["a"])
     chain.marginal_upper(200, h)  # warm-up
-    t0 = time.perf_counter()
-    chain.marginal_upper(10000, h)
-    t_10k = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    chain.marginal_upper(20000, h)
-    t_20k = time.perf_counter() - t0
+
+    def timed(n):
+        t0 = time.perf_counter()
+        chain.marginal_upper(n, h)
+        return time.perf_counter() - t0
+
+    # Best of three, the sizes interleaved so that a slow spell of a
+    # shared host weighs on both.
+    pairs = [(timed(10000), timed(20000)) for _ in range(3)]
+    t_10k, t_20k = (min(col) for col in zip(*pairs))
+    # The exact count: one operator application per backward step.
+    calls = []
+    inner = UpperTransitionOperator.apply_many
+
+    def counted(self, *args):
+        calls.append(1)
+        return inner(self, *args)
+
+    monkeypatch.setattr(UpperTransitionOperator, "apply_many", counted)
+    for n in (10000, 20000):
+        calls.clear()
+        chain.marginal_upper(n, h)
+        assert len(calls) == n - 1
     assert t_10k < 5.0, f"n=10000 took {t_10k:.2f}s"
     assert t_20k <= 2.5 * t_10k, f"scaling {t_20k / t_10k:.2f}x exceeds 2.5x"
     _pass(12, f"n=10000 in {t_10k:.2f}s, doubling costs {t_20k / t_10k:.2f}x", t_10k, 5.0)

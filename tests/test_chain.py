@@ -68,20 +68,43 @@ class TestConditional:
         with pytest.raises(ValueError):
             ex53_chain.conditional_upper(3, "a", 3, ab.indicator(["a"]))
 
+    def test_lower_is_conjugate_of_upper(self, ex53_chain, ab):
+        h = Gamble(ab, [0.7, -0.4])
+        lo = ex53_chain.conditional_lower(2, "b", 6, h)
+        assert lo == -ex53_chain.conditional_upper(2, "b", 6, -h)
+        assert lo < ex53_chain.conditional_upper(2, "b", 6, h)
+
+    def test_precise_chain_lower_equals_upper(self, ab):
+        chain = ImpreciseMarkovChain(
+            Linear(MassFunction(ab, [0.3, 0.7])),
+            UpperTransitionOperator.from_matrix(ab, [[0.6, 0.4], [0.2, 0.8]]),
+            3,
+        )
+        ind = ab.indicator(["a"])
+        # P(X3 = a | X1 = a) = 0.6 * 0.6 + 0.4 * 0.2
+        assert chain.conditional_lower(1, "a", 3, ind) == pytest.approx(0.44)
+        assert chain.conditional_upper(1, "a", 3, ind) == pytest.approx(0.44)
+
 
 class TestPathGamble:
-    def test_measurability_checked(self, ab):
+    def test_measurability_checked(self, ex53_initial, ex53_op, ab):
+        chain = ImpreciseMarkovChain(ex53_initial, ex53_op, 2)
         table = np.array([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
-            PathGamble(ab, 2, table, depends_on={2})
-        PathGamble(ab, 2, np.array([[1.0, 1.0], [0.0, 0.0]]), depends_on={1})
+            chain.markov_invariance_gap(2, PathGamble(ab, 2, table))
+        # Constant along time 2: {1}-measurable, so any n is accepted at 1.
+        f = PathGamble(ab, 2, np.array([[1.0, 1.0], [0.0, 0.0]]))
+        assert chain.markov_invariance_gap(1, f) == 0.0
+        with pytest.raises(ValueError):
+            chain.markov_invariance_gap(2, f)
 
     def test_from_gamble_round_trip(self, ab):
         h = Gamble(ab, [2.0, -1.0])
         f = PathGamble.from_gamble(h, 2, 3)
         assert f.values[0, 1, 0] == -1.0
         assert f.values[1, 1, 1] == -1.0
-        assert f.depends_on == frozenset({2})
+        assert np.ptp(f.values, axis=0).max() == 0.0
+        assert np.ptp(f.values, axis=2).max() == 0.0
 
 
 class TestJoint:
@@ -149,9 +172,7 @@ class TestMarkovCondition:
                 full = np.broadcast_to(
                     table.reshape(shape), (len(chain.space),) * N
                 )
-                f = PathGamble(
-                    chain.space, N, full, depends_on=set(range(n, N + 1))
-                )
+                f = PathGamble(chain.space, N, full)
                 assert chain.markov_invariance_gap(n, f) <= 1e-12
 
     def test_measurability_enforced(self, ex53_initial, ex53_op, ab):
@@ -159,6 +180,13 @@ class TestMarkovCondition:
         f = PathGamble.from_gamble(ab.indicator(["a"]), 1, 3)
         with pytest.raises(ValueError):
             chain.markov_invariance_gap(2, f)
+
+    @pytest.mark.parametrize("n", [0, 4, 7])
+    def test_time_out_of_range(self, ex53_initial, ex53_op, ab, n):
+        chain = ImpreciseMarkovChain(ex53_initial, ex53_op, 3)
+        f = PathGamble(ab, 3, np.ones((2, 2, 2)))
+        with pytest.raises(ValueError, match="out of range"):
+            chain.markov_invariance_gap(n, f)
 
 
 class TestPathMassBounds:

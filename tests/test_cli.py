@@ -78,14 +78,13 @@ def test_parse_error(tmp_path):
 
 
 def test_round_trip_preserves_queries():
-    sc = load_bundled("example_5_3")
-    doc = scenario_to_json(sc)
-    sc2 = scenario_from_json(json.loads(json.dumps(doc)))
-    chain, chain2 = sc.to_chain(), sc2.to_chain()
+    chain = load_bundled("example_5_3")
+    doc = scenario_to_json(chain)
+    chain2 = scenario_from_json(json.loads(json.dumps(doc)))
     rng = np.random.default_rng(131)
     for _ in range(10):
-        h = random_gamble(rng, sc.space)
-        n = int(rng.integers(1, sc.horizon + 1))
+        h = random_gamble(rng, chain.space)
+        n = int(rng.integers(1, chain.horizon + 1))
         assert chain.marginal_upper(n, h) == pytest.approx(
             chain2.marginal_upper(n, h), abs=1e-12
         )
@@ -104,8 +103,8 @@ def test_round_trip_all_bundled():
         sc2 = scenario_from_json(scenario_to_json(sc))
         rng = np.random.default_rng(137)
         h = random_gamble(rng, sc.space)
-        assert sc.to_chain().marginal_upper(sc.horizon, h) == pytest.approx(
-            sc2.to_chain().marginal_upper(sc.horizon, h), abs=1e-12
+        assert sc.marginal_upper(sc.horizon, h) == pytest.approx(
+            sc2.marginal_upper(sc.horizon, h), abs=1e-12
         )
 
 
@@ -162,19 +161,19 @@ EVERY_TAG_DOC = {
 
 
 def test_round_trip_every_tag():
-    sc = scenario_from_json(EVERY_TAG_DOC)
-    doc = scenario_to_json(sc)
-    sc2 = scenario_from_json(json.loads(json.dumps(doc)))
-    assert scenario_to_json(sc2) == doc
+    chain = scenario_from_json(EVERY_TAG_DOC)
+    doc = scenario_to_json(chain)
+    chain2 = scenario_from_json(json.loads(json.dumps(doc)))
+    assert scenario_to_json(chain2) == doc
+    assert "queries" in EVERY_TAG_DOC and "queries" not in doc  # read, not kept
     tags = [row["type"] for op in doc["transition"] for row in op["rows"]]
     assert tags == [
         "linear", "vacuous", "vertices", "contamination", "belief", "prob_interval",
         *["linear"] * 3, *["contamination"] * 3, *["prob_interval"] * 3,
     ]
-    chain, chain2 = sc.to_chain(), sc2.to_chain()
-    for x in sc.space:
-        ind = sc.space.indicator([x])
-        for n in range(1, sc.horizon + 1):
+    for x in chain.space:
+        ind = chain.space.indicator([x])
+        for n in range(1, chain.horizon + 1):
             assert chain2.marginal_lower(n, ind) == chain.marginal_lower(n, ind)
             assert chain2.marginal_upper(n, ind) == chain.marginal_upper(n, ind)
     with pytest.raises(TypeError):
@@ -300,7 +299,7 @@ def test_verify_enumerates_the_trees_once(capsys, monkeypatch):
     path = str(bundled_scenario_path("example_5_3_n2"))
     code, _, _ = _run(capsys, "verify", path)
     assert code == 0
-    chain = load_bundled("example_5_3_n2").to_chain()
+    chain = load_bundled("example_5_3_n2")
     assert len(calls) == oracle.count_assignments(chain, 2)
 
 
@@ -473,13 +472,15 @@ _VALID_DOC = {
         ({"horizon": True}, "scenario"),
         ({"states": "ab"}, "scenario"),
         ({"queries": "xy"}, "scenario"),
+        ({"transition": [_VALID_DOC["transition"]]}, "scenario"),
         (
             {"initial": {"type": "belief", "focal": [{"members": "ab", "mass": 1.0}]}},
             "initial",
         ),
     ],
     ids=["focal-int", "focal-entry-int", "points-int", "rows-int", "states-int",
-         "queries-int", "horizon-bool", "states-str", "queries-str", "members-str"],
+         "queries-int", "horizon-bool", "states-str", "queries-str",
+         "transition-list-length", "members-str"],
 )
 def test_malformed_scenario_exits_2(capsys, tmp_path, patch, where):
     p = tmp_path / "bad.json"
@@ -488,3 +489,15 @@ def test_malformed_scenario_exits_2(capsys, tmp_path, patch, where):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error:schema-error: {where}: ")
+
+
+@pytest.mark.parametrize(
+    "argv", [("limit", "--gamble", "a:1"), ("regularity",)], ids=["limit", "regularity"]
+)
+def test_stationary_commands_refuse_a_per_step_chain(capsys, tmp_path, argv):
+    p = tmp_path / "per_step.json"
+    p.write_text(json.dumps({**_VALID_DOC, "transition": [_VALID_DOC["transition"]] * 2}))
+    code, out, err = _run(capsys, argv[0], str(p), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:schema-error: this command needs a stationary")

@@ -40,6 +40,16 @@ class TestValidation:
             ProbInterval(AB, [0.6, 0.6], [0.9, 0.9])
         assert exc.value.code == "empty-credal-set"
 
+    @pytest.mark.parametrize(
+        ("lower", "upper"),
+        [([0.6, 0.1], [0.5, 0.9]), ([-0.1, 0.1], [0.9, 0.4]), ([0.6, 0.1], [1.2, 0.4])],
+        ids=["lower-above-upper", "lower-negative", "upper-above-one"],
+    )
+    def test_interval_bounds_out_of_order_or_range(self, lower, upper):
+        with pytest.raises(CredalValidationError, match="0 <= lower <= upper <= 1") as exc:
+            ProbInterval(AB, lower, upper)
+        assert exc.value.code == "empty-credal-set"
+
     def test_non_reachable_bounds(self):
         # m(a) can never reach 0.05: the other mass tops out at 0.5.
         with pytest.raises(CredalValidationError) as exc:
@@ -49,6 +59,12 @@ class TestValidation:
     def test_belief_mass_sum(self):
         with pytest.raises(CredalValidationError) as exc:
             BeliefFunction(AB, [(Event(AB, ["a"]), 0.5), (Event(AB, ["b"]), 0.4)])
+        assert exc.value.code == "mass-sum-violation"
+
+    def test_belief_negative_focal_mass(self):
+        focal = [(Event(AB, ["a"]), -0.2), (Event(AB, ["b"]), 1.2)]
+        with pytest.raises(CredalValidationError, match="negative focal mass") as exc:
+            BeliefFunction(AB, focal)
         assert exc.value.code == "mass-sum-violation"
 
     def test_belief_empty_focal(self):

@@ -264,7 +264,7 @@ class TestOracleEquivalence:
 
         padded = ImpreciseMarkovChain(
             pad(chain.initial),
-            UpperTransitionOperator(ab, [pad(r) for r in chain.transitions[0].rows]),
+            UpperTransitionOperator(ab, [pad(r) for r in chain.operator_at(1).rows]),
             2,
         )
         got = _envelope(padded, f)
