@@ -162,7 +162,7 @@ class ImpreciseMarkovChain:
         if not 1 <= n <= self.horizon:
             raise ValueError(f"time {n} out of range [1, {self.horizon}]")
         _check_space(self, h)
-        return self.initial.upper(Gamble(self.space, self._fold(h.values, n, 1)))
+        return float(self.initial.upper_many(self._fold(h.values, n, 1)[:, None])[0])
 
     def marginal_lower(self, n: int, h: Gamble) -> float:
         return -self.marginal_upper(n, -h)
@@ -183,7 +183,7 @@ class ImpreciseMarkovChain:
     def joint_upper(self, f: PathGamble) -> float:
         """Upper expectation of a path gamble over all compatible trees."""
         table = self._fold(self._path_table(f), self.horizon, 1)
-        return self.initial.upper(Gamble(self.space, table))
+        return float(self.initial.upper_many(table[:, None])[0])
 
     def joint_lower(self, f: PathGamble) -> float:
         return -self.joint_upper(-f)

@@ -328,11 +328,19 @@ def cmd_regularity(chain: ImpreciseMarkovChain, args) -> Table:
     if args.n_max is not None and args.n_max < 1:
         raise ScenarioError("schema-error", f"--n-max must be >= 1, got {args.n_max}")
     op = _single_operator(chain)
-    n = op.is_regular(args.n_max)
+    n_max = op.default_n_max() if args.n_max is None else args.n_max
+    n = op.is_regular(n_max)
     if n is None:
-        n_max = args.n_max if args.n_max is not None else op.default_n_max()
         return ["verdict", "n"], [["not_found", n_max]]
     return ["verdict", "n"], [["found", n]]
+
+
+def _path_rows(chain: ImpreciseMarkovChain, length: int, *tables) -> list[list]:
+    """[path, its entry in each (|X|,) * length table] per path, in
+    `itertools.product` order over the labels: the C order of `ravel`."""
+    paths = itertools.product(chain.space.labels, repeat=length)
+    cells = (t.ravel().tolist() for t in tables)
+    return [[">".join(path), *row] for path, *row in zip(paths, *cells)]
 
 
 def cmd_joint(chain: ImpreciseMarkovChain, args) -> Table:
@@ -341,9 +349,7 @@ def cmd_joint(chain: ImpreciseMarkovChain, args) -> Table:
         raise ScenarioError(
             "schema-error", f"--length must lie in [1, {chain.horizon}], got {length}"
         )
-    tables = (t.ravel().tolist() for t in chain.path_mass_bounds(length))
-    paths = itertools.product(chain.space.labels, repeat=length)
-    rows = [[">".join(path), lo, up] for path, lo, up in zip(paths, *tables)]
+    rows = _path_rows(chain, length, *chain.path_mass_bounds(length))
     return ["path", "lower", "upper"], rows
 
 
@@ -363,9 +369,7 @@ def cmd_verify(chain: ImpreciseMarkovChain, args) -> Table:
     fs = [PathGamble(chain.space, chain.horizon, values) for values in draws]
     o_lo, o_up, mass_lo, mass_up = oracle.envelope(chain, fs)
     # Path rows check the tables `joint` prints; random rows check the fold.
-    paths = itertools.product(chain.space.labels, repeat=chain.horizon)
-    tables = (t.ravel().tolist() for t in (*masses, mass_lo, mass_up))
-    rows = [[">".join(path), *cells] for path, *cells in zip(paths, *tables)] + [
+    rows = _path_rows(chain, chain.horizon, *masses, mass_lo, mass_up) + [
         [f"random[{j}]", chain.joint_lower(f), chain.joint_upper(f), lo, up]
         for j, (f, lo, up) in enumerate(zip(fs, o_lo.tolist(), o_up.tolist()))
     ]

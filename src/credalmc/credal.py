@@ -38,6 +38,7 @@ from .states import (
     MassFunction,
     StateSpace,
     _FEAS_TOL,
+    _as_columns,
     _check_space,
     _freeze,
 )
@@ -80,12 +81,12 @@ class CredalModel:
 
     def upper_many(self, H: np.ndarray) -> np.ndarray:
         """Upper expectations of the k columns of a raw (s, k) array."""
-        return self.kernel(self._params, H)[0]
+        return self.kernel(self._params, _as_columns(self.space, H))[0]
 
     def upper(self, h: Gamble) -> float:
         """Maximum linear expectation of h over the credal set."""
-        self._check(h)
-        return float(self.kernel(self._params, h.values[:, None])[0, 0])
+        _check_space(self, h)
+        return float(self.upper_many(h.values[:, None])[0])
 
     def lower(self, h: Gamble) -> float:
         """Conjugate lower expectation: lower(h) = -upper(-h)."""
@@ -93,9 +94,6 @@ class CredalModel:
 
     def vertices(self) -> list[MassFunction]:
         raise NotImplementedError
-
-    def _check(self, h: Gamble) -> None:
-        _check_space(self, h)
 
 
 def _dedup(masses: Sequence[MassFunction]) -> list[MassFunction]:

@@ -10,6 +10,7 @@ iterates settle into a periodic limit cycle, found by `detect_cycle`.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,44 +163,34 @@ def detect_cycle(
     h: Gamble,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    max_period: int | None = None,
 ) -> CycleReport:
     """Find the periodic limit cycle of the iterates T^n h.
 
-    Searches the recent history for the smallest period p whose
-    p-periodicity is sustained over a full extra period (2p + 1 iterates
-    matching pairwise at lag p).  The representative is the earliest
-    iterate of the verified cycle and `iterations` its index in the
-    iterate sequence.  The search window is heuristic: no bound on
-    periods of upper operators is known.
+    Searches the last 2P + 1 iterates, P = 2|X|^2, for the smallest
+    period p <= P whose p-periodicity is sustained over a full extra
+    period (2p + 1 iterates matching pairwise at lag p).  The
+    representative is the earliest iterate of the verified cycle and
+    `iterations` its index in the iterate sequence.  The window is
+    heuristic: no bound on periods of upper operators is known.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if max_period is None:
-        max_period = 2 * len(op.space) ** 2
-    window = 2 * max_period + 1
-    history = [h]
-    base = 0  # iterate index of history[0]
-    for _ in range(max_iter):
-        for p in range(1, max_period + 1):
-            if len(history) < 2 * p + 1:
-                break
+    max_period = 2 * len(op.space) ** 2
+    history = deque([h.values], maxlen=2 * max_period + 1)
+    for it in range(max_iter):  # history[-1] is iterate `it`
+        for p in range(1, min(max_period, (len(history) - 1) // 2) + 1):
             if all(
-                history[-1 - j].sup_dist(history[-1 - j - p]) <= tol
+                np.abs(history[-1 - j] - history[-1 - j - p]).max() <= tol
                 for j in range(p + 1)
             ):
                 rep = history[-1 - 2 * p]
-                residual = history[-1 - p].sup_dist(rep)  # T^p rep vs rep
                 return CycleReport(
                     period=p,
-                    representative=rep,
-                    residual=residual,
-                    iterations=base + len(history) - 1 - 2 * p,
+                    representative=Gamble(op.space, rep),
+                    residual=float(np.abs(history[-1 - p] - rep).max()),
+                    iterations=it - 2 * p,
                 )
-        history.append(op.apply(history[-1]))
-        if len(history) > window:
-            del history[0]
-            base += 1
+        history.append(op.apply_many(history[-1][:, None])[:, 0])
     raise ConvergenceError(
         f"no cycle of period <= {max_period} found in {max_iter} iterations; "
         "the search window may be too small"

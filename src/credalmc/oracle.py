@@ -55,17 +55,22 @@ def _situations(chain: ImpreciseMarkovChain, horizon: int):
 
 
 def count_assignments(chain: ImpreciseMarkovChain, horizon: int) -> int:
-    """Number of extreme-point tree assignments up to the given horizon."""
+    """Number of extreme-point tree assignments up to the given horizon.
+
+    The s^(k-1) situations of length k ending in x share one row model, so
+    count per (time, state): |V(k, x)| to that power, capped at a power
+    that takes any two-vertex row past the guard."""
     if not 1 <= horizon <= chain.horizon:
         raise ValueError("horizon out of range")
+    cap = ASSIGNMENT_GUARD.bit_length()
     total = len(chain.initial.vertices())
-    for idx in _situations(chain, horizon):
-        k = len(idx)
-        total *= len(chain.operator_at(k).rows[idx[-1]].vertices())
-        if total > ASSIGNMENT_GUARD:
-            raise SizeGuardError(
-                f"more than {ASSIGNMENT_GUARD} tree assignments"
-            )
+    histories = 1  # situations of length k ending in one state, capped
+    for k in range(1, horizon):
+        for row in chain.operator_at(k).rows:
+            total *= len(row.vertices()) ** histories
+            if total > ASSIGNMENT_GUARD:
+                raise SizeGuardError(f"more than {ASSIGNMENT_GUARD} tree assignments")
+        histories = min(histories * len(chain.space), cap)
     return total
 
 

@@ -91,6 +91,16 @@ def _check_space(a, b) -> None:
         )
 
 
+def _as_columns(space: StateSpace, H) -> np.ndarray:
+    """H as a float array of k gamble columns, shape (|space|, k), or raise."""
+    H = np.asarray(H, dtype=float)
+    if H.ndim != 2 or H.shape[0] != len(space):
+        raise DimensionMismatch(
+            f"need an array of shape ({len(space)}, k), got {H.shape}"
+        )
+    return H
+
+
 @dataclass(frozen=True)
 class Gamble:
     """A real-valued map on the state space, stored positionally."""
@@ -167,10 +177,7 @@ class Event:
         object.__setattr__(self, "members", members)
 
     def indicator(self) -> Gamble:
-        vals = np.array(
-            [1.0 if x in self.members else 0.0 for x in self.space.labels]
-        )
-        return Gamble(self.space, vals)
+        return Gamble(self.space, self.mask())
 
     def complement(self) -> "Event":
         return Event(self.space, set(self.space.labels) - self.members)
@@ -214,10 +221,6 @@ class MassFunction:
         w = np.zeros(len(space))
         w[space.index(label)] = 1.0
         return cls(space, w)
-
-    @classmethod
-    def uniform(cls, space: StateSpace) -> "MassFunction":
-        return cls(space, np.full(len(space), 1.0 / len(space)))
 
     def at(self, label: str) -> float:
         return float(self.weights[self.space.index(label)])

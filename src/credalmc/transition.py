@@ -14,7 +14,8 @@ from typing import Sequence
 import numpy as np
 
 from .credal import Contamination, CredalModel, Linear, ProbInterval
-from .states import REGULARITY_EPS, DimensionMismatch, Gamble, MassFunction, StateSpace
+from .states import REGULARITY_EPS, DimensionMismatch, Gamble, MassFunction
+from .states import StateSpace, _as_columns
 
 
 @dataclass(frozen=True)
@@ -88,11 +89,7 @@ class UpperTransitionOperator:
 
     def apply_many(self, H) -> np.ndarray:
         """Apply the operator to each column of a raw (s, k) array."""
-        H = np.asarray(H, dtype=float)
-        if H.ndim != 2 or H.shape[0] != len(self.space):
-            raise DimensionMismatch(
-                f"need an array of shape ({len(self.space)}, k), got {H.shape}"
-            )
+        H = _as_columns(self.space, H)
         families = self._families
         if len(families) == 1:
             kernel, params, _ = families[0]

@@ -422,6 +422,8 @@ def test_cli_error_paths(capsys, tmp_path):
         ("limit", "example_5_3", "--gamble", "a:nan"),
         ("limit", "example_5_3", "--gamble", "a:inf"),
         ("limit", "example_5_3", "--gamble", "a:1", "--max-iter", "-1"),
+        ("evolve", "example_5_3"),
+        ("limit", "example_5_3"),
     ],
     ids=[
         "unknown-event",
@@ -434,6 +436,8 @@ def test_cli_error_paths(capsys, tmp_path):
         "gamble-nan",
         "gamble-inf",
         "max-iter-negative",
+        "evolve-without-event",
+        "limit-without-gamble",
     ],
 )
 def test_cli_input_errors_exit_2(capsys, argv):
@@ -477,10 +481,11 @@ _VALID_DOC = {
             {"initial": {"type": "belief", "focal": [{"members": "ab", "mass": 1.0}]}},
             "initial",
         ),
+        ({"initial": 5}, "initial"),
     ],
     ids=["focal-int", "focal-entry-int", "points-int", "rows-int", "states-int",
          "queries-int", "horizon-bool", "states-str", "queries-str",
-         "transition-list-length", "members-str"],
+         "transition-list-length", "members-str", "initial-int"],
 )
 def test_malformed_scenario_exits_2(capsys, tmp_path, patch, where):
     p = tmp_path / "bad.json"
@@ -489,6 +494,14 @@ def test_malformed_scenario_exits_2(capsys, tmp_path, patch, where):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error:schema-error: {where}: ")
+
+
+def test_scenario_must_be_an_object(capsys, tmp_path):
+    p = tmp_path / "list.json"
+    p.write_text(json.dumps([_VALID_DOC]))
+    code, out, err = _run(capsys, "evolve", str(p), "--event", "a")
+    assert (code, out) == (2, "")
+    assert err == "error:schema-error: scenario: expected an object, got list\n"
 
 
 @pytest.mark.parametrize(

@@ -98,6 +98,17 @@ def test_apply_many_checks_shape(ex54_op):
         ex54_op.apply_many(np.zeros((2, 4)))
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_upper_many_checks_shape(family):
+    # A row too many would otherwise be read as a state, and a 1-D array
+    # as one gamble column, without an error.
+    space = StateSpace(LABELS[:2])
+    model = random_model(np.random.default_rng(17), space, family)
+    for H in (np.array([[1.0, 2.0], [3.0, 4.0], [9.0, 9.0]]), np.array([1.0, 2.0])):
+        with pytest.raises(DimensionMismatch):
+            model.upper_many(H)
+
+
 # ----------------------------------------------------------------------
 # (b) linear-programming oracle at sizes beyond vertex enumeration
 

@@ -14,7 +14,7 @@ from credalmc import (
     limit_upper,
     precise_stationary,
 )
-from helpers import random_gamble
+from helpers import random_any_model, random_gamble
 
 AB = StateSpace(["a", "b"])
 
@@ -202,3 +202,64 @@ class TestDetectCycle:
         for _ in range(rep.period):
             back = cycle_op.apply(back)
         assert back.sup_dist(rep.representative) <= 1e-12
+
+    def test_max_iter_reached_raises(self, cycle_op, ab):
+        # Five iterates (0 to 4) verify the 2-cycle; max_iter=3 stops at 3.
+        with pytest.raises(ConvergenceError):
+            detect_cycle(cycle_op, ab.indicator(["a"]), tol=1e-12, max_iter=3)
+        assert detect_cycle(cycle_op, ab.indicator(["a"]), max_iter=5).period == 2
+
+
+def _detect_cycle_ref(op, h, tol, max_iter):
+    # Reference: a growing list of Gamble iterates, trimmed by hand.
+    max_period = 2 * len(op.space) ** 2
+    history, base = [h], 0
+    for _ in range(max_iter):
+        for p in range(1, max_period + 1):
+            if len(history) < 2 * p + 1:
+                break
+            if all(
+                history[-1 - j].sup_dist(history[-1 - j - p]) <= tol
+                for j in range(p + 1)
+            ):
+                rep = history[-1 - 2 * p]
+                residual = history[-1 - p].sup_dist(rep)
+                return p, rep, residual, base + len(history) - 1 - 2 * p
+        history.append(op.apply(history[-1]))
+        if len(history) > 2 * max_period + 1:
+            del history[0]
+            base += 1
+    return None
+
+
+def test_detect_cycle_matches_per_gamble_loop():
+    rng = np.random.default_rng(101)
+    labels = ["a", "b", "c", "d"]
+    periods, late = set(), False
+    for trial in range(80):
+        s = int(rng.integers(2, 5))
+        space = StateSpace(labels[:s])
+        shift = UpperTransitionOperator.from_matrix(space, np.eye(s)[rng.permutation(s)])
+        if trial % 2:
+            op = shift  # a permutation: the period is its order
+        else:
+            # Some rows of a random operator follow a permutation.
+            rows = [
+                shift.rows[x] if rng.random() < 0.5 else random_any_model(rng, space)
+                for x in range(s)
+            ]
+            op = UpperTransitionOperator(space, rows)
+        h = random_gamble(rng, space)
+        want = _detect_cycle_ref(op, h, 1e-12, 500)
+        if want is None:
+            with pytest.raises(ConvergenceError):
+                detect_cycle(op, h, tol=1e-12, max_iter=500)
+            continue
+        got = detect_cycle(op, h, tol=1e-12, max_iter=500)
+        period, rep, residual, iterations = want
+        assert (got.period, got.residual, got.iterations) == (period, residual, iterations)
+        np.testing.assert_array_equal(got.representative.values, rep.values)
+        periods.add(got.period)
+        late |= got.iterations > 2 * (2 * s * s) + 1  # past the first window
+    assert {1, 2, 3} <= periods
+    assert late

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,9 @@ from credalmc import (
     envelope,
     path_probabilities,
 )
-from helpers import random_small_chain
+from credalmc.cli import load_bundled
+from credalmc.oracle import ASSIGNMENT_GUARD
+from helpers import random_any_model, random_mass, random_small_chain
 
 AB = StateSpace(["a", "b"])
 
@@ -56,6 +60,62 @@ class TestCountAssignments:
         )
         with pytest.raises(SizeGuardError):
             count_assignments(chain, 8)
+
+    @staticmethod
+    def _per_situation(chain, horizon):
+        # Reference: one factor per situation, None past the guard.
+        s = len(chain.space)
+        total = len(chain.initial.vertices())
+        for k in range(1, horizon):
+            for idx in np.ndindex(*(s,) * k):
+                total *= len(chain.operator_at(k).rows[idx[-1]].vertices())
+                if total > ASSIGNMENT_GUARD:
+                    return None
+        return total
+
+    @pytest.mark.parametrize("stationary", [True, False], ids=["stationary", "per-step"])
+    def test_matches_the_per_situation_product(self, stationary):
+        rng = np.random.default_rng(151 + stationary)
+        outcomes = set()
+        for _ in range(60):
+            s = int(rng.integers(2, 5))
+            space = StateSpace(["a", "b", "c", "d"][:s])
+            horizon = int(rng.integers(1, 8))
+
+            def row():
+                # Mostly single-vertex rows, so that some counts stay small.
+                if rng.random() < 0.8:
+                    return Linear(random_mass(rng, space))
+                return random_any_model(rng, space)
+
+            def op():
+                return UpperTransitionOperator(space, [row() for _ in range(s)])
+
+            transitions = op() if stationary else [op() for _ in range(horizon - 1)]
+            chain = ImpreciseMarkovChain(row(), transitions, horizon)
+            for n in range(1, horizon + 1):
+                want = self._per_situation(chain, n)
+                outcomes.add(want is None)
+                if want is None:
+                    with pytest.raises(SizeGuardError, match="tree assignments"):
+                        count_assignments(chain, n)
+                else:
+                    assert count_assignments(chain, n) == want
+        assert outcomes == {True, False}
+
+    def test_precise_chain_at_horizon_40(self):
+        precise = load_bundled("example_5_3_precise")
+        chain = ImpreciseMarkovChain(precise.initial, precise.transitions, 40)
+        t0 = time.perf_counter()
+        assert count_assignments(chain, 40) == 1
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_two_vertex_rows_at_horizon_40_hit_the_guard(self, ex53_initial, ex53_op):
+        chain = _chain_with_two_vertices(40, ex53_initial, ex53_op)
+        t0 = time.perf_counter()
+        with pytest.raises(SizeGuardError, match=f"more than {ASSIGNMENT_GUARD} tree"):
+            count_assignments(chain, 40)
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestTreeExpectation:
