@@ -273,27 +273,56 @@ def _single_operator(chain: ImpreciseMarkovChain) -> UpperTransitionOperator:
 
 
 def parse_gamble(space: StateSpace, text: str) -> Gamble:
-    """Parse `label:value` pairs; unspecified labels default to 0."""
+    """Parse `label:value` pairs; unspecified labels default to 0.
+
+    Refuses a text with no entry and a label given twice."""
     vals = np.zeros(len(space))
+    seen = set()
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
         label, _, num = part.partition(":")
         try:
-            vals[space.index(label.strip())] = float(num)
+            i = space.index(label.strip())
+            vals[i] = float(num)
         except (KeyError, ValueError) as exc:
             raise ScenarioError("schema-error", f"bad gamble entry {part!r}") from exc
+        if i in seen:
+            raise ScenarioError("schema-error", f"duplicate gamble entry {part!r}")
+        seen.add(i)
+    if not seen:
+        raise ScenarioError("schema-error", f"no label:value entry in {text!r}")
     if not np.all(np.isfinite(vals)):
         raise ScenarioError("schema-error", f"gamble values must be finite: {text!r}")
     return Gamble(space, vals)
 
 
 def _marginal_rows(chain: ImpreciseMarkovChain, indicators: list[Gamble]):
-    """Yield [n, lower, upper] for n = 1..horizon and each indicator, n-major."""
+    """Yield [n, lower, upper] for n = 1..horizon and each indicator, n-major.
+
+    A stationary chain is swept forward: each indicator and its negation
+    keep one iterate T^(n-1) h, advanced by one operator application per
+    n and closed with the initial model, so a column costs O(H)
+    applications over the horizon.  Every column gets its own kernel
+    call, the same float operations as the `marginal_upper` fold: a
+    batched call over all columns sums in another order and changes the
+    last bit.  A per-step chain shares no suffix T_1 ... T_(n-1) between
+    times, so it folds back from every n: O(H^2) applications.
+    """
+    if not chain.stationary:
+        for n in range(1, chain.horizon + 1):
+            for ind in indicators:
+                yield [n, chain.marginal_lower(n, ind), chain.marginal_upper(n, ind)]
+        return
+    op, initial = chain.transitions, chain.initial
+    cols = [v for ind in indicators for v in (-ind.values, ind.values)]
     for n in range(1, chain.horizon + 1):
-        for ind in indicators:
-            yield [n, chain.marginal_lower(n, ind), chain.marginal_upper(n, ind)]
+        if n > 1:
+            cols = [op.apply_many(col[:, None])[:, 0] for col in cols]
+        ups = [float(initial.upper_many(col[:, None])[0]) for col in cols]
+        for neg, pos in zip(ups[::2], ups[1::2]):
+            yield [n, -neg, pos]
 
 
 def cmd_evolve(chain: ImpreciseMarkovChain, args) -> Table:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import time
 import tracemalloc
@@ -10,11 +11,15 @@ from credalmc import (
     CredalValidationError,
     ImpreciseMarkovChain,
     ProbInterval,
+    StateSpace,
+    UpperTransitionOperator,
     oracle,
 )
 from credalmc.cli import (
     ScenarioError,
     bundled_scenario_path,
+    cmd_credal_approx,
+    cmd_evolve,
     load_bundled,
     load_scenario,
     main,
@@ -23,7 +28,7 @@ from credalmc.cli import (
     scenario_from_json,
     scenario_to_json,
 )
-from helpers import random_gamble
+from helpers import FAMILIES, random_gamble, random_model
 
 
 def test_bundled_example_5_3_shape():
@@ -186,6 +191,17 @@ def test_parse_gamble_defaults_to_zero():
     assert list(g.values) == [1.0, 0.0]
     with pytest.raises(ScenarioError):
         parse_gamble(sc.space, "z:1")
+
+
+def test_parse_gamble_refuses_duplicates_and_empty_text():
+    space = load_bundled("example_5_3").space
+    with pytest.raises(ScenarioError, match="duplicate gamble entry"):
+        parse_gamble(space, "a:1, a:2")
+    for text in ("", " ", ",", " , "):
+        with pytest.raises(ScenarioError, match="no label:value entry"):
+            parse_gamble(space, text)
+    assert list(parse_gamble(space, "a:0").values) == [0.0, 0.0]
+    assert list(parse_gamble(space, "b:2,").values) == [0.0, 2.0]
 
 
 def _run(capsys, *argv):
@@ -424,6 +440,9 @@ def test_cli_error_paths(capsys, tmp_path):
         ("limit", "example_5_3", "--gamble", "a:1", "--max-iter", "-1"),
         ("evolve", "example_5_3"),
         ("limit", "example_5_3"),
+        ("limit", "example_5_3", "--gamble", "a:1,a:2"),
+        ("limit", "example_5_3", "--gamble", " "),
+        ("limit", "example_5_3", "--gamble", ","),
     ],
     ids=[
         "unknown-event",
@@ -438,6 +457,9 @@ def test_cli_error_paths(capsys, tmp_path):
         "max-iter-negative",
         "evolve-without-event",
         "limit-without-gamble",
+        "gamble-duplicate-label",
+        "gamble-blank",
+        "gamble-only-comma",
     ],
 )
 def test_cli_input_errors_exit_2(capsys, argv):
@@ -514,3 +536,97 @@ def test_stationary_commands_refuse_a_per_step_chain(capsys, tmp_path, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:schema-error: this command needs a stationary")
+
+
+# ----------------------------------------------------------------------
+# The marginal plan behind `evolve` and `credal-approx`.
+
+
+def _six_family_chain(seed: int, horizon: int, stationary: bool = True):
+    """A chain on six states whose operator rows cover all six families."""
+    rng = np.random.default_rng(seed)
+    space = StateSpace(list("abcdef"))
+
+    def op():
+        families = rng.permutation(FAMILIES)
+        return UpperTransitionOperator(space, [random_model(rng, space, f) for f in families])
+
+    initial = random_model(rng, space, str(rng.choice(FAMILIES)))
+    transitions = op() if stationary else [op() for _ in range(horizon - 1)]
+    return ImpreciseMarkovChain(initial, transitions, horizon)
+
+
+def _per_n_rows(chain, indicators, times=None):
+    """[n, lower, upper] from one backward fold per n and indicator."""
+    times = range(1, chain.horizon + 1) if times is None else times
+    return [
+        [n, chain.marginal_lower(n, ind), chain.marginal_upper(n, ind)]
+        for n in times
+        for ind in indicators
+    ]
+
+
+def _approx_rows(chain):
+    _, rows = cmd_credal_approx(chain, argparse.Namespace())
+    return [[n, lo, up] for n, _, lo, up in rows]
+
+
+@pytest.mark.parametrize("stationary", [True, False], ids=["stationary", "per-step"])
+@pytest.mark.parametrize("horizon", [1, 2, 9])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_marginal_rows_equal_the_per_n_folds(seed, horizon, stationary):
+    chain = _six_family_chain(seed, horizon, stationary)
+    event = ["a", "c", "f"]
+    _, rows = cmd_evolve(chain, argparse.Namespace(event=",".join(event)))
+    assert rows == _per_n_rows(chain, [chain.space.indicator(event)])
+    singletons = [chain.space.indicator([x]) for x in chain.space]
+    assert _approx_rows(chain) == _per_n_rows(chain, singletons)
+
+
+def test_credal_approx_at_horizon_600_equals_the_per_n_folds():
+    ex54 = load_bundled("example_5_4")
+    chain = ImpreciseMarkovChain(ex54.initial, ex54.transitions, 600)
+    rows = _approx_rows(chain)
+    assert len(rows) == 3 * 600
+    # The full per-n reference costs O(H^2) folds (about 23 s); a fold up
+    # to n replays the sweep's first n - 1 steps, so sampled times,
+    # the last ones included, check the table bit for bit.
+    times = [1, 2, 3, *range(50, 600, 97), 598, 599, 600]
+    singletons = [chain.space.indicator([x]) for x in chain.space]
+    sampled = [row for row in rows if row[0] in times]
+    assert sampled == _per_n_rows(chain, singletons, times)
+
+
+def _count_apply_many(monkeypatch):
+    calls = []
+    inner = UpperTransitionOperator.apply_many
+
+    def counted(self, *args):
+        calls.append(1)
+        return inner(self, *args)
+
+    monkeypatch.setattr(UpperTransitionOperator, "apply_many", counted)
+    return calls
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 7, 40])
+def test_stationary_marginals_apply_the_operator_once_per_column_and_step(
+    monkeypatch, horizon
+):
+    ex54 = load_bundled("example_5_4")
+    chain = ImpreciseMarkovChain(ex54.initial, ex54.transitions, horizon)
+    s = len(chain.space)
+    calls = _count_apply_many(monkeypatch)
+    cmd_evolve(chain, argparse.Namespace(event="a"))
+    assert len(calls) == 2 * (horizon - 1)
+    calls.clear()
+    cmd_credal_approx(chain, argparse.Namespace())
+    assert len(calls) == 2 * s * (horizon - 1)
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 7])
+def test_per_step_marginals_fold_back_from_every_time(monkeypatch, horizon):
+    chain = _six_family_chain(3, horizon, stationary=False)
+    calls = _count_apply_many(monkeypatch)
+    cmd_evolve(chain, argparse.Namespace(event="a"))
+    assert len(calls) == horizon * (horizon - 1)
