@@ -30,6 +30,7 @@ SCENARIOS = (
     "example_5_3_n2",
     "example_5_3_precise",
     "example_5_4",
+    "per_step_mixed8",
 )
 COMMANDS = (
     ("evolve", "--event", "a"),
