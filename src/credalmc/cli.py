@@ -301,27 +301,31 @@ def parse_gamble(space: StateSpace, text: str) -> Gamble:
 def _marginal_rows(chain: ImpreciseMarkovChain, indicators: list[Gamble]):
     """Yield [n, lower, upper] for n = 1..horizon and each indicator, n-major.
 
-    A stationary chain is swept forward: each indicator and its negation
-    keep one iterate T^(n-1) h, advanced by one operator application per
-    n and closed with the initial model, so a column costs O(H)
-    applications over the horizon.  Every column gets its own kernel
-    call, the same float operations as the `marginal_upper` fold: a
-    batched call over all columns sums in another order and changes the
-    last bit.  A per-step chain shares no suffix T_1 ... T_(n-1) between
-    times, so it folds back from every n: O(H^2) applications.
+    Each indicator h and its negation -h are columns of one batch, taken
+    back to time 1 and closed with the initial model in one call; lower
+    is minus the upper expectation of -h.  A stationary chain sweeps the
+    batch forward: the columns for time n are T applied to those for
+    n - 1.  A per-step chain sweeps back from the horizon: at step k the
+    columns for time k + 1 join the batch, and the step operator is
+    applied once to every live column.  Either way the table costs
+    H - 1 `apply_many` calls.  The kernels are column-exact, so every
+    cell has the bits of the `marginal_upper` fold at its n.
     """
-    if not chain.stationary:
-        for n in range(1, chain.horizon + 1):
-            for ind in indicators:
-                yield [n, chain.marginal_lower(n, ind), chain.marginal_upper(n, ind)]
-        return
-    op, initial = chain.transitions, chain.initial
-    cols = [v for ind in indicators for v in (-ind.values, ind.values)]
-    for n in range(1, chain.horizon + 1):
-        if n > 1:
-            cols = [op.apply_many(col[:, None])[:, 0] for col in cols]
-        ups = [float(initial.upper_many(col[:, None])[0]) for col in cols]
-        for neg, pos in zip(ups[::2], ups[1::2]):
+    base = np.stack([v for ind in indicators for v in (-ind.values, ind.values)], axis=1)
+    steps = range(1, chain.horizon)
+    if chain.stationary:
+        blocks = [base]
+        for _ in steps:
+            blocks.append(chain.transitions.apply_many(blocks[-1]))
+        table = np.hstack(blocks)
+    else:
+        swept = base[:, :0]
+        for k in reversed(steps):
+            swept = chain.operator_at(k).apply_many(np.hstack([base, swept]))
+        table = np.hstack([base, swept])
+    ups = chain.initial.upper_many(table).reshape(chain.horizon, -1, 2).tolist()
+    for n, pairs in enumerate(ups, start=1):
+        for neg, pos in pairs:
             yield [n, -neg, pos]
 
 

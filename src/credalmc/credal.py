@@ -13,6 +13,17 @@ matrix H of shape (s, k) under each of them.  Upper transition
 operators stack their rows once and make one kernel call per family;
 a model's own `upper(h)` is the m = k = 1 case.
 
+Every kernel is column-exact: column j of `kernel(params, H)` has the
+same bits whatever the other columns and the batch width k, so a
+batched query prints what one fold per gamble prints.  Matrix products
+go through `_gemv`, one BLAS matrix-vector product per column (a plain
+`W @ H` over k > 1 columns is one gemm, whose blocking changes the
+order of the sums); `ProbInterval` sums along a contiguous state axis,
+as a one-column call does; `reduceat` adds rows one at a time in every
+column; maxima are exact in any order.  `upper_many` and
+`UpperTransitionOperator.apply_many` split wide batches into column
+chunks (`_chunked`), which column-exactness makes bit-neutral.
+
 Every model also exposes `lower(h)` (the conjugate of `upper`) and
 `vertices()` (a finite spanning set containing all extreme points).
 Validation happens at construction and is never silently repaired; an
@@ -45,6 +56,10 @@ from .states import (
 
 #: Refuse vertex enumerations over more candidate points than this.
 VERTEX_GUARD = 2**16
+
+#: A kernel call on s states sees at most CHUNK_CELLS // s**2 columns, so
+#: an (m, k, s) intermediate of m <= s rows stays under 8 MB of floats.
+CHUNK_CELLS = 2**20
 
 
 class CredalValidationError(ValueError):
@@ -81,7 +96,8 @@ class CredalModel:
 
     def upper_many(self, H: np.ndarray) -> np.ndarray:
         """Upper expectations of the k columns of a raw (s, k) array."""
-        return self.kernel(self._params, _as_columns(self.space, H))[0]
+        kernel = functools.partial(self.kernel, self._params)
+        return _chunked(kernel, _as_columns(self.space, H))[0]
 
     def upper(self, h: Gamble) -> float:
         """Maximum linear expectation of h over the credal set."""
@@ -105,6 +121,27 @@ def _dedup(masses: Sequence[MassFunction]) -> list[MassFunction]:
         ):
             out.append(m)
     return out
+
+
+def _chunked(apply, H: np.ndarray) -> np.ndarray:
+    """`apply(H)` on an (s, k) H, made in column chunks of at most
+    CHUNK_CELLS // s**2 columns and joined along the last axis."""
+    width = max(1, CHUNK_CELLS // H.shape[0] ** 2)
+    if H.shape[1] <= width:
+        return apply(H)
+    return np.concatenate(
+        [apply(H[:, j : j + width]) for j in range(0, H.shape[1], width)], axis=-1
+    )
+
+
+def _gemv(W: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """W @ H as one matrix-vector product per column of H.
+
+    `np.matmul` over a stack of (s, 1) columns loops BLAS gemv in C, so
+    each column gets the bits of the k = 1 product `W @ h`."""
+    if H.shape[1] == 1:
+        return W @ H
+    return np.matmul(W, np.ascontiguousarray(H.T)[:, :, None])[:, :, 0].T
 
 
 def _starts(sizes: Sequence[int]) -> np.ndarray:
@@ -136,7 +173,7 @@ class Linear(CredalModel):
 
     @staticmethod
     def kernel(W, H):
-        return W @ H
+        return _gemv(W, H)
 
     def vertices(self) -> list[MassFunction]:
         return [self.mass]
@@ -189,7 +226,7 @@ class VertexSet(CredalModel):
     @staticmethod
     def kernel(params, H):
         P, starts = params
-        return np.maximum.reduceat(P @ H, starts, axis=0)
+        return np.maximum.reduceat(_gemv(P, H), starts, axis=0)
 
     def vertices(self) -> list[MassFunction]:
         return list(self.points)
@@ -227,7 +264,7 @@ class Contamination(CredalModel):
     @staticmethod
     def kernel(params, H):
         B, eps = params
-        return (1.0 - eps) * (B @ H) + eps * H.max(axis=0)
+        return (1.0 - eps) * _gemv(B, H) + eps * H.max(axis=0)
 
     def vertices(self) -> list[MassFunction]:
         out = []
@@ -285,14 +322,19 @@ class BeliefFunction(CredalModel):
 
     @classmethod
     def stack(cls, rows):
-        masks = np.array([ev.mask() for r in rows for ev, _ in r.focal])
+        members = [np.flatnonzero(ev.mask()) for r in rows for ev, _ in r.focal]
         w = np.array([[w] for r in rows for _, w in r.focal])
-        return masks[:, :, None], w, _starts([len(r.focal) for r in rows])
+        return (
+            np.concatenate(members),
+            _starts([len(m) for m in members]),
+            w,
+            _starts([len(r.focal) for r in rows]),
+        )
 
     @staticmethod
     def kernel(params, H):
-        masks, w, starts = params
-        focal_max = np.where(masks, H[None, :, :], -np.inf).max(axis=1)
+        members, member_starts, w, starts = params
+        focal_max = np.maximum.reduceat(H[members], member_starts, axis=0)
         return np.add.reduceat(w * focal_max, starts, axis=0)
 
     def vertices(self) -> list[MassFunction]:
@@ -382,12 +424,16 @@ class ProbInterval(CredalModel):
         # slack along that order.  The j best states together receive
         # F_j = min(sum of their upper - lower, slack), so summing by
         # parts the gain over L @ H is sum_j F_j * (h_(j) - h_(j+1)),
-        # with h_(s+1) = 0.
-        order = np.argsort(-H, axis=0)
-        filled = np.minimum(np.cumsum(D[:, order], axis=1), slack)
-        steps = H[order, np.arange(H.shape[1])]
-        steps[:-1] -= steps[1:]
-        return L @ H + (filled * steps).sum(axis=1)
+        # with h_(s+1) = 0.  The state axis is last and contiguous, so
+        # each (row, column) sum is the pairwise sum of the k = 1 call.
+        Ht = np.ascontiguousarray(H.T)
+        order = np.argsort(-Ht, axis=1)
+        gain = np.cumsum(D[:, order], axis=2)
+        np.minimum(gain, slack, out=gain)
+        steps = Ht[np.arange(len(Ht))[:, None], order]
+        steps[:, :-1] -= steps[:, 1:]
+        gain *= steps
+        return _gemv(L, H) + gain.sum(axis=2)
 
     def vertices(self) -> list[MassFunction]:
         # Every vertex of an interval polytope on the simplex has at most

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .credal import Contamination, CredalModel, Linear, ProbInterval
+from .credal import Contamination, CredalModel, Linear, ProbInterval, _chunked
 from .states import REGULARITY_EPS, DimensionMismatch, Gamble, MassFunction
 from .states import StateSpace, _as_columns
 
@@ -89,7 +89,9 @@ class UpperTransitionOperator:
 
     def apply_many(self, H) -> np.ndarray:
         """Apply the operator to each column of a raw (s, k) array."""
-        H = _as_columns(self.space, H)
+        return _chunked(self._apply_columns, _as_columns(self.space, H))
+
+    def _apply_columns(self, H: np.ndarray) -> np.ndarray:
         families = self._families
         if len(families) == 1:
             kernel, params, _ = families[0]

@@ -62,6 +62,19 @@ def random_belief(rng: np.random.Generator, space: StateSpace) -> BeliefFunction
     return BeliefFunction(space, focal)
 
 
+def random_focal_belief(
+    rng: np.random.Generator, space: StateSpace, n_focal: int
+) -> BeliefFunction:
+    """A belief function with n_focal random focal elements, drawn
+    without listing every subset, so usable on wide spaces."""
+    focal = []
+    for w in rng.dirichlet(np.ones(n_focal)):
+        size = int(rng.integers(1, len(space) + 1))
+        members = rng.choice(space.labels, size=size, replace=False)
+        focal.append((Event(space, members.tolist()), float(w)))
+    return BeliefFunction(space, focal)
+
+
 def random_model(rng: np.random.Generator, space: StateSpace, family: str):
     if family == "linear":
         return Linear(random_mass(rng, space))

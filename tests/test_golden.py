@@ -1,7 +1,7 @@
 """Replay recorded `credal-mc` runs on the bundled scenarios.
 
 `golden/cli_replay.json` holds the exit code, stdout and stderr of eight
-commands on each of the six bundled scenarios.  Every byte must match,
+commands on each of the seven bundled scenarios.  Every byte must match,
 except `verify`'s `gap` column: it is round-off noise, so only its size
 is pinned, as in `test_verify_golden_rows`.
 

@@ -5,7 +5,9 @@
 (b) the interval, belief and vertex-set kernels against a linear
     program at s = 48 and 100, where vertices cannot be enumerated;
 (c) the batched `is_regular`, joint fold and Markov-condition gap
-    against unbatched per-row loops.
+    against unbatched per-row loops;
+(d) the column-exact contract: a column's bits do not depend on the
+    batch it is computed in, nor on how the batch is chunked.
 """
 
 import numpy as np
@@ -23,7 +25,16 @@ from credalmc import (
     UpperTransitionOperator,
     VertexSet,
 )
-from helpers import FAMILIES, random_any_model, random_mass, random_model
+from credalmc import credal
+from credalmc.credal import _chunked
+from helpers import (
+    FAMILIES,
+    random_any_model,
+    random_focal_belief,
+    random_mass,
+    random_model,
+    random_prob_interval,
+)
 
 LABELS = ["a", "b", "c", "d", "e"]
 
@@ -308,3 +319,94 @@ def test_markov_invariance_gap_matches_per_row_loop(stationary):
             assert chain.markov_invariance_gap(n, f) == pytest.approx(
                 _gap_ref(chain, n, f), abs=1e-12
             )
+
+
+# ----------------------------------------------------------------------
+# (d) column-exact kernels
+
+
+def _contract_rows(rng, space, family):
+    """Five rows of one family; belief rows carry nine focal elements."""
+    if family == "belief":
+        return [random_focal_belief(rng, space, 9) for _ in range(5)]
+    return [random_model(rng, space, family) for _ in range(5)]
+
+
+def _contract_matrix(rng, s, k):
+    """k random columns, the structured ones of `_gamble_matrix` among them."""
+    H = rng.uniform(-1.0, 1.0, size=(s, k))
+    structured = np.concatenate([_gamble_matrix(rng, s), -np.eye(s)[:, :1]], axis=1)
+    n = min(k - 1, structured.shape[1])
+    H[:, 1 : 1 + n] = structured[:, :n]
+    return H
+
+
+def _plain_kernel(family, rows, H):
+    """Each family's formula as one whole-batch numpy expression, which
+    sets the bits of a single-column call."""
+    if family == "linear":
+        return np.array([r.mass.weights for r in rows]) @ H
+    if family == "vacuous":
+        return np.repeat(H.max(axis=0)[None, :], len(rows), axis=0)
+    if family == "vertices":
+        P = np.array([p.weights for r in rows for p in r.points])
+        starts = np.cumsum([0] + [len(r.points) for r in rows[:-1]])
+        return np.maximum.reduceat(P @ H, starts, axis=0)
+    if family == "contamination":
+        B = np.array([r.base.weights for r in rows])
+        eps = np.array([[r.epsilon] for r in rows])
+        return (1.0 - eps) * (B @ H) + eps * H.max(axis=0)
+    if family == "belief":
+        masks = np.array([ev.mask() for r in rows for ev, _ in r.focal])
+        w = np.array([[w] for r in rows for _, w in r.focal])
+        starts = np.cumsum([0] + [len(r.focal) for r in rows[:-1]])
+        focal_max = np.where(masks[:, :, None], H[None], -np.inf).max(axis=1)
+        return np.add.reduceat(w * focal_max, starts, axis=0)
+    L = np.array([r.lower_mass for r in rows])
+    D = np.array([r.upper_mass for r in rows]) - L
+    order = np.argsort(-H, axis=0)
+    filled = np.minimum(np.cumsum(D[:, order], axis=1), (1.0 - L.sum(axis=1))[:, None, None])
+    steps = H[order, np.arange(H.shape[1])]
+    steps[:-1] -= steps[1:]
+    return L @ H + (filled * steps).sum(axis=1)
+
+
+@pytest.mark.parametrize("s", [2, 3, 8, 24, 48])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_kernels_are_column_exact(family, s):
+    rng = np.random.default_rng([s, FAMILIES.index(family)])
+    space = StateSpace([f"x{i}" for i in range(s)])
+    rows = _contract_rows(rng, space, family)
+    cls = type(rows[0])
+    params = cls.stack(rows)
+    for k in (1, 2, 7, 64):
+        H = _contract_matrix(rng, s, k)
+        got = cls.kernel(params, H)
+        assert got.shape == (len(rows), k)
+        for j in range(k):
+            one = cls.kernel(params, H[:, [j]])
+            assert np.array_equal(got[:, j], one[:, 0]), (k, j)
+            assert np.array_equal(one, _plain_kernel(family, rows, H[:, [j]]))
+        # The memory layout of the batch does not matter either.
+        assert np.array_equal(cls.kernel(params, np.asfortranarray(H)), got)
+
+
+def test_chunked_calls_equal_one_call(monkeypatch):
+    rng = np.random.default_rng(229)
+    s, k = 8, 50
+    space = StateSpace([f"x{i}" for i in range(s)])
+    op = UpperTransitionOperator(space, [random_model(rng, space, FAMILIES[i % 6]) for i in range(s)])
+    initial = random_prob_interval(rng, space)
+    H = rng.uniform(-1.0, 1.0, size=(s, k))
+    whole_op, whole_initial = op.apply_many(H), initial.upper_many(H)
+    widths = []
+
+    def kernel(params, H):
+        widths.append(H.shape[1])
+        return ProbInterval.kernel(params, H)
+
+    monkeypatch.setattr(credal, "CHUNK_CELLS", 3 * s**2)
+    assert np.array_equal(_chunked(lambda C: kernel(initial._params, C), H)[0], whole_initial)
+    assert widths == [3] * 16 + [2]
+    assert np.array_equal(op.apply_many(H), whole_op)
+    assert np.array_equal(initial.upper_many(H), whole_initial)
