@@ -2,7 +2,8 @@
 
 The rows are grouped by credal family and their parameters stacked on
 first use, so applying the operator to k gambles at once costs one
-kernel call per family present.
+kernel call per family present, or one per family and column chunk
+when k exceeds `credal.CHUNK_CELLS // s**2`.
 """
 
 from __future__ import annotations

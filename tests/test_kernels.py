@@ -26,7 +26,6 @@ from credalmc import (
     VertexSet,
 )
 from credalmc import credal
-from credalmc.credal import _chunked
 from helpers import (
     FAMILIES,
     random_any_model,
@@ -406,7 +405,7 @@ def test_chunked_calls_equal_one_call(monkeypatch):
         return ProbInterval.kernel(params, H)
 
     monkeypatch.setattr(credal, "CHUNK_CELLS", 3 * s**2)
-    assert np.array_equal(_chunked(lambda C: kernel(initial._params, C), H)[0], whole_initial)
+    assert np.array_equal(credal._chunked(lambda C: kernel(initial._params, C), H)[0], whole_initial)
     assert widths == [3] * 16 + [2]
     assert np.array_equal(op.apply_many(H), whole_op)
     assert np.array_equal(initial.upper_many(H), whole_initial)
