@@ -2,13 +2,21 @@
 
 Enumerates every compatible precise probability tree whose local models
 are drawn from the vertex lists of the chain's credal models, and takes
-the min/max of each gamble's exact expectation over them.  There is one
-sum-product, `path_probabilities`, which gives one tree's probability of
-every path (optionally conditional on a history), and one enumeration,
-`envelope`, which contracts that tensor with any number of path gambles
-per tree and bounds its entries, the path masses, with no indicator
-table.  Deliberately independent of the recursion it validates: nothing
-here applies an upper transition operator or a credal kernel.
+the min/max of each gamble's exact expectation over them.  Each model's
+vertex list is read once per call as a (v, |X|) weight array, which the
+size guard and the enumeration share.  Trees are numbered by mixed-radix
+indices, one digit per situation with two or more vertices: the initial
+vertex is the most significant digit and the last situation the fastest,
+which is `itertools.product` order.  `envelope` walks those numbers in
+blocks: one fancy index per time gathers a block's weights, and one
+sum-product, `_sum_product`, multiplies them left to right into every
+tree's probability of every path (optionally conditional on a history).
+Those tensors are contracted with any number of path gambles, and their
+entries, the path masses, are bounded with no indicator table.
+`path_probabilities` is the same sum-product for one `TreeAssignment`.
+Deliberately independent of the recursion it validates: nothing here
+applies an upper transition operator or a credal kernel; it uses only
+`vertices()` and numpy.
 
 Choices at different situations are independent (the row credal set
 depends only on the last state, but the chosen mass function may differ
@@ -19,7 +27,7 @@ request so any gap is observable.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,9 +37,16 @@ from .chain import ImpreciseMarkovChain, PathGamble
 from .credal import SizeGuardError
 from .states import MassFunction
 
-#: Refuse enumerations with more assignments than this; at about 20k trees/s
-#: (one core of a Xeon server) the guard is about a minute of enumeration.
+#: Refuse enumerations with more assignments than this; in blocks, a
+#: guard-sized enumeration (839,808 trees on two states at horizon 4, three
+#: gambles) takes about 0.7 s on one core of a 2 vCPU Xeon.
 ASSIGNMENT_GUARD = 2**20
+
+#: A block holds as many trees as keep its (trees, gambles + 1, paths)
+#: intermediates near this many float64 cells (512 KB); at least one tree.
+#: Larger blocks were no faster on a guard-sized enumeration, and 2**20
+#: cells raised its peak RSS from 36 MB to 61 MB.
+BLOCK_CELLS = 2**16
 
 
 @dataclass(frozen=True)
@@ -46,32 +61,55 @@ class TreeAssignment:
     situation_choices: dict[tuple[int, ...], MassFunction]
 
 
-def _situations(chain: ImpreciseMarkovChain, horizon: int):
-    """Non-terminal situations beyond the root, in lexicographic order."""
-    s = len(chain.space)
-    for k in range(1, horizon):
-        for idx in np.ndindex(*(s,) * k):
-            yield idx
+def _vertex_weights(chain: ImpreciseMarkovChain, horizon: int):
+    """The vertex weights of every situation's model up to `horizon`,
+    refused past the guard, and the number of tree assignments.
 
-
-def count_assignments(chain: ImpreciseMarkovChain, horizon: int) -> int:
-    """Number of extreme-point tree assignments up to the given horizon.
-
-    The s^(k-1) situations of length k ending in x share one row model, so
-    count per (time, state): |V(k, x)| to that power, capped at a power
-    that takes any two-vertex row past the guard."""
+    Level 0 holds the initial model's (v, |X|) array, level k in
+    [1, horizon) one such array per state: the model of every situation
+    of length k ending in that state.  Those s^(k-1) situations share one
+    row model, so the count is per (time, state): |V(k, x)| to that
+    power, capped at a power that takes any two-vertex row past the guard.
+    """
     if not 1 <= horizon <= chain.horizon:
         raise ValueError("horizon out of range")
+    arrays: dict[int, np.ndarray] = {}  # by model identity: one read per call
+
+    def weights(model):
+        if id(model) not in arrays:
+            arrays[id(model)] = np.array([v.weights for v in model.vertices()])
+        return arrays[id(model)]
+
     cap = ASSIGNMENT_GUARD.bit_length()
-    total = len(chain.initial.vertices())
+    levels = [[weights(chain.initial)]]
+    total = len(levels[0][0])
     histories = 1  # situations of length k ending in one state, capped
     for k in range(1, horizon):
+        levels.append([])
         for row in chain.operator_at(k).rows:
-            total *= len(row.vertices()) ** histories
+            levels[k].append(weights(row))
+            total *= len(levels[k][-1]) ** histories
             if total > ASSIGNMENT_GUARD:
                 raise SizeGuardError(f"more than {ASSIGNMENT_GUARD} tree assignments")
         histories = min(histories * len(chain.space), cap)
-    return total
+    return levels, total
+
+
+def count_assignments(chain: ImpreciseMarkovChain, horizon: int) -> int:
+    """Number of extreme-point tree assignments up to the given horizon."""
+    return _vertex_weights(chain, horizon)[1]
+
+
+def _sum_product(table: np.ndarray, steps: Sequence[np.ndarray]) -> np.ndarray:
+    """Probability of every path in each of a block of T trees.
+
+    `table` is the (T,) tensor of ones; `steps` holds, per time, the
+    (T, n, |X|) weights the trees choose at that time's n situations, in
+    C order.  Returns a (T,) + (|X|,) * len(steps) tensor.
+    """
+    for w in steps:
+        table = table[..., None] * w.reshape(table.shape + w.shape[-1:])
+    return table
 
 
 def path_probabilities(
@@ -88,46 +126,48 @@ def path_probabilities(
     prefix, of shape (|X|,) * (horizon - n); a full-length prefix gives
     the 0-d tensor 1.
     """
-    s = len(chain.space)
-    if prefix:
-        table = np.ones(())
-    else:
-        table = np.array(assignment.initial_choice.weights)
-    for _ in range(len(prefix) + table.ndim, horizon):
-        try:
-            weights = [
-                assignment.situation_choices[prefix + idx].weights
-                for idx in np.ndindex(*table.shape)
-            ]
-        except KeyError as exc:
-            raise ValueError(f"assignment misses situation {exc.args[0]}") from None
-        table = table[..., None] * np.reshape(weights, table.shape + (s,))
-    return table
+    s, n = len(chain.space), len(prefix)
+    choices = {(): assignment.initial_choice, **assignment.situation_choices}
+    try:
+        steps = [
+            np.array([[choices[prefix + i].weights for i in np.ndindex(*(s,) * (k - n))]])
+            for k in range(n, horizon)
+        ]
+    except KeyError as exc:
+        raise ValueError(f"assignment misses situation {exc.args[0]}") from None
+    return _sum_product(np.ones(1), steps)[0, ...]
 
 
-def _assignments(chain: ImpreciseMarkovChain, horizon: int, markov_only: bool):
-    count_assignments(chain, horizon)  # size guard
-    sits = list(_situations(chain, horizon))
-    if markov_only:
-        # One vertex choice per (time, last state), reused at every history.
-        keys = sorted({(len(idx), idx[-1]) for idx in sits})
-        options = [
-            chain.operator_at(k).rows[x].vertices() for (k, x) in keys
-        ]
-        for init in chain.initial.vertices():
-            for picks in itertools.product(*options):
-                by_key = dict(zip(keys, picks))
-                yield TreeAssignment(
-                    init,
-                    {idx: by_key[(len(idx), idx[-1])] for idx in sits},
-                )
-    else:
-        options = [
-            chain.operator_at(len(idx)).rows[idx[-1]].vertices() for idx in sits
-        ]
-        for init in chain.initial.vertices():
-            for picks in itertools.product(*options):
-                yield TreeAssignment(init, dict(zip(sits, picks)))
+def _numbering(levels, s: int, prefix: tuple[int, ...], markov_only: bool):
+    """Mixed-radix numbering of the trees continuing `prefix`.
+
+    Returns the radices, most significant first, and per time k in
+    [len(prefix), horizon) the gather for its situations x_{1:k}, in C
+    order: the level's stacked vertex weights, each situation's first row
+    in that stack and the digit that picks its vertex (-1, a zero digit,
+    for a single vertex).  Situations off the prefix never change a path
+    probability, so they take no digit.  markov_only=True gives one digit
+    per (time, last state) instead of one per situation.
+    """
+    n, radices, gathers = len(prefix), [], []
+    for k in range(n, len(levels)):
+        counts = np.array([len(w) for w in levels[k]])
+        if k == 0:
+            last = np.zeros(1, dtype=np.intp)  # the root: the initial model
+        elif k == n:
+            last = np.array([prefix[-1]])
+        else:
+            last = np.tile(np.arange(s), s ** (k - n - 1))
+        owners = np.unique(last) if markov_only else last
+        digit = np.full(len(owners), -1)
+        free = counts[owners] > 1
+        digit[free] = len(radices) + np.arange(free.sum())
+        radices += counts[owners][free].tolist()
+        if markov_only:
+            digit = digit[np.searchsorted(owners, last)]
+        offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
+        gathers.append((np.concatenate(levels[k]), offsets[last], digit))
+    return radices, gathers
 
 
 def envelope(
@@ -139,23 +179,37 @@ def envelope(
     """Tight bounds (lo, up) on E(f | X(1:n) = prefix) for each f in fs, and
     (mass_lo, mass_up), shaped (|X|,) * (horizon - n), on each continuation.
 
-    One pass over the trees serves all of them: each tree's path-probability
-    tensor is contracted with every f and joins the same running min/max.
-    markov_only=True enumerates only trees choosing by (time, last state).
+    One pass over the trees serves all of them: each block of trees'
+    path-probability tensors is contracted with every f and joins the same
+    running min/max.  markov_only=True enumerates only trees choosing by
+    (time, last state).
     """
     if not fs:
         raise ValueError("envelope needs at least one path gamble")
     horizon = fs[0].horizon
     if any(f.horizon != horizon for f in fs):
         raise ValueError("all path gambles must share one horizon")
+    if len(prefix) > horizon:
+        raise ValueError("prefix length out of range")
     idx = tuple(chain.space.index(x) for x in prefix)
+    levels, _ = _vertex_weights(chain, horizon)  # size guard
+    radices, gathers = _numbering(levels, len(chain.space), idx, markov_only)
     m, shape = len(fs), fs[0].values[idx].shape
     tails = np.stack([f.values[idx] for f in fs]).reshape(m, -1)
     lo = np.full(m + tails.shape[1], np.inf)
     up = -lo
-    for a in _assignments(chain, horizon, markov_only):
-        probs = path_probabilities(chain, a, horizon, idx).reshape(-1)
-        v = np.concatenate([(probs * tails).sum(axis=1), probs])
-        np.minimum(lo, v, out=lo)
-        np.maximum(up, v, out=up)
+    total = math.prod(radices)
+    places = [math.prod(radices[j + 1 :]) for j in range(len(radices))]
+    places, radices = np.array(places, dtype=np.int64), np.array(radices, dtype=np.int64)
+    block = max(1, BLOCK_CELLS // ((m + 1) * tails.shape[1]))
+    for first in range(0, total, block):
+        trees = np.arange(first, min(first + block, total), dtype=np.int64)
+        # The last column stays 0: digit -1 of single-vertex situations.
+        digits = np.zeros((len(trees), len(radices) + 1), dtype=np.intp)
+        digits[:, :-1] = trees[:, None] // places % radices
+        steps = [stack[rows + digits[:, digit]] for stack, rows, digit in gathers]
+        probs = _sum_product(np.ones(len(trees)), steps).reshape(len(trees), -1)
+        v = np.concatenate([(probs[:, None, :] * tails).sum(axis=2), probs], axis=1)
+        np.minimum(lo, v.min(axis=0), out=lo)
+        np.maximum(up, v.max(axis=0), out=up)
     return lo[:m], up[:m], lo[m:].reshape(shape), up[m:].reshape(shape)

@@ -304,19 +304,19 @@ def test_verify_golden_rows(capsys):
 
 
 def test_verify_enumerates_the_trees_once(capsys, monkeypatch):
-    calls = []
-    inner = oracle.path_probabilities
+    trees = []
+    inner = oracle._sum_product
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return inner(*args, **kwargs)
+    def counted(table, steps):
+        trees.append(len(table))  # one block of trees
+        return inner(table, steps)
 
-    monkeypatch.setattr(oracle, "path_probabilities", counted)
+    monkeypatch.setattr(oracle, "_sum_product", counted)
     path = str(bundled_scenario_path("example_5_3_n2"))
     code, _, _ = _run(capsys, "verify", path)
     assert code == 0
     chain = load_bundled("example_5_3_n2")
-    assert len(calls) == oracle.count_assignments(chain, 2)
+    assert sum(trees) == oracle.count_assignments(chain, 2)
 
 
 def test_verify_folds_only_the_random_gambles(capsys, monkeypatch):

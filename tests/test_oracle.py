@@ -1,9 +1,11 @@
+import itertools
 import time
 
 import numpy as np
 import pytest
 
 from credalmc import (
+    CredalModel,
     ImpreciseMarkovChain,
     Linear,
     MassFunction,
@@ -18,6 +20,7 @@ from credalmc import (
     envelope,
     path_probabilities,
 )
+from credalmc import oracle
 from credalmc.cli import load_bundled
 from credalmc.oracle import ASSIGNMENT_GUARD
 from helpers import random_any_model, random_mass, random_small_chain
@@ -238,6 +241,12 @@ class TestEnvelope:
         assert list(lo) == [f.values[1, 0, 1], -f.values[1, 0, 1]]
         assert list(up) == list(lo)
 
+    def test_prefix_longer_than_the_horizon_rejected(self, ex53_initial, ex53_op, ab):
+        chain = _chain_with_two_vertices(3, ex53_initial, ex53_op)
+        f = PathGamble.path_indicator(ab, 2, ["a", "a"])
+        with pytest.raises(ValueError, match="prefix length out of range"):
+            envelope(chain, [f], prefix=("a", "b", "a"))
+
     def test_empty_gamble_list_rejected(self, ex53_initial, ex53_op):
         chain = _chain_with_two_vertices(2, ex53_initial, ex53_op)
         with pytest.raises(ValueError):
@@ -345,3 +354,111 @@ def test_markov_restricted_envelope_is_inner():
         mlo, mup = _envelope(chain, f, markov_only=True)
         assert mup <= up + 1e-12
         assert mlo >= lo - 1e-12
+
+
+def _per_tree_envelope(chain, fs, prefix, markov_only):
+    """Reference: one `TreeAssignment` per tree over every situation, in
+    `itertools.product` order, and each tree's path tensor filled one
+    situation at a time."""
+    s, horizon = len(chain.space), fs[0].horizon
+    idx = tuple(chain.space.index(x) for x in prefix)
+    sits = [i for k in range(1, horizon) for i in np.ndindex(*(s,) * k)]
+    if markov_only:
+        keys = sorted({(len(i), i[-1]) for i in sits})
+        options = [chain.operator_at(k).rows[x].vertices() for k, x in keys]
+        trees = (
+            TreeAssignment(init, {i: dict(zip(keys, picks))[len(i), i[-1]] for i in sits})
+            for init in chain.initial.vertices()
+            for picks in itertools.product(*options)
+        )
+    else:
+        options = [chain.operator_at(len(i)).rows[i[-1]].vertices() for i in sits]
+        trees = (
+            TreeAssignment(init, dict(zip(sits, picks)))
+            for init in chain.initial.vertices()
+            for picks in itertools.product(*options)
+        )
+    tails = np.stack([f.values[idx] for f in fs]).reshape(len(fs), -1)
+    lo = np.full(len(fs) + tails.shape[1], np.inf)
+    up = -lo
+    for a in trees:
+        table = np.ones(()) if idx else np.array(a.initial_choice.weights)
+        for _ in range(len(idx) + table.ndim, horizon):
+            weights = [
+                a.situation_choices[idx + j].weights for j in np.ndindex(*table.shape)
+            ]
+            table = table[..., None] * np.reshape(weights, table.shape + (s,))
+        probs = table.reshape(-1)
+        v = np.concatenate([(probs * tails).sum(axis=1), probs])
+        np.minimum(lo, v, out=lo)
+        np.maximum(up, v, out=up)
+    return lo, up
+
+
+@pytest.mark.parametrize("trees_per_block", [1, 7])
+@pytest.mark.parametrize("stationary", [True, False], ids=["stationary", "per-step"])
+def test_blocks_equal_the_per_tree_loop(monkeypatch, stationary, trees_per_block):
+    # Block boundaries are bit-neutral: one tree per block, and blocks of
+    # 7 trees that leave a shorter last block, give the reference's bits.
+    rng = np.random.default_rng(157 + stationary)
+    blocks = []
+    inner = oracle._sum_product
+
+    def recorded(table, steps):
+        blocks[-1].append(len(table))
+        return inner(table, steps)
+
+    monkeypatch.setattr(oracle, "_sum_product", recorded)
+    for _ in range(12):
+        chain = random_small_chain(
+            rng, max_horizon=4, max_assignments=600, stationary=stationary
+        )
+        s, horizon = len(chain.space), chain.horizon
+        fs = [
+            PathGamble(chain.space, horizon, rng.uniform(-1, 1, size=(s,) * horizon))
+            for _ in range(int(rng.integers(1, 4)))
+        ]
+        for n in (0, int(rng.integers(1, horizon + 1))):
+            prefix = tuple(chain.space.labels[i] for i in rng.integers(0, s, size=n))
+            paths = s ** (horizon - n)
+            monkeypatch.setattr(
+                oracle, "BLOCK_CELLS", trees_per_block * (len(fs) + 1) * paths
+            )
+            for markov_only in (False, True):
+                blocks.append([])
+                lo, up, mass_lo, mass_up = envelope(chain, fs, prefix, markov_only)
+                want_lo, want_up = _per_tree_envelope(chain, fs, prefix, markov_only)
+                got_lo = np.concatenate([lo, mass_lo.ravel()])
+                got_up = np.concatenate([up, mass_up.ravel()])
+                assert np.array_equal(got_lo, want_lo)
+                assert np.array_equal(got_up, want_up)
+                assert all(b == trees_per_block for b in blocks[-1][:-1])
+                assert 1 <= blocks[-1][-1] <= trees_per_block
+    assert any(b[-1] < trees_per_block for b in blocks) == (trees_per_block > 1)
+
+
+def test_envelope_calls_no_operator_or_kernel(monkeypatch):
+    rng = np.random.default_rng(163)
+    cases = []
+    for stationary in (True, False):
+        for j in range(4):
+            chain = random_small_chain(rng, max_assignments=300, stationary=stationary)
+            s, horizon = len(chain.space), chain.horizon
+            f = PathGamble(chain.space, horizon, rng.uniform(-1, 1, size=(s,) * horizon))
+            prefix = tuple(chain.space.labels[: j % 2])
+            cases.append((chain, f, prefix, envelope(chain, [f], prefix)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle called the engine")
+
+    monkeypatch.setattr(UpperTransitionOperator, "apply_many", refuse)
+    monkeypatch.setattr(UpperTransitionOperator, "apply", refuse)
+    monkeypatch.setattr(CredalModel, "upper_many", refuse)
+    for family in [CredalModel, *CredalModel.__subclasses__()]:
+        monkeypatch.setattr(family, "kernel", staticmethod(refuse))
+    assert len(CredalModel.__subclasses__()) == 6
+    for chain, f, prefix, want in cases:
+        got = envelope(chain, [f], prefix)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        with pytest.raises(AssertionError, match="called the engine"):
+            chain.joint_upper(f)
