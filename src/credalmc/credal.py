@@ -7,19 +7,23 @@ function (Contamination), a belief function given by focal elements
 (BeliefFunction), and per-state probability intervals (ProbInterval).
 
 Each family has one numeric kernel on raw arrays: `stack(rows)` packs
-the parameters of m models of that family, and `kernel(params, H)`
-returns the (m, k) upper expectations of the k columns of a gamble
-matrix H of shape (s, k) under each of them.  Upper transition
-operators stack their rows once and make one kernel call per family;
-a model's own `upper(h)` is the m = k = 1 case.
+the parameters of m models of that family, and
+`kernel(params, H, out, hmax)` writes the upper expectations of the k
+columns of a gamble matrix H of shape (s, k) under each of them into
+the (m, k) block `out`.  `hmax` is the column maximum `H.max(axis=0)`,
+computed once by the caller and shared by the families that read it
+(`reads_max`: Vacuous and Contamination); the others ignore it.  Upper
+transition operators stack their rows once and give each family its
+row block of one output array; a model's own `upper(h)` is the
+m = k = 1 case, written into a fresh array.
 
-Every kernel is column-exact: column j of `kernel(params, H)` has the
-same bits whatever the other columns and the batch width k, so a
-batched query prints what one fold per gamble prints.  Matrix products
-go through `_gemv`, one BLAS matrix-vector product per column (a plain
-`W @ H` over k > 1 columns is one gemm, whose blocking changes the
-order of the sums); `ProbInterval` sums along a contiguous state axis,
-as a one-column call does; `reduceat` adds rows one at a time in every
+Every kernel is column-exact: column j of its block has the same bits
+whatever the other columns and the batch width k, so a batched query
+prints what one fold per gamble prints.  Matrix products go through
+`_gemv`, one BLAS matrix-vector product per column (a plain `W @ H`
+over k > 1 columns is one gemm, whose blocking changes the order of
+the sums); `ProbInterval` sums along a contiguous state axis, as a
+one-column call does; `reduceat` adds rows one at a time in every
 column; maxima are exact in any order.  `upper_many` and
 `UpperTransitionOperator.apply_many` split wide batches into column
 chunks (`_chunked`), which column-exactness makes bit-neutral.
@@ -79,15 +83,20 @@ class CredalModel:
 
     space: StateSpace
 
+    #: Whether `kernel` reads the column maximum `hmax`.
+    reads_max = False
+
     @classmethod
     def stack(cls, rows: Sequence["CredalModel"]):
         """Parameters of `rows`, all of this family, packed for `kernel`."""
         raise NotImplementedError
 
     @staticmethod
-    def kernel(params, H: np.ndarray) -> np.ndarray:
-        """Upper expectations of the columns of H (s, k) under each of the
-        m stacked models, as an (m, k) array."""
+    def kernel(params, H: np.ndarray, out: np.ndarray, hmax) -> None:
+        """Write the upper expectations of the columns of H (s, k) under
+        each of the m stacked models into the (m, k) array `out`.
+
+        `hmax` is `H.max(axis=0)` if the family `reads_max`, else unused."""
         raise NotImplementedError
 
     @functools.cached_property
@@ -96,7 +105,13 @@ class CredalModel:
 
     def upper_many(self, H: np.ndarray) -> np.ndarray:
         """Upper expectations of the k columns of a raw (s, k) array."""
-        kernel = functools.partial(self.kernel, self._params)
+
+        def kernel(H):
+            out = np.empty((1, H.shape[1]))
+            hmax = H.max(axis=0) if self.reads_max else None
+            self.kernel(self._params, H, out, hmax)
+            return out
+
         return _chunked(kernel, _as_columns(self.space, H))[0]
 
     def upper(self, h: Gamble) -> float:
@@ -134,14 +149,15 @@ def _chunked(apply, H: np.ndarray) -> np.ndarray:
     )
 
 
-def _gemv(W: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """W @ H as one matrix-vector product per column of H.
+def _gemv(W: np.ndarray, H: np.ndarray, out: np.ndarray) -> None:
+    """out = W @ H as one matrix-vector product per column of H.
 
     `np.matmul` over a stack of (s, 1) columns loops BLAS gemv in C, so
     each column gets the bits of the k = 1 product `W @ h`."""
     if H.shape[1] == 1:
-        return W @ H
-    return np.matmul(W, np.ascontiguousarray(H.T)[:, :, None])[:, :, 0].T
+        np.matmul(W, H, out=out)
+    else:
+        out[...] = np.matmul(W, np.ascontiguousarray(H.T)[:, :, None])[:, :, 0].T
 
 
 def _starts(sizes: Sequence[int]) -> np.ndarray:
@@ -172,8 +188,8 @@ class Linear(CredalModel):
         return np.array([r.mass.weights for r in rows])
 
     @staticmethod
-    def kernel(W, H):
-        return _gemv(W, H)
+    def kernel(W, H, out, hmax):
+        _gemv(W, H, out)
 
     def vertices(self) -> list[MassFunction]:
         return [self.mass]
@@ -185,13 +201,15 @@ class Vacuous(CredalModel):
 
     space: StateSpace
 
+    reads_max = True
+
     @classmethod
     def stack(cls, rows):
-        return len(rows)
+        return None
 
     @staticmethod
-    def kernel(m, H):
-        return np.repeat(H.max(axis=0)[None, :], m, axis=0)
+    def kernel(params, H, out, hmax):
+        out[...] = hmax
 
     def vertices(self) -> list[MassFunction]:
         return [MassFunction.degenerate(self.space, x) for x in self.space]
@@ -224,9 +242,11 @@ class VertexSet(CredalModel):
         return P, _starts([len(r.points) for r in rows])
 
     @staticmethod
-    def kernel(params, H):
+    def kernel(params, H, out, hmax):
         P, starts = params
-        return np.maximum.reduceat(_gemv(P, H), starts, axis=0)
+        products = np.empty((len(P), H.shape[1]))
+        _gemv(P, H, products)
+        np.maximum.reduceat(products, starts, axis=0, out=out)
 
     def vertices(self) -> list[MassFunction]:
         return list(self.points)
@@ -241,6 +261,8 @@ class Contamination(CredalModel):
 
     base: MassFunction
     epsilon: float
+
+    reads_max = True
 
     def __init__(self, base: MassFunction, epsilon: float):
         epsilon = float(epsilon)
@@ -259,12 +281,15 @@ class Contamination(CredalModel):
     @classmethod
     def stack(cls, rows):
         B = np.array([r.base.weights for r in rows])
-        return B, np.array([[r.epsilon] for r in rows])
+        eps = np.array([[r.epsilon] for r in rows])
+        return B, 1.0 - eps, eps
 
     @staticmethod
-    def kernel(params, H):
-        B, eps = params
-        return (1.0 - eps) * _gemv(B, H) + eps * H.max(axis=0)
+    def kernel(params, H, out, hmax):
+        B, keep, eps = params
+        _gemv(B, H, out)
+        out *= keep
+        out += eps * hmax
 
     def vertices(self) -> list[MassFunction]:
         out = []
@@ -322,20 +347,24 @@ class BeliefFunction(CredalModel):
 
     @classmethod
     def stack(cls, rows):
-        members = [np.flatnonzero(ev.mask()) for r in rows for ev, _ in r.focal]
+        position = rows[0].space._positions
+        members = [
+            sorted(position[x] for x in ev.members) for r in rows for ev, _ in r.focal
+        ]
         w = np.array([[w] for r in rows for _, w in r.focal])
         return (
-            np.concatenate(members),
+            np.array([i for m in members for i in m], dtype=np.intp),
             _starts([len(m) for m in members]),
             w,
             _starts([len(r.focal) for r in rows]),
         )
 
     @staticmethod
-    def kernel(params, H):
+    def kernel(params, H, out, hmax):
         members, member_starts, w, starts = params
         focal_max = np.maximum.reduceat(H[members], member_starts, axis=0)
-        return np.add.reduceat(w * focal_max, starts, axis=0)
+        focal_max *= w
+        np.add.reduceat(focal_max, starts, axis=0, out=out)
 
     def vertices(self) -> list[MassFunction]:
         # One selection assigns each focal element's mass wholly to one of
@@ -418,7 +447,7 @@ class ProbInterval(CredalModel):
         return L, D, (1.0 - L.sum(axis=1))[:, None, None]
 
     @staticmethod
-    def kernel(params, H):
+    def kernel(params, H, out, hmax):
         L, D, slack = params
         # Sort each column once, by decreasing h; every row hands out its
         # slack along that order.  The j best states together receive
@@ -427,13 +456,14 @@ class ProbInterval(CredalModel):
         # with h_(s+1) = 0.  The state axis is last and contiguous, so
         # each (row, column) sum is the pairwise sum of the k = 1 call.
         Ht = np.ascontiguousarray(H.T)
-        order = np.argsort(-Ht, axis=1)
-        gain = np.cumsum(D[:, order], axis=2)
+        order = (-Ht).argsort(axis=1)
+        gain = D[:, order].cumsum(axis=2)
         np.minimum(gain, slack, out=gain)
         steps = Ht[np.arange(len(Ht))[:, None], order]
         steps[:, :-1] -= steps[:, 1:]
         gain *= steps
-        return _gemv(L, H) + gain.sum(axis=2)
+        _gemv(L, H, out)
+        out += gain.sum(axis=2)
 
     def vertices(self) -> list[MassFunction]:
         # Every vertex of an interval polytope on the simplex has at most

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import Gamble, MassFunction
+from .states import DEFAULT_TOL, Gamble, MassFunction
 from .transition import UpperTransitionOperator
 
-DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10**6
 
 

@@ -7,6 +7,7 @@ numeric tolerances are all defined here.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -34,6 +35,10 @@ _FEAS_TOL = 1e-9
 #: arise structurally (cycles); anything materially positive at desk
 #: scale exceeds this by orders of magnitude.
 REGULARITY_EPS = 1e-12
+
+#: Stop criterion of the long-run iterations in `limits`: the
+#: oscillation (or sup-norm change, or geometric tail) they stop below.
+DEFAULT_TOL = 1e-10
 
 
 class DimensionMismatch(ValueError):
@@ -70,10 +75,15 @@ class StateSpace:
     def __iter__(self):
         return iter(self.labels)
 
+    @functools.cached_property
+    def _positions(self) -> dict[str, int]:
+        """label -> position, built on first use."""
+        return {x: i for i, x in enumerate(self.labels)}
+
     def index(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._positions[label]
+        except KeyError:
             raise KeyError(f"unknown state {label!r}") from None
 
     def indicator(self, members: Iterable[str]) -> "Gamble":
@@ -114,7 +124,7 @@ class Gamble:
             raise DimensionMismatch(
                 f"gamble needs {len(space)} values, got shape {values.shape}"
             )
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("gamble values must be finite")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "values", values)

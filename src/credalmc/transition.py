@@ -1,9 +1,15 @@
 """Upper transition operators: one credal model per source state.
 
-The rows are grouped by credal family and their parameters stacked on
-first use, so applying the operator to k gambles at once costs one
-kernel call per family present, or one per family and column chunk
-when k exceeds `credal.CHUNK_CELLS // s**2`.
+On first use the operator builds a row-block plan: the rows are grouped
+by credal family, in order of each family's first row, and every
+family's parameters are stacked once.  One step on an (s, k) gamble
+array then fills a single (s, k) output in which each family writes its
+rows as one contiguous block, with one kernel call per family present
+(per family and column chunk when k exceeds
+`credal.CHUNK_CELLS // s**2`).  The column maximum of the gambles is
+computed once per step, and only if a family present reads it.  One
+`take` puts the rows back in state order; it is skipped when the blocks
+already are in state order, as on every single-family operator.
 """
 
 from __future__ import annotations
@@ -72,15 +78,26 @@ class UpperTransitionOperator:
         return all(isinstance(r, Linear) for r in self.rows)
 
     @functools.cached_property
-    def _families(self):
-        """(kernel, stacked parameters, row indices) for each family."""
+    def _plan(self):
+        """(blocks, inverse, reads_max) of the row-block plan.
+
+        `blocks` holds (kernel, stacked parameters, row slice) per family,
+        the slices tiling the output in order of first appearance;
+        `inverse` maps the block order back to state order, or is None
+        for the identity; `reads_max` says whether a kernel reads hmax.
+        """
         groups: dict[type, list[int]] = {}
         for i, row in enumerate(self.rows):
             groups.setdefault(type(row), []).append(i)
-        return tuple(
-            (cls.kernel, cls.stack([self.rows[i] for i in idx]), np.array(idx))
-            for cls, idx in groups.items()
-        )
+        blocks, order = [], []
+        for cls, idx in groups.items():
+            params = cls.stack([self.rows[i] for i in idx])
+            blocks.append((cls.kernel, params, slice(len(order), len(order) + len(idx))))
+            order += idx
+        inverse = None
+        if order != list(range(len(order))):
+            inverse = np.argsort(order)
+        return tuple(blocks), inverse, any(cls.reads_max for cls in groups)
 
     @functools.cached_property
     def _mass_bounds(self) -> tuple[np.ndarray, np.ndarray]:
@@ -93,19 +110,18 @@ class UpperTransitionOperator:
         return _chunked(self._apply_columns, _as_columns(self.space, H))
 
     def _apply_columns(self, H: np.ndarray) -> np.ndarray:
-        families = self._families
-        if len(families) == 1:
-            kernel, params, _ = families[0]
-            return kernel(params, H)
+        blocks, inverse, reads_max = self._plan
         out = np.empty((len(self.rows), H.shape[1]))
-        for kernel, params, idx in families:
-            out[idx] = kernel(params, H)
-        return out
+        hmax = H.max(axis=0) if reads_max else None
+        for kernel, params, rows in blocks:
+            kernel(params, H, out[rows], hmax)
+        return out if inverse is None else out.take(inverse, axis=0)
 
     def apply(self, h: Gamble) -> Gamble:
         if h.space != self.space:
             raise DimensionMismatch("gamble on a different state space")
-        return Gamble(self.space, self.apply_many(h.values[:, None])[:, 0])
+        # One column never chunks, and the space check fixes its shape.
+        return Gamble(self.space, self._apply_columns(h.values[:, None])[:, 0])
 
     def apply_lower(self, h: Gamble) -> Gamble:
         if h.space != self.space:

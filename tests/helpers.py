@@ -92,6 +92,15 @@ def random_model(rng: np.random.Generator, space: StateSpace, family: str):
     raise ValueError(family)
 
 
+def run_kernel(cls, params, H: np.ndarray, m: int) -> np.ndarray:
+    """`cls.kernel` on m stacked models, written into a fresh (m, k) block.
+
+    The block starts as NaN, so a cell the kernel leaves unwritten shows."""
+    out = np.full((m, H.shape[1]), np.nan)
+    cls.kernel(params, H, out, H.max(axis=0) if cls.reads_max else None)
+    return out
+
+
 def random_any_model(rng: np.random.Generator, space: StateSpace):
     return random_model(rng, space, str(rng.choice(FAMILIES)))
 

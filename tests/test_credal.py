@@ -18,7 +18,7 @@ from credalmc import (
     VertexSet,
     expectation,
 )
-from helpers import FAMILIES, random_gamble, random_model
+from helpers import FAMILIES, random_gamble, random_model, run_kernel
 
 AB = StateSpace(["a", "b"])
 ABC = StateSpace(["a", "b", "c"])
@@ -296,7 +296,7 @@ def test_kernel_equals_vertex_envelope_on_intervals():
         space = StateSpace(["a", "b", "c", "d"][:n])
         rows = [random_prob_interval(rng, space) for _ in range(20)]
         H = rng.uniform(-1.0, 1.0, size=(n, 5))
-        got = ProbInterval.kernel(ProbInterval.stack(rows), H)
+        got = run_kernel(ProbInterval, ProbInterval.stack(rows), H, len(rows))
         for i, m in enumerate(rows):
             W = np.array([v.weights for v in m.vertices()])
             assert got[i] == pytest.approx((W @ H).max(axis=0), abs=1e-10)

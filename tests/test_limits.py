@@ -14,6 +14,7 @@ from credalmc import (
     limit_upper,
     precise_stationary,
 )
+from credalmc.cli import load_bundled, parse_gamble
 from helpers import random_any_model, random_gamble
 
 AB = StateSpace(["a", "b"])
@@ -75,6 +76,24 @@ class TestLimitUpper:
             for _ in range(50):
                 g = op.apply(g)
                 assert g.sup_norm() <= bound + 1e-12
+
+
+    @pytest.mark.parametrize("scenario", ["stationary_mixed8", "example_5_4"])
+    def test_one_apply_per_iteration(self, scenario, monkeypatch):
+        # The benchmark's traced run equates `transition.apply` calls with
+        # `limit_upper` iterations.
+        op = load_bundled(scenario).transitions
+        calls = []
+        apply = UpperTransitionOperator.apply
+
+        def counted(self, h):
+            calls.append(h)
+            return apply(self, h)
+
+        monkeypatch.setattr(UpperTransitionOperator, "apply", counted)
+        report = limit_upper(op, parse_gamble(op.space, "a:1,b:0"))
+        assert report.iterations > 0
+        assert len(calls) == report.iterations
 
 
 class TestContaminationLimit:

@@ -9,7 +9,14 @@ from credalmc import (
     StateSpace,
     UpperTransitionOperator,
 )
-from helpers import random_any_model, random_gamble
+from helpers import (
+    FAMILIES,
+    random_any_model,
+    random_focal_belief,
+    random_gamble,
+    random_model,
+    run_kernel,
+)
 
 AB = StateSpace(["a", "b"])
 
@@ -117,3 +124,44 @@ def test_precise_apply_matches_matrix_product():
         op = UpperTransitionOperator.from_matrix(space, q)
         h = random_gamble(rng, space)
         assert np.abs(op.apply(h).values - q @ h.values).max() <= 1e-12
+
+
+def _scatter(op, H):
+    """One step as separate family results scattered to their states:
+    `out[idx] = kernel(params, H)` per family, in fresh arrays."""
+    groups = {}
+    for i, row in enumerate(op.rows):
+        groups.setdefault(type(row), []).append(i)
+    out = np.empty((len(op.rows), H.shape[1]))
+    for cls, idx in groups.items():
+        out[idx] = run_kernel(cls, cls.stack([op.rows[i] for i in idx]), H, len(idx))
+    return out
+
+
+@pytest.mark.parametrize("s", [2, 3, 8, 24, 48])
+@pytest.mark.parametrize("family", ["mixed", *FAMILIES])
+def test_row_block_plan_equals_the_scatter(family, s):
+    rng = np.random.default_rng([s, len(family)])
+    space = StateSpace([f"x{i}" for i in range(s)])
+    for _ in range(2):
+        if family == "mixed":
+            # Every family appears once s >= 6, in shuffled state order.
+            families = rng.permutation(np.resize(FAMILIES, s))
+        else:
+            families = [family] * s
+        rows = [
+            random_focal_belief(rng, space, 5) if f == "belief" else random_model(rng, space, f)
+            for f in families
+        ]
+        op = UpperTransitionOperator(space, rows)
+        blocks, inverse, _ = op._plan
+        assert len(blocks) == len(set(families))
+        if family != "mixed":
+            assert inverse is None
+        for k in (1, 2, 7, 64):
+            H = rng.uniform(-1.0, 1.0, size=(s, k))
+            H[:, -1] = np.round(H[:, -1])  # ties
+            want = _scatter(op, H)
+            assert np.array_equal(op._apply_columns(H), want), k
+            assert np.array_equal(op.apply_many(H), want), k
+        assert np.array_equal(op.apply(Gamble(space, H[:, 0])).values, want[:, 0])
