@@ -153,11 +153,12 @@ def _gemv(W: np.ndarray, H: np.ndarray, out: np.ndarray) -> None:
     """out = W @ H as one matrix-vector product per column of H.
 
     `np.matmul` over a stack of (s, 1) columns loops BLAS gemv in C, so
-    each column gets the bits of the k = 1 product `W @ h`."""
+    each column gets the bits of the k = 1 product `W @ h`; it writes
+    column j of `out` through a strided view."""
     if H.shape[1] == 1:
-        np.matmul(W, H, out=out)
+        np.matmul(W, H, out)
     else:
-        out[...] = np.matmul(W, np.ascontiguousarray(H.T)[:, :, None])[:, :, 0].T
+        np.matmul(W, np.ascontiguousarray(H.T)[:, :, None], out.T[:, :, None])
 
 
 def _starts(sizes: Sequence[int]) -> np.ndarray:

@@ -111,7 +111,7 @@ class UpperTransitionOperator:
 
     def _apply_columns(self, H: np.ndarray) -> np.ndarray:
         blocks, inverse, reads_max = self._plan
-        out = np.empty((len(self.rows), H.shape[1]))
+        out = np.empty(H.shape)
         hmax = H.max(axis=0) if reads_max else None
         for kernel, params, rows in blocks:
             kernel(params, H, out[rows], hmax)
