@@ -77,7 +77,6 @@ class TestLimitUpper:
                 g = op.apply(g)
                 assert g.sup_norm() <= bound + 1e-12
 
-
     @pytest.mark.parametrize("scenario", ["stationary_mixed8", "example_5_4"])
     def test_one_apply_per_iteration(self, scenario, monkeypatch):
         # The benchmark's traced run equates `transition.apply` calls with
