@@ -8,23 +8,31 @@ function (Contamination), a belief function given by focal elements
 
 Each family has one numeric kernel on raw arrays: `stack(rows)` packs
 the parameters of m models of that family, and
-`kernel(params, H, out, hmax)` writes the upper expectations of the k
-columns of a gamble matrix H of shape (s, k) under each of them into
-the (m, k) block `out`.  `hmax` is the column maximum `H.max(axis=0)`,
-computed once by the caller and shared by the families that read it
-(`reads_max`: Vacuous and Contamination); the others ignore it.  Upper
-transition operators stack their rows once and give each family its
-row block of one output array; a model's own `upper(h)` is the
-m = k = 1 case, written into a fresh array.
+`kernel(params, H, out, hmax, Ht)` writes the upper expectations of the
+k columns of a gamble matrix H of shape (s, k) under each of them into
+the (m, k) block `out`.  The caller computes two views of H once and
+shares them: `hmax`, the column maximum `H.max(axis=0)`, for the
+families that read it (`reads_max`: Vacuous and Contamination; the
+others get None), and for k > 1 `Ht`, a C-contiguous (k, s) copy of
+`H.T`, which the families with a matrix product and ProbInterval read
+(None at k = 1).  Upper transition operators stack their rows once and
+give each family its row block of one output array; a model's own
+`upper(h)` is the m = k = 1 case, written into a fresh array.
 
 Every kernel is column-exact: column j of its block has the same bits
 whatever the other columns and the batch width k, so a batched query
 prints what one fold per gamble prints.  Matrix products go through
 `_gemv`, one BLAS matrix-vector product per column (a plain `W @ H`
 over k > 1 columns is one gemm, whose blocking changes the order of
-the sums); `ProbInterval` sums along a contiguous state axis, as a
-one-column call does; `reduceat` adds rows one at a time in every
-column; maxima are exact in any order.  `upper_many` and
+the sums; a row's bits can also change with the shape of W, so rows of
+different families, or padded rows, never share one product).
+`ProbInterval` sums along a contiguous state axis, as a one-column
+call does.  `np.add.reduceat` sums a segment a0, a1, ..., an as
+a0 + (a1 + ... + an), in every column and for every k, the parenthesis
+being numpy's sum of a contiguous 1-D array: left to right for a
+segment of fewer than nine rows, pairwise from nine on.  Maxima are
+exact in any order, so a padded table that repeats a member, or a
+reshape, gives the bits of `np.maximum.reduceat`.  `upper_many` and
 `UpperTransitionOperator.apply_many` split wide batches into column
 chunks (`_chunked`), which column-exactness makes bit-neutral.
 
@@ -56,6 +64,7 @@ from .states import (
     _as_columns,
     _check_space,
     _freeze,
+    _mass_rows,
 )
 
 #: Refuse vertex enumerations over more candidate points than this.
@@ -92,11 +101,12 @@ class CredalModel:
         raise NotImplementedError
 
     @staticmethod
-    def kernel(params, H: np.ndarray, out: np.ndarray, hmax) -> None:
+    def kernel(params, H: np.ndarray, out: np.ndarray, hmax, Ht) -> None:
         """Write the upper expectations of the columns of H (s, k) under
         each of the m stacked models into the (m, k) array `out`.
 
-        `hmax` is `H.max(axis=0)` if the family `reads_max`, else unused."""
+        `hmax` is `H.max(axis=0)` if the family `reads_max`, else None;
+        `Ht` is `np.ascontiguousarray(H.T)` if k > 1, else None."""
         raise NotImplementedError
 
     @functools.cached_property
@@ -109,7 +119,8 @@ class CredalModel:
         def kernel(H):
             out = np.empty((1, H.shape[1]))
             hmax = H.max(axis=0) if self.reads_max else None
-            self.kernel(self._params, H, out, hmax)
+            Ht = np.ascontiguousarray(H.T) if H.shape[1] > 1 else None
+            self.kernel(self._params, H, out, hmax, Ht)
             return out
 
         return _chunked(kernel, _as_columns(self.space, H))[0]
@@ -127,15 +138,16 @@ class CredalModel:
         raise NotImplementedError
 
 
-def _dedup(masses: Sequence[MassFunction]) -> list[MassFunction]:
-    out: list[MassFunction] = []
-    for m in masses:
-        if not any(
-            np.abs(m.weights - kept.weights).max() <= VERTEX_DEDUP_TOL
-            for kept in out
-        ):
-            out.append(m)
-    return out
+def _vertex_list(space: StateSpace, W: np.ndarray) -> list[MassFunction]:
+    """The rows of the (c, s) candidate array W as mass functions, in
+    order, without each row that lies within VERTEX_DEDUP_TOL of an
+    earlier kept one (compared as the mass functions store them)."""
+    W = _mass_rows(space, W)
+    kept: list[int] = []
+    for i, w in enumerate(W):
+        if not kept or np.abs(W[kept] - w).max(axis=1).min() > VERTEX_DEDUP_TOL:
+            kept.append(i)
+    return [MassFunction._stored(space, W[i]) for i in kept]
 
 
 def _chunked(apply, H: np.ndarray) -> np.ndarray:
@@ -149,21 +161,53 @@ def _chunked(apply, H: np.ndarray) -> np.ndarray:
     )
 
 
-def _gemv(W: np.ndarray, H: np.ndarray, out: np.ndarray) -> None:
+def _gemv(W: np.ndarray, H: np.ndarray, Ht: np.ndarray | None, out: np.ndarray) -> None:
     """out = W @ H as one matrix-vector product per column of H.
 
-    `np.matmul` over a stack of (s, 1) columns loops BLAS gemv in C, so
-    each column gets the bits of the k = 1 product `W @ h`; it writes
-    column j of `out` through a strided view."""
+    `np.matmul` over the stack of (s, 1) columns of the contiguous
+    transpose Ht loops BLAS gemv in C, so each column gets the bits of
+    the k = 1 product `W @ h`; it writes column j of `out` through a
+    strided view."""
     if H.shape[1] == 1:
         np.matmul(W, H, out)
     else:
-        np.matmul(W, np.ascontiguousarray(H.T)[:, :, None], out.T[:, :, None])
+        np.matmul(W, Ht[:, :, None], out.T[:, :, None])
 
 
 def _starts(sizes: Sequence[int]) -> np.ndarray:
     """Offsets of consecutive blocks of the given sizes, for reduceat."""
-    return np.concatenate(([0], np.cumsum(sizes[:-1]))).astype(np.intp)
+    return np.array([0, *itertools.accumulate(sizes[:-1])], dtype=np.intp)
+
+
+def _padded_tables(members: np.ndarray, starts: np.ndarray, sizes: list[int]):
+    """The member lists `members[starts[i]:starts[i] + sizes[i]]` as
+    padded position tables, for one `max(axis=0)` per table.
+
+    Lists are taken widest first, and each table holds as many as keep
+    its padded cells within twice their members, so padding at most
+    doubles the gathered cells.  A table has shape (width, n): column j
+    is a list, padded to the table's width by repeating its last member,
+    and the lists of a table keep their order.  Returns the (table,
+    slice) pairs, the slices tiling the tables' n columns in turn, and
+    the permutation that takes the stacked results back to list order,
+    or None when that is the identity (one table)."""
+    order = sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True)
+    tables, placed = [], []
+    i = 0
+    while i < len(order):
+        width, cells, j = sizes[order[i]], 0, i
+        while j < len(order) and (j - i + 1) * width <= 2 * (cells + sizes[order[j]]):
+            cells += sizes[order[j]]
+            j += 1
+        lists = sorted(order[i:j])
+        first = starts[lists]
+        last = first + np.array([sizes[n] for n in lists]) - 1
+        table = members[np.minimum(first + np.arange(width)[:, None], last)]
+        tables.append((table, slice(i, j)))
+        placed += lists
+        i = j
+    inverse = None if len(tables) == 1 else np.argsort(placed)
+    return tables, inverse
 
 
 def _guard(count: int, what: str) -> None:
@@ -189,8 +233,8 @@ class Linear(CredalModel):
         return np.array([r.mass.weights for r in rows])
 
     @staticmethod
-    def kernel(W, H, out, hmax):
-        _gemv(W, H, out)
+    def kernel(W, H, out, hmax, Ht):
+        _gemv(W, H, Ht, out)
 
     def vertices(self) -> list[MassFunction]:
         return [self.mass]
@@ -209,7 +253,7 @@ class Vacuous(CredalModel):
         return None
 
     @staticmethod
-    def kernel(params, H, out, hmax):
+    def kernel(params, H, out, hmax, Ht):
         out[...] = hmax
 
     def vertices(self) -> list[MassFunction]:
@@ -240,14 +284,23 @@ class VertexSet(CredalModel):
     @classmethod
     def stack(cls, rows):
         P = np.array([p.weights for r in rows for p in r.points])
-        return P, _starts([len(r.points) for r in rows])
+        counts = [len(r.points) for r in rows]
+        width = counts[0] if len(set(counts)) == 1 else None
+        return P, _starts(counts), width
 
     @staticmethod
-    def kernel(params, H, out, hmax):
-        P, starts = params
-        products = np.empty((len(P), H.shape[1]))
-        _gemv(P, H, products)
-        np.maximum.reduceat(products, starts, axis=0, out=out)
+    def kernel(params, H, out, hmax, Ht):
+        # `width` is the vertex count when every row has the same; the
+        # products of row i are then rows i * width ... of `products`.
+        # On one column `reduceat` is the cheaper of the two.
+        P, starts, width = params
+        k = H.shape[1]
+        products = np.empty((len(P), k))
+        _gemv(P, H, Ht, products)
+        if k > 1 and width is not None:
+            products.reshape(len(out), width, k).max(axis=1, out=out)
+        else:
+            np.maximum.reduceat(products, starts, axis=0, out=out)
 
     def vertices(self) -> list[MassFunction]:
         return list(self.points)
@@ -286,24 +339,17 @@ class Contamination(CredalModel):
         return B, 1.0 - eps, eps
 
     @staticmethod
-    def kernel(params, H, out, hmax):
+    def kernel(params, H, out, hmax, Ht):
         B, keep, eps = params
-        _gemv(B, H, out)
+        _gemv(B, H, Ht, out)
         out *= keep
         out += eps * hmax
 
     def vertices(self) -> list[MassFunction]:
-        out = []
-        for x in self.space:
-            delta = MassFunction.degenerate(self.space, x)
-            out.append(
-                MassFunction(
-                    self.space,
-                    (1.0 - self.epsilon) * self.base.weights
-                    + self.epsilon * delta.weights,
-                )
-            )
-        return _dedup(out)
+        # Row x mixes the base with the point mass on state x.
+        deltas = np.eye(len(self.space))
+        W = (1.0 - self.epsilon) * self.base.weights + self.epsilon * deltas
+        return _vertex_list(self.space, W)
 
 
 @dataclass(frozen=True)
@@ -348,22 +394,30 @@ class BeliefFunction(CredalModel):
 
     @classmethod
     def stack(cls, rows):
-        position = rows[0].space._positions
-        members = [
-            sorted(position[x] for x in ev.members) for r in rows for ev, _ in r.focal
-        ]
+        positions = [ev.positions for r in rows for ev, _ in r.focal]
+        members = np.concatenate(positions)
+        sizes = [len(p) for p in positions]
+        member_starts = _starts(sizes)
+        tables, inverse = _padded_tables(members, member_starts, sizes)
         w = np.array([[w] for r in rows for _, w in r.focal])
-        return (
-            np.array([i for m in members for i in m], dtype=np.intp),
-            _starts([len(m) for m in members]),
-            w,
-            _starts([len(r.focal) for r in rows]),
-        )
+        starts = _starts([len(r.focal) for r in rows])
+        return members, member_starts, tables, inverse, w, starts
 
     @staticmethod
-    def kernel(params, H, out, hmax):
-        members, member_starts, w, starts = params
-        focal_max = np.maximum.reduceat(H[members], member_starts, axis=0)
+    def kernel(params, H, out, hmax, Ht):
+        # Focal maxima, weighted, then summed per row.  One column
+        # gathers just the members; wider batches gather padded tables,
+        # whose maxima over whole (focal, k) slabs cost far less than
+        # `np.maximum.reduceat` over many short segments.
+        members, member_starts, tables, inverse, w, starts = params
+        if H.shape[1] == 1:
+            focal_max = np.maximum.reduceat(H.take(members, axis=0), member_starts, axis=0)
+        else:
+            focal_max = np.empty((len(w), H.shape[1]))
+            for table, block in tables:
+                H.take(table, axis=0).max(axis=0, out=focal_max[block])
+            if inverse is not None:
+                focal_max = focal_max.take(inverse, axis=0)
         focal_max *= w
         np.add.reduceat(focal_max, starts, axis=0, out=out)
 
@@ -371,15 +425,17 @@ class BeliefFunction(CredalModel):
         # One selection assigns each focal element's mass wholly to one of
         # its members; selections span the credal set (some may be
         # non-extreme interior points, which is harmless for max/min).
-        choices = [sorted(ev.members) for ev, _ in self.focal]
+        # Members are tried in label order, the last focal element's
+        # fastest, and masses add up in focal order.
+        index = self.space.index
+        choices = [[index(x) for x in sorted(ev.members)] for ev, _ in self.focal]
         _guard(math.prod(len(c) for c in choices), "BeliefFunction.vertices")
-        out = []
-        for picks in itertools.product(*choices):
-            w = np.zeros(len(self.space))
-            for (ev, mass), pick in zip(self.focal, picks):
-                w[self.space.index(pick)] += mass
-            out.append(MassFunction(self.space, w))
-        return _dedup(out)
+        picks = np.array(list(itertools.product(*choices)), dtype=np.intp)
+        W = np.zeros((len(picks), len(self.space)))
+        selection = np.arange(len(picks))
+        for j, (_, mass) in enumerate(self.focal):
+            W[selection, picks[:, j]] += mass
+        return _vertex_list(self.space, W)
 
 
 @dataclass(frozen=True)
@@ -448,7 +504,7 @@ class ProbInterval(CredalModel):
         return L, D, (1.0 - L.sum(axis=1))[:, None, None]
 
     @staticmethod
-    def kernel(params, H, out, hmax):
+    def kernel(params, H, out, hmax, Ht):
         L, D, slack = params
         # Sort each column once, by decreasing h; every row hands out its
         # slack along that order.  The j best states together receive
@@ -456,32 +512,42 @@ class ProbInterval(CredalModel):
         # parts the gain over L @ H is sum_j F_j * (h_(j) - h_(j+1)),
         # with h_(s+1) = 0.  The state axis is last and contiguous, so
         # each (row, column) sum is the pairwise sum of the k = 1 call.
-        Ht = np.ascontiguousarray(H.T)
+        if Ht is None:  # one column: H.T is a (1, s) row
+            Ht = H.T
         order = (-Ht).argsort(axis=1)
         gain = D[:, order].cumsum(axis=2)
         np.minimum(gain, slack, out=gain)
         steps = Ht[np.arange(len(Ht))[:, None], order]
         steps[:, :-1] -= steps[:, 1:]
         gain *= steps
-        _gemv(L, H, out)
+        _gemv(L, H, Ht, out)
         out += gain.sum(axis=2)
 
     def vertices(self) -> list[MassFunction]:
         # Every vertex of an interval polytope on the simplex has at most
         # one coordinate strictly between its bounds; enumerate bound
         # patterns with one free coordinate forced by normalization.
+        # Candidates come free coordinate by free coordinate, the bound
+        # patterns of the others in binary counting order (the first
+        # other coordinate most significant, 1 = upper bound).
         n = len(self.space)
         _guard(n * 2 ** (n - 1), "ProbInterval.vertices")
         lo, up = self.lower_mass, self.upper_mass
-        out = []
-        for free in range(n):
-            rest = [i for i in range(n) if i != free]
-            for pattern in itertools.product((0, 1), repeat=n - 1):
-                w = np.empty(n)
-                for i, bit in zip(rest, pattern):
-                    w[i] = up[i] if bit else lo[i]
-                w[free] = 1.0 - w[rest].sum()
-                if lo[free] - _FEAS_TOL <= w[free] <= up[free] + _FEAS_TOL:
-                    w[free] = min(max(w[free], lo[free]), up[free])
-                    out.append(MassFunction(self.space, w))
-        return _dedup(out)
+        bits = ((np.arange(2 ** (n - 1))[:, None] >> np.arange(n - 2, -1, -1)) & 1) == 1
+        free = np.arange(n)
+        # rest[f]: the states other than f, in order.  bounds[f, p]:
+        # pattern p's bounds on rest[f], C-contiguous, so each row sums
+        # pairwise, as one candidate's 1-D sum does.
+        rest = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)
+        bounds = np.where(bits, up[rest][:, None, :], lo[rest][:, None, :])
+        w = 1.0 - bounds.sum(axis=2)
+        lo_f, up_f = lo[:, None], up[:, None]
+        feasible = (lo_f - _FEAS_TOL <= w) & (w <= up_f + _FEAS_TOL)
+        # Candidate W[f, p] puts bounds[f, p] on rest[f] and w[f, p],
+        # clipped to min(max(w, lo), up), on f; on a tie np.clip can
+        # differ only in the sign of a zero, which the mass function's
+        # clipping makes +0.
+        W = np.empty((n, len(bits), n))
+        W[free[:, None, None], np.arange(len(bits))[:, None], rest[:, None, :]] = bounds
+        W[free, :, free] = np.clip(w, lo_f, up_f)
+        return _vertex_list(self.space, W[feasible])

@@ -8,7 +8,8 @@ numeric tolerances are all defined here.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -21,6 +22,8 @@ MASS_TOL = 1e-9
 #: Clipped weights summing to one within RENORM_ULPS * |X| ulps are kept
 #: as given, so construction is idempotent and round trips are exact.
 RENORM_ULPS = 2
+
+_EPS = float(np.finfo(float).eps)
 
 #: Coordinatewise tolerance used when removing duplicate vertices.
 VERTEX_DEDUP_TOL = 1e-12
@@ -173,18 +176,28 @@ class Gamble:
 
 @dataclass(frozen=True)
 class Event:
-    """A subset of the state space."""
+    """A subset of the state space.
+
+    `positions` holds the members' state positions in increasing order.
+    """
 
     space: StateSpace
     members: frozenset[str]
+    positions: np.ndarray = field(compare=False, repr=False)
 
     def __init__(self, space: StateSpace, members: Iterable[str]):
         members = frozenset(members)
-        unknown = members - set(space.labels)
-        if unknown:
-            raise KeyError(f"unknown states in event: {sorted(unknown)}")
+        position = space._positions
+        try:
+            positions = np.fromiter(map(position.__getitem__, members), np.intp, len(members))
+        except KeyError:
+            unknown = sorted(x for x in members if x not in position)
+            raise KeyError(f"unknown states in event: {unknown}") from None
+        positions.sort()
+        positions.setflags(write=False)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "members", members)
+        object.__setattr__(self, "positions", positions)
 
     def indicator(self) -> Gamble:
         return Gamble(self.space, self.mask())
@@ -193,7 +206,9 @@ class Event:
         return Event(self.space, set(self.space.labels) - self.members)
 
     def mask(self) -> np.ndarray:
-        return np.array([x in self.members for x in self.space.labels])
+        mask = np.zeros(len(self.space), dtype=bool)
+        mask[self.positions] = True
+        return mask
 
 
 @dataclass(frozen=True)
@@ -213,18 +228,31 @@ class MassFunction:
             raise DimensionMismatch(
                 f"mass function needs {len(space)} weights, got {weights.shape}"
             )
-        if not np.all(np.isfinite(weights)):
+        # A NaN weight makes both NaN, an infinite one makes one infinite.
+        lo, hi = weights.min(), weights.max()
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"weights must be finite: {weights}")
-        if np.any(weights < -MASS_TOL) or np.any(weights > 1 + MASS_TOL):
+        if lo < -MASS_TOL or hi > 1 + MASS_TOL:
             raise ValueError(f"weights outside [0, 1]: {weights}")
         total = weights.sum()
         if abs(total - 1.0) > MASS_TOL:
             raise ValueError(f"weights sum to {total}, not 1")
-        weights = np.clip(weights, 0.0, None)
-        if abs(weights.sum() - 1.0) > RENORM_ULPS * len(space) * np.finfo(float).eps:
-            weights = weights / weights.sum()
+        if lo <= 0.0:  # clipping also turns -0.0 into 0.0
+            weights = np.clip(weights, 0.0, None)
+            total = weights.sum()
+        if abs(total - 1.0) > RENORM_ULPS * len(space) * _EPS:
+            weights = weights / total
+        weights.setflags(write=False)
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "weights", _freeze(weights))
+        object.__setattr__(self, "weights", weights)
+
+    @classmethod
+    def _stored(cls, space: StateSpace, weights: np.ndarray) -> "MassFunction":
+        """A mass function holding `weights`, a frozen row of `_mass_rows`."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "space", space)
+        object.__setattr__(m, "weights", weights)
+        return m
 
     @classmethod
     def degenerate(cls, space: StateSpace, label: str) -> "MassFunction":
@@ -234,6 +262,28 @@ class MassFunction:
 
     def at(self, label: str) -> float:
         return float(self.weights[self.space.index(label)])
+
+
+def _mass_rows(space: StateSpace, W: np.ndarray) -> np.ndarray:
+    """The weights `MassFunction(space, w)` stores, for every row w of the
+    (c, |space|) array W, bit for bit, as one frozen array.
+
+    Raises the constructor's error for the first row it would reject."""
+    W = np.array(W, dtype=float)
+    lo, hi, total = W.min(axis=1), W.max(axis=1), W.sum(axis=1)
+    bad = ~(np.isfinite(lo) & np.isfinite(hi))
+    bad |= (lo < -MASS_TOL) | (hi > 1 + MASS_TOL) | (np.abs(total - 1.0) > MASS_TOL)
+    if bad.any():
+        MassFunction(space, W[bad.argmax()])  # raises
+    clip = lo <= 0.0
+    if clip.any():
+        W[clip] = np.clip(W[clip], 0.0, None)
+        total[clip] = W[clip].sum(axis=1)
+    renorm = np.abs(total - 1.0) > RENORM_ULPS * len(space) * _EPS
+    if renorm.any():
+        W[renorm] /= total[renorm, None]
+    W.setflags(write=False)
+    return W
 
 
 def expectation(m: MassFunction, h: Gamble) -> float:

@@ -7,7 +7,9 @@ array then fills a single (s, k) output in which each family writes its
 rows as one contiguous block, with one kernel call per family present
 (per family and column chunk when k exceeds
 `credal.CHUNK_CELLS // s**2`).  The column maximum of the gambles is
-computed once per step, and only if a family present reads it.  One
+computed once per step, and only if a family present reads it.  A step
+on more than one column also makes one contiguous transposed copy of
+the gambles, which the families with a matrix product share.  One
 `take` puts the rows back in state order; it is skipped when the blocks
 already are in state order, as on every single-family operator.
 """
@@ -113,8 +115,9 @@ class UpperTransitionOperator:
         blocks, inverse, reads_max = self._plan
         out = np.empty(H.shape)
         hmax = H.max(axis=0) if reads_max else None
+        Ht = np.ascontiguousarray(H.T) if H.shape[1] > 1 else None
         for kernel, params, rows in blocks:
-            kernel(params, H, out[rows], hmax)
+            kernel(params, H, out[rows], hmax, Ht)
         return out if inverse is None else out.take(inverse, axis=0)
 
     def apply(self, h: Gamble) -> Gamble:

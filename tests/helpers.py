@@ -75,6 +75,37 @@ def random_focal_belief(
     return BeliefFunction(space, focal)
 
 
+def extreme_focal_belief(
+    rng: np.random.Generator, space: StateSpace, n_focal: int
+) -> BeliefFunction:
+    """A belief function on n_focal focal elements, in shuffled order:
+    the full space, singletons, and random subsets."""
+    labels = space.labels
+    sets = [labels] + [[x] for x in rng.choice(labels, size=n_focal // 2)]
+    while len(sets) < n_focal:
+        size = int(rng.integers(1, len(labels) + 1))
+        sets.append(rng.choice(labels, size=size, replace=False))
+    order, masses = rng.permutation(n_focal), rng.dirichlet(np.ones(n_focal))
+    return BeliefFunction(space, [(Event(space, sets[i]), float(w)) for i, w in zip(order, masses)])
+
+
+#: Row kinds of the kernel contract tests: the six families, vertex-set
+#: rows that all have four vertices, and belief rows whose focal elements
+#: include the full space and singletons.
+ROW_KINDS = FAMILIES + ("vertices4", "belief_extremes")
+
+
+def random_row(rng: np.random.Generator, space: StateSpace, kind: str, n_focal: int):
+    """A model of one of ROW_KINDS; belief rows get n_focal focal elements."""
+    if kind == "belief":
+        return random_focal_belief(rng, space, n_focal)
+    if kind == "belief_extremes":
+        return extreme_focal_belief(rng, space, n_focal)
+    if kind == "vertices4":
+        return VertexSet(space, [random_mass(rng, space) for _ in range(4)])
+    return random_model(rng, space, kind)
+
+
 def random_model(rng: np.random.Generator, space: StateSpace, family: str):
     if family == "linear":
         return Linear(random_mass(rng, space))
@@ -97,7 +128,9 @@ def run_kernel(cls, params, H: np.ndarray, m: int) -> np.ndarray:
 
     The block starts as NaN, so a cell the kernel leaves unwritten shows."""
     out = np.full((m, H.shape[1]), np.nan)
-    cls.kernel(params, H, out, H.max(axis=0) if cls.reads_max else None)
+    hmax = H.max(axis=0) if cls.reads_max else None
+    Ht = np.ascontiguousarray(H.T) if H.shape[1] > 1 else None
+    cls.kernel(params, H, out, hmax, Ht)
     return out
 
 

@@ -18,6 +18,7 @@ from credalmc import (
     VertexSet,
     expectation,
 )
+from credalmc.states import _FEAS_TOL, VERTEX_DEDUP_TOL
 from helpers import FAMILIES, random_gamble, random_model, run_kernel
 
 AB = StateSpace(["a", "b"])
@@ -300,3 +301,108 @@ def test_kernel_equals_vertex_envelope_on_intervals():
         for i, m in enumerate(rows):
             W = np.array([v.weights for v in m.vertices()])
             assert got[i] == pytest.approx((W @ H).max(axis=0), abs=1e-10)
+
+
+# ----------------------------------------------------------------------
+# Vertex lists against the one-candidate-at-a-time enumeration
+
+
+def _reference_dedup(masses):
+    out = []
+    for m in masses:
+        if not any(
+            np.abs(m.weights - kept.weights).max() <= VERTEX_DEDUP_TOL for kept in out
+        ):
+            out.append(m)
+    return out
+
+
+def _reference_interval_vertices(m):
+    n = len(m.space)
+    lo, up = m.lower_mass, m.upper_mass
+    out = []
+    for free in range(n):
+        rest = [i for i in range(n) if i != free]
+        for pattern in itertools.product((0, 1), repeat=n - 1):
+            w = np.empty(n)
+            for i, bit in zip(rest, pattern):
+                w[i] = up[i] if bit else lo[i]
+            w[free] = 1.0 - w[rest].sum()
+            if lo[free] - _FEAS_TOL <= w[free] <= up[free] + _FEAS_TOL:
+                w[free] = min(max(w[free], lo[free]), up[free])
+                out.append(MassFunction(m.space, w))
+    return _reference_dedup(out)
+
+
+def _reference_contamination_vertices(m):
+    out = []
+    for x in m.space:
+        delta = MassFunction.degenerate(m.space, x)
+        out.append(
+            MassFunction(m.space, (1.0 - m.epsilon) * m.base.weights + m.epsilon * delta.weights)
+        )
+    return _reference_dedup(out)
+
+
+def _reference_belief_vertices(m):
+    choices = [sorted(ev.members) for ev, _ in m.focal]
+    out = []
+    for picks in itertools.product(*choices):
+        w = np.zeros(len(m.space))
+        for (ev, mass), pick in zip(m.focal, picks):
+            w[m.space.index(pick)] += mass
+        out.append(MassFunction(m.space, w))
+    return _reference_dedup(out)
+
+
+def _vertex_models():
+    """Interval, contamination and belief models with ties, degenerate
+    bounds and near-duplicate vertices, on spaces whose label order is
+    not their position order."""
+    rng = np.random.default_rng(47)
+    models = []
+
+    def interval(space, lo, up):
+        # One reachability-repair pass, as in helpers.random_prob_interval.
+        lo, up = np.maximum(lo, 1.0 - (up.sum() - up)), np.minimum(up, 1.0 - (lo.sum() - lo))
+        models.append(ProbInterval(space, lo, up))
+
+    for n in range(1, 10):
+        space = StateSpace([f"s{i}" for i in rng.permutation(n)])
+        for _ in range(6):
+            p = rng.dirichlet(np.ones(n))
+            # Coarse bounds around p tie many candidates.
+            scale = 10.0 ** int(rng.integers(1, 4))
+            lo = np.floor(p * rng.uniform(0.0, 1.0, n) * scale) / scale
+            up = np.minimum(np.ceil((p + rng.uniform(0.0, 0.4, n)) * 10) / 10, 1.0)
+            fixed = rng.random(n) < 0.3
+            lo[fixed] = up[fixed] = p[fixed]
+            interval(space, lo, up)
+        interval(space, np.full(n, 0.1 / n), np.full(n, min(1.0, 2.0 / n)))
+        interval(space, np.zeros(n), np.ones(n))
+        for base in (rng.dirichlet(np.ones(n)), np.full(n, 1.0 / n), np.eye(n)[0]):
+            models.append(Contamination(MassFunction(space, base), float(rng.uniform(0.01, 0.99))))
+        models.append(Contamination(MassFunction(space, np.eye(n)[-1]), 1e-13))
+        singles = [Event(space, [x]) for x in space.labels[:3]]
+        focal = [Event(space, space.labels), *singles, Event(space, space.labels[::2])]
+        models.append(BeliefFunction(space, zip(focal, rng.dirichlet(np.ones(len(focal))))))
+        models.append(BeliefFunction(space, [(focal[0], 0.5), (focal[0], 0.5 - 1e-13), (focal[1], 1e-13)]))
+    # Near-duplicate candidates: bounds a hair apart; a signed zero; a
+    # lower bound a hair above its upper bound.
+    interval(ABC, np.array([0.2, 0.3, 0.3 - 1e-13]), np.array([0.4, 0.5, 0.5 - 1e-13]))
+    models.append(ProbInterval(ABC, [-0.0, 0.25, 0.25], [-0.0, 0.75, 0.75]))
+    models.append(ProbInterval(ABC, [0.2 + 1e-13, 0.1, 0.1], [0.2, 0.7, 0.7]))
+    return models
+
+
+@pytest.mark.parametrize("model", _vertex_models(), ids=lambda m: type(m).__name__)
+def test_vertex_lists_equal_the_reference_enumeration(model):
+    reference = {
+        ProbInterval: _reference_interval_vertices,
+        Contamination: _reference_contamination_vertices,
+        BeliefFunction: _reference_belief_vertices,
+    }[type(model)]
+    want = reference(model)
+    got = model.vertices()
+    assert [v.weights.tobytes() for v in got] == [v.weights.tobytes() for v in want]
+    assert all(v.space is model.space and not v.weights.flags.writeable for v in got)

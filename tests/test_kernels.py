@@ -10,6 +10,8 @@
     batch it is computed in, nor on how the batch is chunked.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -28,11 +30,12 @@ from credalmc import (
 from credalmc import credal
 from helpers import (
     FAMILIES,
+    ROW_KINDS,
     random_any_model,
-    random_focal_belief,
     random_mass,
     random_model,
     random_prob_interval,
+    random_row,
     run_kernel,
 )
 
@@ -325,11 +328,9 @@ def test_markov_invariance_gap_matches_per_row_loop(stationary):
 # (d) column-exact kernels
 
 
-def _contract_rows(rng, space, family):
-    """Five rows of one family; belief rows carry nine focal elements."""
-    if family == "belief":
-        return [random_focal_belief(rng, space, 9) for _ in range(5)]
-    return [random_model(rng, space, family) for _ in range(5)]
+def _contract_rows(rng, space, kind):
+    """Five rows of one kind; belief rows carry nine focal elements."""
+    return [random_row(rng, space, kind, 9) for _ in range(5)]
 
 
 def _contract_matrix(rng, s, k):
@@ -341,9 +342,10 @@ def _contract_matrix(rng, s, k):
     return H
 
 
-def _plain_kernel(family, rows, H):
+def _plain_kernel(kind, rows, H):
     """Each family's formula as one whole-batch numpy expression, which
     sets the bits of a single-column call."""
+    family = {"vertices4": "vertices", "belief_extremes": "belief"}.get(kind, kind)
     if family == "linear":
         return np.array([r.mass.weights for r in rows]) @ H
     if family == "vacuous":
@@ -372,9 +374,9 @@ def _plain_kernel(family, rows, H):
 
 
 @pytest.mark.parametrize("s", [2, 3, 8, 24, 48])
-@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("family", ROW_KINDS)
 def test_kernels_are_column_exact(family, s):
-    rng = np.random.default_rng([s, FAMILIES.index(family)])
+    rng = np.random.default_rng([s, ROW_KINDS.index(family)])
     space = StateSpace([f"x{i}" for i in range(s)])
     rows = _contract_rows(rng, space, family)
     cls = type(rows[0])
@@ -389,6 +391,45 @@ def test_kernels_are_column_exact(family, s):
             assert np.array_equal(one, _plain_kernel(family, rows, H[:, [j]]))
         # The memory layout of the batch does not matter either.
         assert np.array_equal(run_kernel(cls, params, np.asfortranarray(H), len(rows)), got)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_add_reduceat_adds_the_first_row_to_the_pairwise_rest(k):
+    # The belief kernel's focal sums rely on this order, in 1-D (k = 1)
+    # and along axis 0: a0 + (a1 + ... + an), the parenthesis summed as
+    # numpy sums a contiguous 1-D array, which is left to right below
+    # eight terms and pairwise from eight on.  A left-to-right sum
+    # differs in the last bit on about a quarter of short segments.
+    rng = np.random.default_rng(233 + k)
+    for n in range(2, 20):
+        for _ in range(50):
+            a = rng.uniform(-1.0, 1.0, size=(n, k)) * 10.0 ** rng.integers(-8, 9, size=(n, 1))
+            got = np.add.reduceat(a[:, 0], [0])[:1] if k == 1 else np.add.reduceat(a, [0], axis=0)[0]
+            rest = [np.ascontiguousarray(a[1:, j]).sum() for j in range(k)]
+            assert np.array_equal(got, a[0] + rest), n
+            if n < 9:
+                left_to_right = functools.reduce(np.add, a[2:], a[1].copy())
+                assert np.array_equal(got, a[0] + left_to_right), n
+
+
+def test_padded_tables_cover_each_list_and_at_most_double_the_cells():
+    rng = np.random.default_rng(239)
+    for _ in range(200):
+        sizes = rng.choice([1, 2, 3, 6, 12, 24, 48], size=int(rng.integers(1, 30))).tolist()
+        lists = [rng.choice(48, size=n, replace=False) for n in sizes]
+        members = np.concatenate(lists)
+        starts = np.cumsum([0] + sizes[:-1])
+        tables, inverse = credal._padded_tables(members, starts, sizes)
+        columns = [col for table, _ in tables for col in table.T]
+        assert sum(t.size for t, _ in tables) <= 2 * sum(sizes)
+        assert [block.stop - block.start for _, block in tables] == [t.shape[1] for t, _ in tables]
+        if inverse is None:
+            assert len(tables) == 1
+        else:
+            columns = [columns[i] for i in inverse]
+        for col, want in zip(columns, lists, strict=True):
+            assert np.array_equal(col[: len(want)], want)
+            assert set(col[len(want) :]) <= {want[-1]}
 
 
 def test_chunked_calls_equal_one_call(monkeypatch):

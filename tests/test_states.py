@@ -11,6 +11,7 @@ from credalmc import (
     StateSpace,
     expectation,
 )
+from credalmc.states import MASS_TOL, RENORM_ULPS, _freeze, _mass_rows
 
 AB = StateSpace(["a", "b"])
 
@@ -86,10 +87,112 @@ def test_mass_function_is_idempotent(raw):
     assert np.array_equal(once, twice)
 
 
+def _reference_mass_weights(space, weights):
+    """The weights a MassFunction stored before its checks were merged
+    into fewer reductions: the reference for the constructor's bits and
+    for which inputs it accepts."""
+    weights = np.array(weights, dtype=float)
+    if weights.shape != (len(space),):
+        raise DimensionMismatch(
+            f"mass function needs {len(space)} weights, got {weights.shape}"
+        )
+    if not np.all(np.isfinite(weights)):
+        raise ValueError(f"weights must be finite: {weights}")
+    if np.any(weights < -MASS_TOL) or np.any(weights > 1 + MASS_TOL):
+        raise ValueError(f"weights outside [0, 1]: {weights}")
+    total = weights.sum()
+    if abs(total - 1.0) > MASS_TOL:
+        raise ValueError(f"weights sum to {total}, not 1")
+    weights = np.clip(weights, 0.0, None)
+    if abs(weights.sum() - 1.0) > RENORM_ULPS * len(space) * np.finfo(float).eps:
+        weights = weights / weights.sum()
+    return _freeze(weights)
+
+
+def _outcome(make):
+    """The stored bytes of make(), or the type and message it raised."""
+    try:
+        return make().tobytes()
+    except (ValueError, DimensionMismatch) as exc:
+        return type(exc), str(exc)
+
+
+def _boundary_weights():
+    t, nan, inf = MASS_TOL, np.nan, np.inf
+    cases = [
+        [-t, 1.0 + t], [-t, 1.0], [1.0 + t, -t], [0.5, 0.5 + t], [0.5, 0.5 - t],
+        [0.5 + t, 0.5 + t], [0.5, 0.5 + 2 * t], [-1.5 * t, 1.0], [1.0 + 1.5 * t, 0.0],
+        [-0.0, 1.0], [0.0, 1.0], [1.0, -0.0], [-t / 2, 1.0 + t / 2], [0.0, 0.0],
+        [nan, 1.0], [0.5, nan], [nan, nan], [inf, 0.0], [-inf, 1.0], [0.5, inf],
+        [inf, -inf], [nan, inf], [0.5, 0.5, 0.0], [1.0],
+    ]
+    rng = np.random.default_rng(41)
+    for n in (2, 3, 8, 24):
+        for _ in range(150):
+            w = rng.dirichlet(np.ones(n))
+            w[rng.random(n) < 0.3] = 0.0
+            if not w.any():
+                w[0] = 1.0
+            w /= w.sum()
+            w += rng.choice([-2, -1, -0.5, 0, 0, 0.5, 1, 2], size=n) * t * rng.random()
+            cases.append(w.tolist())
+    return cases
+
+
+def test_mass_function_matches_reference_checks():
+    for weights in _boundary_weights():
+        space = AB if len(weights) == 2 else StateSpace([f"x{i}" for i in range(len(weights))])
+        got = _outcome(lambda: MassFunction(space, weights).weights)
+        assert got == _outcome(lambda: _reference_mass_weights(space, weights)), weights
+
+
+def test_mass_function_boundaries():
+    t = MASS_TOL
+    assert np.array_equal(MassFunction(AB, [-t, 1.0 + t]).weights, [0.0, 1.0])
+    assert not np.signbit(MassFunction(AB, [-0.0, 1.0]).weights).any()
+    for bad in ([-1.5 * t, 1.0], [1.0 + 1.5 * t, 0.0]):
+        with pytest.raises(ValueError, match="outside"):
+            MassFunction(AB, bad)
+    for bad in ([np.nan, 1.0], [np.inf, 0.0], [-np.inf, 1.0]):
+        with pytest.raises(ValueError, match="finite"):
+            MassFunction(AB, bad)
+    with pytest.raises(ValueError, match="sum to"):
+        MassFunction(AB, [0.5, 0.5 + 2 * t])
+    MassFunction(AB, [0.5, 0.5 + 0.9 * t])
+
+
+def test_mass_rows_match_the_constructor():
+    rng = np.random.default_rng(43)
+    space = StateSpace([f"x{i}" for i in range(9)])
+    W = rng.dirichlet(np.ones(9), size=200)
+    W[rng.random(W.shape) < 0.2] = 0.0
+    W /= W.sum(axis=1, keepdims=True)
+    W += rng.choice([-1.0, 0.0, 0.5, 1.0], size=W.shape) * (MASS_TOL / 9) * rng.random((200, 1))
+    W[:20][W[:20] == 0.0] = -0.0
+    got = _mass_rows(space, W)
+    assert not got.flags.writeable
+    for row, w in zip(got, W):
+        assert row.tobytes() == MassFunction(space, w).weights.tobytes()
+    # The first rejected row raises the constructor's error.
+    W[[50, 120], 0] = [np.inf, 0.5]
+    with pytest.raises(ValueError) as caught:
+        _mass_rows(space, W)
+    assert _outcome(lambda: MassFunction(space, W[50]).weights) == (ValueError, str(caught.value))
+
+
 def test_event_membership_checked():
-    with pytest.raises(KeyError):
-        Event(AB, ["z"])
+    with pytest.raises(KeyError, match=r"\['y', 'z'\]"):
+        Event(AB, ["z", "a", "y"])
     assert set(Event(AB, ["a"]).complement().members) == {"b"}
+
+
+def test_event_positions_are_sorted_state_positions():
+    space = StateSpace(["c", "a", "d", "b"])
+    ev = Event(space, ["b", "c", "a"])
+    assert ev.positions.tolist() == [0, 1, 3]
+    assert not ev.positions.flags.writeable
+    assert ev.mask().tolist() == [True, True, False, True]
+    assert ev == Event(space, {"a", "b", "c"}) and hash(ev) == hash(Event(space, "abc"))
 
 
 def test_values_are_immutable():

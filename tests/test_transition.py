@@ -11,10 +11,10 @@ from credalmc import (
 )
 from helpers import (
     FAMILIES,
+    ROW_KINDS,
     random_any_model,
-    random_focal_belief,
     random_gamble,
-    random_model,
+    random_row,
     run_kernel,
 )
 
@@ -139,7 +139,7 @@ def _scatter(op, H):
 
 
 @pytest.mark.parametrize("s", [2, 3, 8, 24, 48])
-@pytest.mark.parametrize("family", ["mixed", *FAMILIES])
+@pytest.mark.parametrize("family", ["mixed", *ROW_KINDS])
 def test_row_block_plan_equals_the_scatter(family, s):
     rng = np.random.default_rng([s, len(family)])
     space = StateSpace([f"x{i}" for i in range(s)])
@@ -149,10 +149,7 @@ def test_row_block_plan_equals_the_scatter(family, s):
             families = rng.permutation(np.resize(FAMILIES, s))
         else:
             families = [family] * s
-        rows = [
-            random_focal_belief(rng, space, 5) if f == "belief" else random_model(rng, space, f)
-            for f in families
-        ]
+        rows = [random_row(rng, space, f, 5) for f in families]
         op = UpperTransitionOperator(space, rows)
         blocks, inverse, _ = op._plan
         assert len(blocks) == len(set(families))
