@@ -1,9 +1,11 @@
 """Backwards recursion for imprecise Markov chains.
 
 Every expectation query runs one recursion, `ImpreciseMarkovChain._fold`,
-on a raw array: marginal and conditional queries fold a gamble on X, so
-their cost is linear in the number of time steps, and joint queries fold
-the dense table over X^N one time axis per step, for desk-scale horizons.
+on a stack of raw arrays: marginal and conditional queries fold a gamble
+on X, so their cost is linear in the number of time steps, and joint
+queries fold the dense table over X^N one time axis per step, for
+desk-scale horizons.  `joint_upper_many` folds several path gambles in
+one stack, one `apply_many` call per step for all of them.
 Path masses need no fold: `path_mass_bounds` broadcasts the initial
 model's singleton bounds against each step operator's cached one-step
 lower and upper probability tables, giving every path of a length at
@@ -133,18 +135,22 @@ class ImpreciseMarkovChain:
             raise ValueError(f"step index {k} out of range")
         return self.transitions if self.stationary else self.transitions[k - 1]
 
-    def _fold(self, table: np.ndarray, top: int, down_to: int) -> np.ndarray:
-        """Fold a raw (|X|,) * d table over X(top - d + 1), ..., X(top) back
-        to time `down_to`.  A step applies the operator to the slice of
-        every history along the last axis (one kernel call per family) and
-        keeps the row of that history's last state; a table over one time
-        has no history, so the step is T h."""
+    def _fold(self, tables: np.ndarray, top: int, down_to: int) -> np.ndarray:
+        """Fold a (b,) + (|X|,) * d stack of raw tables over X(top - d + 1),
+        ..., X(top) back to time `down_to`.  A step applies the operator to
+        the slice of every (table, history) along the last axis, in one
+        `apply_many` call for the whole stack, and keeps the row of that
+        history's last state; a table over one time has no history, so the
+        step is T h, transposed back to shape (b, |X|)."""
         s = len(self.space)
         for k in range(top - 1, down_to - 1, -1):
-            vals = self.operator_at(k).apply_many(table.reshape(-1, s).T)
-            vals = vals.reshape((s,) + table.shape[:-1])
-            table = vals if table.ndim == 1 else np.diagonal(vals, 0, 0, -1)
-        return table
+            vals = self.operator_at(k).apply_many(tables.reshape(-1, s).T)
+            if tables.ndim == 2:
+                tables = vals.T
+            else:
+                vals = vals.reshape((s,) + tables.shape[:-1])
+                tables = np.diagonal(vals, 0, 0, -1)
+        return tables
 
     def _path_table(self, f: PathGamble) -> np.ndarray:
         if f.horizon != self.horizon:
@@ -162,7 +168,7 @@ class ImpreciseMarkovChain:
         if not 1 <= n <= self.horizon:
             raise ValueError(f"time {n} out of range [1, {self.horizon}]")
         _check_space(self, h)
-        return float(self.initial.upper_many(self._fold(h.values, n, 1)[:, None])[0])
+        return float(self.initial.upper_many(self._fold(h.values[None], n, 1).T)[0])
 
     def marginal_lower(self, n: int, h: Gamble) -> float:
         return -self.marginal_upper(n, -h)
@@ -172,7 +178,7 @@ class ImpreciseMarkovChain:
         if not 1 <= ell < n <= self.horizon:
             raise ValueError(f"need 1 <= {ell} < {n} <= {self.horizon}")
         _check_space(self, h)
-        return float(self._fold(h.values, n, ell)[self.space.index(x_ell)])
+        return float(self._fold(h.values[None], n, ell)[0, self.space.index(x_ell)])
 
     def conditional_lower(self, ell: int, x_ell: str, n: int, h: Gamble) -> float:
         return -self.conditional_upper(ell, x_ell, n, -h)
@@ -180,10 +186,19 @@ class ImpreciseMarkovChain:
     # ------------------------------------------------------------------
     # Joint queries over path gambles.
 
+    def joint_upper_many(self, fs: Sequence[PathGamble]) -> np.ndarray:
+        """Upper expectations of path gambles over all compatible trees.
+
+        The gambles are folded together: each step is one `apply_many`
+        call for all of them, and one `upper_many` call on the initial
+        model closes the fold.  The kernels are column-exact, so entry j
+        has the bits of `joint_upper(fs[j])`."""
+        tables = np.stack([self._path_table(f) for f in fs])
+        return self.initial.upper_many(self._fold(tables, self.horizon, 1).T)
+
     def joint_upper(self, f: PathGamble) -> float:
         """Upper expectation of a path gamble over all compatible trees."""
-        table = self._fold(self._path_table(f), self.horizon, 1)
-        return float(self.initial.upper_many(table[:, None])[0])
+        return float(self.joint_upper_many([f])[0])
 
     def joint_lower(self, f: PathGamble) -> float:
         return -self.joint_upper(-f)
@@ -194,7 +209,7 @@ class ImpreciseMarkovChain:
         if not 1 <= n <= self.horizon:
             raise ValueError("prefix length out of range")
         idx = tuple(self.space.index(x) for x in prefix)
-        return float(self._fold(self._path_table(f), self.horizon, n)[idx])
+        return float(self._fold(self._path_table(f)[None], self.horizon, n)[(0, *idx)])
 
     def joint_lower_given(self, prefix: Sequence[str], f: PathGamble) -> float:
         return -self.joint_upper_given(prefix, -f)
@@ -214,7 +229,7 @@ class ImpreciseMarkovChain:
         for k in range(1, n):
             if np.ptp(table, axis=k - 1).max() > 0:
                 raise ValueError(f"path gamble varies along time {k} < n = {n}")
-        table = self._fold(table, self.horizon, n)
+        table = self._fold(table[None], self.horizon, n)
         return float(np.ptp(table.reshape(-1, len(self.space)), axis=0).max())
 
     # ------------------------------------------------------------------

@@ -29,7 +29,9 @@ Transition operators::
     {"type": "interval", "lower": [[...], ...], "upper": [[...], ...]}
 
 All commands print CSV with a header row on stdout; numbers carry 12
-significant digits, making output byte-stable across runs.  Exit code is
+significant digits, making output byte-stable across runs.  A command
+returns its table as columns, and `_emit` writes a block of rows with
+one %-format call, quoting labels as `csv.writer` does.  Exit code is
 0 on success; failures print ``error:<code>: message`` on stderr and
 exit nonzero.
 """
@@ -38,10 +40,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import itertools
 import json
+import re
 import sys
 from importlib import resources
+from typing import Sequence
 
 import numpy as np
 
@@ -247,21 +252,50 @@ def scenario_to_json(chain: ImpreciseMarkovChain) -> dict:
 # Commands
 
 
-#: A command's result: the CSV header and its rows.
-Table = tuple[list[str], list[list]]
+#: A command's result: the CSV header and one sequence of cells per
+#: column.  The cells of a column share one type: floats (a numpy float
+#: array or a list of floats) print as `.12g`, other cells through `str`.
+Table = tuple[list[str], list[Sequence]]
+
+#: Rows written per %-format call.
+EMIT_BLOCK = 1024
+
+#: Characters that can make `csv.writer` quote a field.  Which of them do
+#: varies across Python versions, so cells holding any are left to csv.
+_CSV_SPECIAL = re.compile('[,"\n\r]')
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v + 0.0:.12g}"  # a zero built as -upper(-h) prints as 0
-    return str(v)
+def _csv_field(text: str) -> str:
+    """`text` as `csv.writer` writes it as one of several fields of a row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
 
 
-def _emit(header: list[str], rows: list[list], out) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+def _column(cells) -> tuple[str, list]:
+    """The %-format spec of a column and its cells, ready for that spec."""
+    if len(cells) and isinstance(cells[0], float):
+        # A zero built as -upper(-h) prints as 0.
+        return "%.12g", (np.asarray(cells, dtype=float) + 0.0).tolist()
+    if isinstance(cells, np.ndarray):
+        cells = cells.tolist()
+    cells = list(map(str, cells))
+    if _CSV_SPECIAL.search("".join(cells)):
+        cells = list(map(_csv_field, cells))
+    return "%s", cells
+
+
+def _emit(header: list[str], columns: list[Sequence], out) -> None:
+    """Write a table of two or more columns as CSV, byte for byte as
+    `csv.writer` writes the cells formatted by the `Table` rules."""
+    out.write(",".join(_column(header)[1]) + "\n")
+    specs, cells = zip(*map(_column, columns))
+    line, width = ",".join(specs) + "\n", len(columns)
+    flat = list(itertools.chain.from_iterable(zip(*cells, strict=True)))
+    step = EMIT_BLOCK * width
+    for first in range(0, len(flat), step):
+        block = flat[first : first + step]
+        out.write(line * (len(block) // width) % tuple(block))
 
 
 def _single_operator(chain: ImpreciseMarkovChain) -> UpperTransitionOperator:
@@ -298,8 +332,8 @@ def parse_gamble(space: StateSpace, text: str) -> Gamble:
     return Gamble(space, vals)
 
 
-def _marginal_rows(chain: ImpreciseMarkovChain, indicators: list[Gamble]):
-    """Yield [n, lower, upper] for n = 1..horizon and each indicator, n-major.
+def _marginal_columns(chain: ImpreciseMarkovChain, indicators: list[Gamble]):
+    """Columns n, lower, upper for n = 1..horizon and each indicator, n-major.
 
     Each indicator h and its negation -h are columns of one batch, taken
     back to time 1 and closed with the initial model in one call; lower
@@ -323,10 +357,9 @@ def _marginal_rows(chain: ImpreciseMarkovChain, indicators: list[Gamble]):
         for k in reversed(steps):
             swept = chain.operator_at(k).apply_many(np.hstack([base, swept]))
         table = np.hstack([base, swept])
-    ups = chain.initial.upper_many(table).reshape(chain.horizon, -1, 2).tolist()
-    for n, pairs in enumerate(ups, start=1):
-        for neg, pos in pairs:
-            yield [n, -neg, pos]
+    ups = chain.initial.upper_many(table).reshape(-1, 2)
+    times = np.repeat(np.arange(1, chain.horizon + 1), len(indicators))
+    return [times, -ups[:, 0], ups[:, 1]]
 
 
 def cmd_evolve(chain: ImpreciseMarkovChain, args) -> Table:
@@ -336,7 +369,7 @@ def cmd_evolve(chain: ImpreciseMarkovChain, args) -> Table:
         ind = chain.space.indicator([s.strip() for s in args.event.split(",")])
     except KeyError as exc:
         raise ScenarioError("schema-error", f"bad --event: {exc.args[0]}") from exc
-    return ["n", "lower", "upper"], list(_marginal_rows(chain, [ind]))
+    return ["n", "lower", "upper"], _marginal_columns(chain, [ind])
 
 
 def cmd_limit(chain: ImpreciseMarkovChain, args) -> Table:
@@ -353,7 +386,7 @@ def cmd_limit(chain: ImpreciseMarkovChain, args) -> Table:
     report = limit_upper(op, h, tol=args.tol, max_iter=args.max_iter)
     return (
         ["value", "iterations", "residual"],
-        [[report.value, report.iterations, report.residual]],
+        [[report.value], [report.iterations], [report.residual]],
     )
 
 
@@ -364,16 +397,14 @@ def cmd_regularity(chain: ImpreciseMarkovChain, args) -> Table:
     n_max = op.default_n_max() if args.n_max is None else args.n_max
     n = op.is_regular(n_max)
     if n is None:
-        return ["verdict", "n"], [["not_found", n_max]]
-    return ["verdict", "n"], [["found", n]]
+        return ["verdict", "n"], [["not_found"], [n_max]]
+    return ["verdict", "n"], [["found"], [n]]
 
 
-def _path_rows(chain: ImpreciseMarkovChain, length: int, *tables) -> list[list]:
-    """[path, its entry in each (|X|,) * length table] per path, in
-    `itertools.product` order over the labels: the C order of `ravel`."""
-    paths = itertools.product(chain.space.labels, repeat=length)
-    cells = (t.ravel().tolist() for t in tables)
-    return [[">".join(path), *row] for path, *row in zip(paths, *cells)]
+def _path_labels(chain: ImpreciseMarkovChain, length: int) -> list[str]:
+    """The paths of `length`, in `itertools.product` order over the labels:
+    the C order of `ravel` on a (|X|,) * length table."""
+    return list(map(">".join, itertools.product(chain.space.labels, repeat=length)))
 
 
 def cmd_joint(chain: ImpreciseMarkovChain, args) -> Table:
@@ -382,16 +413,15 @@ def cmd_joint(chain: ImpreciseMarkovChain, args) -> Table:
         raise ScenarioError(
             "schema-error", f"--length must lie in [1, {chain.horizon}], got {length}"
         )
-    rows = _path_rows(chain, length, *chain.path_mass_bounds(length))
-    return ["path", "lower", "upper"], rows
+    lo, up = chain.path_mass_bounds(length)
+    return ["path", "lower", "upper"], [_path_labels(chain, length), lo.ravel(), up.ravel()]
 
 
 def cmd_credal_approx(chain: ImpreciseMarkovChain, args) -> Table:
     indicators = [chain.space.indicator([x]) for x in chain.space]
-    states = itertools.cycle(chain.space.labels)
-    marginals = _marginal_rows(chain, indicators)
-    rows = [[n, next(states), lo, up] for n, lo, up in marginals]
-    return ["n", "state", "lower", "upper"], rows
+    times, lower, upper = _marginal_columns(chain, indicators)
+    states = list(chain.space.labels) * chain.horizon
+    return ["n", "state", "lower", "upper"], [times, states, lower, upper]
 
 
 def cmd_verify(chain: ImpreciseMarkovChain, args) -> Table:
@@ -401,16 +431,19 @@ def cmd_verify(chain: ImpreciseMarkovChain, args) -> Table:
     draws = rng.uniform(-1.0, 1.0, size=(3,) + (len(chain.space),) * chain.horizon)
     fs = [PathGamble(chain.space, chain.horizon, values) for values in draws]
     o_lo, o_up, mass_lo, mass_up = oracle.envelope(chain, fs)
-    # Path rows check the tables `joint` prints; random rows check the fold.
-    rows = _path_rows(chain, chain.horizon, *masses, mass_lo, mass_up) + [
-        [f"random[{j}]", chain.joint_lower(f), chain.joint_upper(f), lo, up]
-        for j, (f, lo, up) in enumerate(zip(fs, o_lo.tolist(), o_up.tolist()))
-    ]
-    for row in rows:
-        row.append(max(abs(row[1] - row[3]), abs(row[2] - row[4])))
+    # Path rows check the tables `joint` prints; random rows check the
+    # fold, which takes every gamble and its negation in one batch.
+    ups = chain.joint_upper_many([-f for f in fs] + fs)
+    m = len(fs)
+    e_lo = np.concatenate([masses[0].ravel(), -ups[:m]])
+    e_up = np.concatenate([masses[1].ravel(), ups[m:]])
+    x_lo = np.concatenate([mass_lo.ravel(), o_lo])
+    x_up = np.concatenate([mass_up.ravel(), o_up])
+    gap = np.maximum(abs(e_lo - x_lo), abs(e_up - x_up))
+    queries = _path_labels(chain, chain.horizon) + [f"random[{j}]" for j in range(m)]
     return (
         ["query", "engine_lower", "engine_upper", "oracle_lower", "oracle_upper", "gap"],
-        rows,
+        [queries, e_lo, e_up, x_lo, x_up, gap],
     )
 
 
@@ -442,8 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(command: str, chain: ImpreciseMarkovChain, args, out=None) -> None:
-    header, rows = COMMANDS[command](chain, args)
-    _emit(header, rows, out if out is not None else sys.stdout)
+    header, columns = COMMANDS[command](chain, args)
+    _emit(header, columns, out if out is not None else sys.stdout)
 
 
 def main(argv=None) -> int:

@@ -25,19 +25,26 @@ prints what one fold per gamble prints.  Matrix products go through
 `_gemv`, one BLAS matrix-vector product per column (a plain `W @ H`
 over k > 1 columns is one gemm, whose blocking changes the order of
 the sums; a row's bits can also change with the shape of W, so rows of
-different families, or padded rows, never share one product).
-`ProbInterval` sums along a contiguous state axis, as a one-column
-call does.  `np.add.reduceat` sums a segment a0, a1, ..., an as
-a0 + (a1 + ... + an), in every column and for every k, the parenthesis
-being numpy's sum of a contiguous 1-D array: left to right for a
-segment of fewer than nine rows, pairwise from nine on.  Maxima are
+different families, or padded rows, never share one product); a
+single column is made contiguous first.  `ProbInterval` sums its gains
+along the state axis of an (m, k, s) array that keeps the row axis
+innermost in memory: with one row (a model's own `upper`, or an
+interval initial model) that axis is contiguous and numpy sums it
+pairwise, with m >= 2 stacked rows it is strided and the sum runs left
+to right.  Either order holds for every k.  `np.add.reduceat` sums a
+segment a0, a1, ..., an as a0 + (a1 + ... + an), in every column and
+for every k, the parenthesis being numpy's sum of a contiguous 1-D
+array: left to right for a segment of fewer than nine rows, pairwise
+from nine on.  Maxima are
 exact in any order, so a padded table that repeats a member, or a
 reshape, gives the bits of `np.maximum.reduceat`.  `upper_many` and
 `UpperTransitionOperator.apply_many` split wide batches into column
 chunks (`_chunked`), which column-exactness makes bit-neutral.
 
 Every model also exposes `lower(h)` (the conjugate of `upper`) and
-`vertices()` (a finite spanning set containing all extreme points).
+`vertices()` (a finite spanning set containing all extreme points),
+which the tree oracle reads through `_vertex_array`, a read-only
+weight array cached on the model.
 Validation happens at construction and is never silently repaired; an
 inconsistent credal set invalidates every downstream bound.
 """
@@ -113,6 +120,13 @@ class CredalModel:
     def _params(self):
         return self.stack([self])
 
+    @functools.cached_property
+    def _vertex_array(self) -> np.ndarray:
+        """`vertices()` as a read-only (v, |X|) weight array, built once."""
+        W = np.array([v.weights for v in self.vertices()])
+        W.setflags(write=False)
+        return W
+
     def upper_many(self, H: np.ndarray) -> np.ndarray:
         """Upper expectations of the k columns of a raw (s, k) array."""
 
@@ -167,9 +181,11 @@ def _gemv(W: np.ndarray, H: np.ndarray, Ht: np.ndarray | None, out: np.ndarray) 
     `np.matmul` over the stack of (s, 1) columns of the contiguous
     transpose Ht loops BLAS gemv in C, so each column gets the bits of
     the k = 1 product `W @ h`; it writes column j of `out` through a
-    strided view."""
+    strided view.  A single column is made contiguous first: the product
+    of one row with a strided column is a strided dot product, which
+    sums in another order from s = 4 on."""
     if H.shape[1] == 1:
-        np.matmul(W, H, out)
+        np.matmul(W, np.ascontiguousarray(H), out)
     else:
         np.matmul(W, Ht[:, :, None], out.T[:, :, None])
 
@@ -510,8 +526,10 @@ class ProbInterval(CredalModel):
         # slack along that order.  The j best states together receive
         # F_j = min(sum of their upper - lower, slack), so summing by
         # parts the gain over L @ H is sum_j F_j * (h_(j) - h_(j+1)),
-        # with h_(s+1) = 0.  The state axis is last and contiguous, so
-        # each (row, column) sum is the pairwise sum of the k = 1 call.
+        # with h_(s+1) = 0.  `D[:, order]` keeps the row axis innermost
+        # in memory, so the state axis is contiguous, and each sum
+        # pairwise, only for m = 1; with m >= 2 rows each sum runs left
+        # to right.  Neither order depends on k or the other columns.
         if Ht is None:  # one column: H.T is a (1, s) row
             Ht = H.T
         order = (-Ht).argsort(axis=1)

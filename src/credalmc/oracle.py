@@ -2,10 +2,12 @@
 
 Enumerates every compatible precise probability tree whose local models
 are drawn from the vertex lists of the chain's credal models, and takes
-the min/max of each gamble's exact expectation over them.  Each model's
-vertex list is read once per call as a (v, |X|) weight array, which the
-size guard and the enumeration share.  Trees are numbered by mixed-radix
-indices, one digit per situation with two or more vertices: the initial
+the min/max of each gamble's exact expectation over them.  Each model
+caches its vertex list as a read-only (v, |X|) weight array
+(`CredalModel._vertex_array`), which the size guard and the enumeration
+share, so repeated calls on one chain enumerate no vertex twice.  Trees
+are numbered by mixed-radix indices, one digit per situation with two
+or more vertices: the initial
 vertex is the most significant digit and the last situation the fastest,
 which is `itertools.product` order.  `envelope` walks those numbers in
 blocks: one fancy index per time gathers a block's weights, and one
@@ -16,7 +18,7 @@ entries, the path masses, are bounded with no indicator table.
 `path_probabilities` is the same sum-product for one `TreeAssignment`.
 Deliberately independent of the recursion it validates: nothing here
 applies an upper transition operator or a credal kernel; it uses only
-`vertices()` and numpy.
+the models' vertex arrays and numpy.
 
 Choices at different situations are independent (the row credal set
 depends only on the last state, but the chosen mass function may differ
@@ -73,21 +75,14 @@ def _vertex_weights(chain: ImpreciseMarkovChain, horizon: int):
     """
     if not 1 <= horizon <= chain.horizon:
         raise ValueError("horizon out of range")
-    arrays: dict[int, np.ndarray] = {}  # by model identity: one read per call
-
-    def weights(model):
-        if id(model) not in arrays:
-            arrays[id(model)] = np.array([v.weights for v in model.vertices()])
-        return arrays[id(model)]
-
     cap = ASSIGNMENT_GUARD.bit_length()
-    levels = [[weights(chain.initial)]]
+    levels = [[chain.initial._vertex_array]]
     total = len(levels[0][0])
     histories = 1  # situations of length k ending in one state, capped
     for k in range(1, horizon):
         levels.append([])
         for row in chain.operator_at(k).rows:
-            levels[k].append(weights(row))
+            levels[k].append(row._vertex_array)
             total *= len(levels[k][-1]) ** histories
             if total > ASSIGNMENT_GUARD:
                 raise SizeGuardError(f"more than {ASSIGNMENT_GUARD} tree assignments")

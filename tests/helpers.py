@@ -176,3 +176,23 @@ def random_small_chain(
         except Exception:
             continue
     raise RuntimeError("could not draw a small chain within the caps")
+
+
+def six_family_chain(seed: int, horizon: int, stationary: bool = True, s: int = 6):
+    """A chain on s >= 6 states whose operator rows cycle through all six
+    families."""
+    rng = np.random.default_rng(seed)
+    space = StateSpace([chr(ord("a") + i) for i in range(s)])
+
+    def model(family):
+        if family == "belief" and s > 6:  # random_model lists every subset
+            return random_focal_belief(rng, space, 9)
+        return random_model(rng, space, family)
+
+    def op():
+        families = np.resize(rng.permutation(FAMILIES), s)
+        return UpperTransitionOperator(space, [model(f) for f in families])
+
+    initial = model(str(rng.choice(FAMILIES)))
+    transitions = op() if stationary else [op() for _ in range(horizon - 1)]
+    return ImpreciseMarkovChain(initial, transitions, horizon)

@@ -1,4 +1,7 @@
 import argparse
+import csv
+import io
+import itertools
 import json
 import time
 import tracemalloc
@@ -16,7 +19,9 @@ from credalmc import (
     oracle,
 )
 from credalmc.cli import (
+    EMIT_BLOCK,
     ScenarioError,
+    _emit,
     bundled_scenario_path,
     cmd_credal_approx,
     cmd_evolve,
@@ -28,7 +33,7 @@ from credalmc.cli import (
     scenario_from_json,
     scenario_to_json,
 )
-from helpers import FAMILIES, random_focal_belief, random_gamble, random_model
+from helpers import random_gamble, six_family_chain
 
 
 def test_bundled_example_5_3_shape():
@@ -319,21 +324,38 @@ def test_verify_enumerates_the_trees_once(capsys, monkeypatch):
     assert sum(trees) == oracle.count_assignments(chain, 2)
 
 
-def test_verify_folds_only_the_random_gambles(capsys, monkeypatch):
-    calls = {"joint_upper": 0, "path_mass_bounds": 0}
-    for name in calls:
-        inner = getattr(ImpreciseMarkovChain, name)
+def test_verify_folds_only_the_random_gambles(capsys, monkeypatch, tmp_path):
+    shapes, lengths = [], []
+    apply_many = UpperTransitionOperator.apply_many
+    path_mass_bounds = ImpreciseMarkovChain.path_mass_bounds
 
-        def counted(self, *args, _inner=inner, _name=name):
-            calls[_name] += 1
-            return _inner(self, *args)
+    def counted_apply(self, H):
+        shapes.append(H.shape)
+        return apply_many(self, H)
 
-        monkeypatch.setattr(ImpreciseMarkovChain, name, counted)
-    code, _, _ = _run(capsys, "verify", str(bundled_scenario_path("example_5_3_n2")))
-    assert code == 0
-    # Path rows read the tables `joint` prints, built in one call; each
-    # random gamble is folded once for its upper and once for its lower bound.
-    assert calls == {"joint_upper": 2 * 3, "path_mass_bounds": 1}
+    def counted_masses(self, length):
+        lengths.append(length)
+        return path_mass_bounds(self, length)
+
+    monkeypatch.setattr(UpperTransitionOperator, "apply_many", counted_apply)
+    monkeypatch.setattr(ImpreciseMarkovChain, "path_mass_bounds", counted_masses)
+    doc = json.loads(bundled_scenario_path("example_5_3").read_text())
+    doc["horizon"] = 3
+    h3 = tmp_path / "example_5_3_h3.json"
+    h3.write_text(json.dumps(doc))
+    for path, horizon in [(bundled_scenario_path("example_5_3_n2"), 2), (h3, 3)]:
+        code, _, _ = _run(capsys, "verify", str(path))
+        assert code == 0
+        # Path rows read the tables `joint` prints, built in one call from
+        # the operator's one-step tables (one call per bound on the s = 2
+        # indicators).  The three random gambles and their negations fold
+        # in one batch: H - 1 calls, the first on all 6 * 2^(H - 1)
+        # (gamble, history) slices.
+        folds = [(2, 6 * 2**k) for k in range(horizon - 1, 0, -1)]
+        assert shapes == [(2, 2), (2, 2)] + folds
+        assert lengths == [horizon]
+        shapes.clear()
+        lengths.clear()
 
 
 def test_joint_builds_the_path_tables_once(capsys, monkeypatch):
@@ -414,6 +436,87 @@ def test_byte_stable_output(capsys):
     _, out1, _ = _run(capsys, "evolve", path, "--event", "a")
     _, out2, _ = _run(capsys, "evolve", path, "--event", "a")
     assert out1 == out2
+
+
+def _emit_reference(header, rows) -> str:
+    """The emitter `_emit` replaced: `csv.writer` over one `.12g` or
+    `str` call per cell."""
+
+    def fmt(v):
+        if isinstance(v, float):
+            return f"{v + 0.0:.12g}"
+        return str(v)
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([fmt(v) for v in row])
+    return buf.getvalue()
+
+
+_LABELS = [
+    "a,b", 'q"x', "two\nlines", "cr\rhere", " lead", "trail ", "", "ünï ✓ 状态",
+    "plain", ',"\r\n', "%s %d %%", '"',
+]
+_FLOATS = [
+    -0.0, 5e-324, 1e16, 0.1 + 0.2, np.float64(-2.5), -1e-300, 1.0, float("inf"),
+    -float("inf"), float("nan"), np.float64(-0.0), 123456789012.5,
+]
+_INTS = [0, -3, np.int64(7), 10**13, np.int64(-(10**13)), True, 10**30, 42, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("arrays", [False, True], ids=["lists", "arrays"])
+def test_emit_writes_what_csv_writer_writes(arrays):
+    header = ["path,x", 'q"', "n", "value", "label "]
+    columns = [_LABELS, _LABELS[::-1], _INTS, _FLOATS, list(range(len(_LABELS)))]
+    if arrays:
+        columns = [
+            columns[0],
+            np.array(columns[1]),
+            np.array([0, -3, 7, 10**13, -(10**13), 1] * 2),
+            np.array(_FLOATS),
+            np.arange(len(_LABELS)),
+        ]
+    rows = [list(row) for row in zip(*columns)]
+    out = io.StringIO()
+    _emit(header, columns, out)
+    assert out.getvalue() == _emit_reference(header, rows)
+    # An empty table prints its header alone.
+    out = io.StringIO()
+    _emit(header, [[] for _ in header], out)
+    assert out.getvalue() == _emit_reference(header, [])
+
+
+def test_emit_spans_row_blocks():
+    rng = np.random.default_rng(257)
+    n = 2 * EMIT_BLOCK + 5
+    labels = [f"p{i}" if i % 7 else f"p,{i}" for i in range(n)]
+    values = rng.uniform(-1.0, 1.0, size=n) * 10.0 ** rng.integers(-20, 20, size=n)
+    values[::11] = -0.0
+    columns = [labels, np.arange(n), values, -values]
+    out = io.StringIO()
+    _emit(["path", "n", "lower", "upper"], columns, out)
+    rows = [list(row) for row in zip(labels, range(n), values.tolist(), (-values).tolist())]
+    assert out.getvalue() == _emit_reference(["path", "n", "lower", "upper"], rows)
+
+
+@pytest.mark.parametrize("command", ["joint", "credal-approx", "verify"])
+def test_labels_with_csv_specials_round_trip(capsys, tmp_path, command):
+    labels = ["a,b", 'q"x']
+    p = tmp_path / "specials.json"
+    p.write_text(json.dumps({**_VALID_DOC, "states": labels}))
+    code, out, _ = _run(capsys, command, str(p))
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    paths = [">".join(path) for path in itertools.product(labels, repeat=3)]
+    if command == "credal-approx":
+        assert [row[1] for row in rows] == labels * 3
+    elif command == "joint":
+        assert [row[0] for row in rows] == paths
+    else:
+        assert [row[0] for row in rows] == paths + [f"random[{j}]" for j in range(3)]
+        assert all(float(row[-1]) <= 1e-9 for row in rows)
 
 
 def test_cli_error_paths(capsys, tmp_path):
@@ -542,26 +645,6 @@ def test_stationary_commands_refuse_a_per_step_chain(capsys, tmp_path, argv):
 # The marginal plan behind `evolve` and `credal-approx`.
 
 
-def _six_family_chain(seed: int, horizon: int, stationary: bool = True, s: int = 6):
-    """A chain on s >= 6 states whose operator rows cycle through all six
-    families."""
-    rng = np.random.default_rng(seed)
-    space = StateSpace([chr(ord("a") + i) for i in range(s)])
-
-    def model(family):
-        if family == "belief" and s > 6:  # random_model lists every subset
-            return random_focal_belief(rng, space, 9)
-        return random_model(rng, space, family)
-
-    def op():
-        families = np.resize(rng.permutation(FAMILIES), s)
-        return UpperTransitionOperator(space, [model(f) for f in families])
-
-    initial = model(str(rng.choice(FAMILIES)))
-    transitions = op() if stationary else [op() for _ in range(horizon - 1)]
-    return ImpreciseMarkovChain(initial, transitions, horizon)
-
-
 def _per_n_rows(chain, indicators, times=None):
     """[n, lower, upper] from one backward fold per n and indicator."""
     times = range(1, chain.horizon + 1) if times is None else times
@@ -572,8 +655,15 @@ def _per_n_rows(chain, indicators, times=None):
     ]
 
 
+def _rows(table):
+    """A command's columns as rows of Python numbers and strings."""
+    _, columns = table
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    return [list(row) for row in zip(*columns)]
+
+
 def _approx_rows(chain):
-    _, rows = cmd_credal_approx(chain, argparse.Namespace())
+    rows = _rows(cmd_credal_approx(chain, argparse.Namespace()))
     return [[n, lo, up] for n, _, lo, up in rows]
 
 
@@ -581,9 +671,9 @@ def _approx_rows(chain):
 @pytest.mark.parametrize("horizon", [1, 2, 9])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_marginal_rows_equal_the_per_n_folds(seed, horizon, stationary):
-    chain = _six_family_chain(seed, horizon, stationary)
+    chain = six_family_chain(seed, horizon, stationary)
     event = ["a", "c", "f"]
-    _, rows = cmd_evolve(chain, argparse.Namespace(event=",".join(event)))
+    rows = _rows(cmd_evolve(chain, argparse.Namespace(event=",".join(event))))
     assert rows == _per_n_rows(chain, [chain.space.indicator(event)])
     singletons = [chain.space.indicator([x]) for x in chain.space]
     assert _approx_rows(chain) == _per_n_rows(chain, singletons)
@@ -593,9 +683,9 @@ def test_marginal_rows_equal_the_per_n_folds(seed, horizon, stationary):
 def test_marginal_rows_equal_the_per_n_folds_on_24_states(stationary):
     # From eight states on, numpy sums pairwise, so a sum that ran along
     # a strided axis of the batch would round unlike the one-column fold.
-    chain = _six_family_chain(4, 12, stationary, s=24)
+    chain = six_family_chain(4, 12, stationary, s=24)
     event = ["a", "d", "h", "m", "q", "x"]
-    _, rows = cmd_evolve(chain, argparse.Namespace(event=",".join(event)))
+    rows = _rows(cmd_evolve(chain, argparse.Namespace(event=",".join(event))))
     assert rows == _per_n_rows(chain, [chain.space.indicator(event)])
     singletons = [chain.space.indicator([x]) for x in chain.space]
     assert _approx_rows(chain) == _per_n_rows(chain, singletons)
@@ -645,7 +735,7 @@ def test_stationary_marginals_apply_the_operator_once_per_column_and_step(
 @pytest.mark.parametrize("horizon", [1, 2, 7])
 def test_per_step_marginals_fold_back_from_every_time(monkeypatch, horizon):
     # The folds from every time share each step operator: one call per step.
-    chain = _six_family_chain(3, horizon, stationary=False)
+    chain = six_family_chain(3, horizon, stationary=False)
     calls = _count_apply_many(monkeypatch)
     cmd_evolve(chain, argparse.Namespace(event="a"))
     assert len(calls) == horizon - 1

@@ -7,10 +7,12 @@
 (c) the batched `is_regular`, joint fold and Markov-condition gap
     against unbatched per-row loops;
 (d) the column-exact contract: a column's bits do not depend on the
-    batch it is computed in, nor on how the batch is chunked.
+    batch it is computed in, nor on how the batch is chunked, so a
+    batched joint query prints what one fold per gamble prints.
 """
 
 import functools
+import operator
 
 import numpy as np
 import pytest
@@ -37,6 +39,7 @@ from helpers import (
     random_prob_interval,
     random_row,
     run_kernel,
+    six_family_chain,
 )
 
 LABELS = ["a", "b", "c", "d", "e"]
@@ -388,6 +391,11 @@ def test_kernels_are_column_exact(family, s):
         for j in range(k):
             one = run_kernel(cls, params, H[:, [j]], len(rows))
             assert np.array_equal(got[:, j], one[:, 0]), (k, j)
+            # Nor does the stride of a single column, for one row or several.
+            for m, p in [(len(rows), params), (1, cls.stack(rows[:1]))]:
+                want = run_kernel(cls, p, H[:, [j]], m)
+                assert np.array_equal(run_kernel(cls, p, H[:, j : j + 1], m), want)
+                assert np.array_equal(run_kernel(cls, p, H[:, j][:, None], m), want)
             assert np.array_equal(one, _plain_kernel(family, rows, H[:, [j]]))
         # The memory layout of the batch does not matter either.
         assert np.array_equal(run_kernel(cls, params, np.asfortranarray(H), len(rows)), got)
@@ -451,3 +459,49 @@ def test_chunked_calls_equal_one_call(monkeypatch):
     assert widths == [3] * 16 + [2]
     assert np.array_equal(op.apply_many(H), whole_op)
     assert np.array_equal(initial.upper_many(H), whole_initial)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("m", [1, 2, 8])
+def test_interval_kernel_sums_pairwise_only_for_one_row(m, k):
+    # `D[:, order]` puts the row axis innermost in memory, so with m >= 2
+    # stacked rows each gain sum runs left to right along a strided state
+    # axis; with m = 1 that axis is contiguous and numpy sums it pairwise.
+    # Either way the order is the same for every k.
+    rng = np.random.default_rng([241, m, k])
+    s = 48
+    space = StateSpace([f"x{i}" for i in range(s)])
+    rows = [random_prob_interval(rng, space) for _ in range(m)]
+    params = ProbInterval.stack(rows)
+    H = rng.uniform(-1.0, 1.0, size=(s, k)) * 10.0 ** rng.integers(-6, 7, size=(s, 1))
+    got = run_kernel(ProbInterval, params, H, m)
+    L, D, slack = params
+    pairwise, left_to_right = np.empty((m, k)), np.empty((m, k))
+    for j in range(k):
+        order = np.argsort(-H[:, j])
+        steps = H[order, j]
+        steps[:-1] -= steps[1:]
+        terms = np.minimum(D[:, order].cumsum(axis=1), slack[:, :, 0]) * steps
+        base = (L @ H[:, [j]])[:, 0]
+        pairwise[:, j] = base + [np.ascontiguousarray(row).sum() for row in terms]
+        left_to_right[:, j] = base + [functools.reduce(operator.add, row.tolist()) for row in terms]
+    assert not np.array_equal(pairwise, left_to_right)
+    assert np.array_equal(got, pairwise if m == 1 else left_to_right)
+
+
+@pytest.mark.parametrize("stationary", [True, False], ids=["stationary", "per-step"])
+@pytest.mark.parametrize("horizon", [1, 2, 4])
+def test_batched_joint_query_equals_per_gamble_folds(horizon, stationary):
+    # Operator rows cycle through the six families; the initial model
+    # takes each family in turn.
+    for j, family in enumerate(FAMILIES):
+        chain = six_family_chain(251 + j, horizon, stationary)
+        rng = np.random.default_rng([251, j, horizon])
+        initial = random_model(rng, chain.space, family)
+        chain = ImpreciseMarkovChain(initial, chain.transitions, horizon)
+        shape = (len(chain.space),) * horizon
+        fs = [PathGamble(chain.space, horizon, rng.uniform(-1.0, 1.0, size=shape)) for _ in range(3)]
+        fs.append(PathGamble.path_indicator(chain.space, horizon, ["b"] * horizon))
+        ups = chain.joint_upper_many([-f for f in fs] + fs).tolist()
+        assert ups[len(fs) :] == [chain.joint_upper(f) for f in fs]
+        assert [-u for u in ups[: len(fs)]] == [chain.joint_lower(f) for f in fs]

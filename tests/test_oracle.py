@@ -462,3 +462,26 @@ def test_envelope_calls_no_operator_or_kernel(monkeypatch):
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
         with pytest.raises(AssertionError, match="called the engine"):
             chain.joint_upper(f)
+
+
+def test_repeated_envelopes_enumerate_each_model_once(monkeypatch):
+    ex53 = load_bundled("example_5_3")
+    chain = ImpreciseMarkovChain(ex53.initial, ex53.transitions, 3)
+    models = [chain.initial, *chain.transitions.rows]
+    calls = []
+    for family in {type(m) for m in models}:
+        inner = family.vertices
+
+        def counted(self, _inner=inner):
+            calls.append(self)
+            return _inner(self)
+
+        monkeypatch.setattr(family, "vertices", counted)
+    rng = np.random.default_rng(263)
+    for _ in range(5):
+        f = PathGamble(chain.space, 3, rng.uniform(-1.0, 1.0, size=(2, 2, 2)))
+        envelope(chain, [f])
+    assert sorted(map(id, calls)) == sorted(map(id, models))
+    for m in models:
+        assert not m._vertex_array.flags.writeable
+        assert np.array_equal(m._vertex_array, [v.weights for v in m.vertices()])
