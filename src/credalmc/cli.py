@@ -178,6 +178,8 @@ def operator_from_json(
 
 def _read_scenario(doc: dict) -> ImpreciseMarkovChain:
     space = StateSpace(_list(doc, "states"))
+    if not all(isinstance(x, str) for x in space.labels):
+        raise TypeError(f"state labels must be strings, got {list(space.labels)!r}")
     initial = model_from_json(space, doc["initial"], "initial")
     horizon = doc["horizon"]
     if type(horizon) is not int or horizon < 1:
@@ -425,6 +427,8 @@ def cmd_credal_approx(chain: ImpreciseMarkovChain, args) -> Table:
 
 
 def cmd_verify(chain: ImpreciseMarkovChain, args) -> Table:
+    if args.seed < 0:
+        raise ScenarioError("schema-error", f"--seed must be >= 0, got {args.seed}")
     # The path tables come first: their size guard also bounds the draws.
     masses = chain.path_mass_bounds(chain.horizon)
     rng = np.random.default_rng(args.seed)

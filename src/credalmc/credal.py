@@ -15,9 +15,9 @@ shares them: `hmax`, the column maximum `H.max(axis=0)`, for the
 families that read it (`reads_max`: Vacuous and Contamination; the
 others get None), and for k > 1 `Ht`, a C-contiguous (k, s) copy of
 `H.T`, which the families with a matrix product and ProbInterval read
-(None at k = 1).  Upper transition operators stack their rows once and
-give each family its row block of one output array; a model's own
-`upper(h)` is the m = k = 1 case, written into a fresh array.
+(None at k = 1).  `_step` runs one step for upper transition operators,
+which stack their rows once and give each family its row block of one
+output array, and for a model's own `upper_many`, one block of one row.
 
 Every kernel is column-exact: column j of its block has the same bits
 whatever the other columns and the batch width k, so a batched query
@@ -117,8 +117,9 @@ class CredalModel:
         raise NotImplementedError
 
     @functools.cached_property
-    def _params(self):
-        return self.stack([self])
+    def _plan(self):
+        """This model as a row-block plan of one block of one row."""
+        return ((self.kernel, self.stack([self]), slice(0, 1)),), None, self.reads_max
 
     @functools.cached_property
     def _vertex_array(self) -> np.ndarray:
@@ -129,15 +130,7 @@ class CredalModel:
 
     def upper_many(self, H: np.ndarray) -> np.ndarray:
         """Upper expectations of the k columns of a raw (s, k) array."""
-
-        def kernel(H):
-            out = np.empty((1, H.shape[1]))
-            hmax = H.max(axis=0) if self.reads_max else None
-            Ht = np.ascontiguousarray(H.T) if H.shape[1] > 1 else None
-            self.kernel(self._params, H, out, hmax, Ht)
-            return out
-
-        return _chunked(kernel, _as_columns(self.space, H))[0]
+        return _chunked(self._plan, _as_columns(self.space, H))[0]
 
     def upper(self, h: Gamble) -> float:
         """Maximum linear expectation of h over the credal set."""
@@ -164,15 +157,31 @@ def _vertex_list(space: StateSpace, W: np.ndarray) -> list[MassFunction]:
     return [MassFunction._stored(space, W[i]) for i in kept]
 
 
-def _chunked(apply, H: np.ndarray) -> np.ndarray:
-    """`apply(H)` on an (s, k) H, made in column chunks of at most
+def _chunked(plan, H: np.ndarray) -> np.ndarray:
+    """`_step(plan, H)` on an (s, k) H, made in column chunks of at most
     CHUNK_CELLS // s**2 columns and joined along the last axis."""
     width = max(1, CHUNK_CELLS // H.shape[0] ** 2)
     if H.shape[1] <= width:
-        return apply(H)
+        return _step(plan, H)
     return np.concatenate(
-        [apply(H[:, j : j + width]) for j in range(0, H.shape[1], width)], axis=-1
+        [_step(plan, H[:, j : j + width]) for j in range(0, H.shape[1], width)], axis=-1
     )
+
+
+def _step(plan, H: np.ndarray) -> np.ndarray:
+    """One step on the (s, k) array H through a row-block plan (blocks,
+    inverse, reads_max): each (kernel, params, rows) block writes its rows
+    of one fresh (s, k) output (a model's one block writes row 0 only),
+    `hmax` is computed once if `reads_max`, and for k > 1 one contiguous
+    `H.T` is shared.  `inverse`, unless None, takes the rows back to
+    state order."""
+    blocks, inverse, reads_max = plan
+    out = np.empty(H.shape)
+    hmax = H.max(axis=0) if reads_max else None
+    Ht = np.ascontiguousarray(H.T) if H.shape[1] > 1 else None
+    for kernel, params, rows in blocks:
+        kernel(params, H, out[rows], hmax, Ht)
+    return out if inverse is None else out.take(inverse, axis=0)
 
 
 def _gemv(W: np.ndarray, H: np.ndarray, Ht: np.ndarray | None, out: np.ndarray) -> None:

@@ -5,6 +5,7 @@ level is the invariant upper expectation of h; `limit_upper` detects
 this through the oscillation max - min of the iterate.  Non-regular
 operators are still non-expansive in the supremum norm, so their
 iterates settle into a periodic limit cycle, found by `detect_cycle`.
+The iterations read raw arrays; only `limit_upper` steps through `apply`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DEFAULT_TOL, Gamble, MassFunction
+from .states import DEFAULT_TOL, Gamble, MassFunction, _check_space
 from .transition import UpperTransitionOperator
 
 DEFAULT_MAX_ITER = 10**6
@@ -60,12 +61,12 @@ def limit_upper(
     if tol <= 0:
         raise ValueError("tol must be positive")
     for it in range(max_iter + 1):
-        residual = h.max() - h.min()
+        residual = float(h.values.max()) - float(h.values.min())
         if residual <= tol:
-            return LimitReport(value=h.max(), iterations=it, residual=residual)
+            return LimitReport(float(h.values.max()), it, residual)
         h = op.apply(h)
     raise ConvergenceError(
-        f"oscillation still {h.max() - h.min():.3e} after {max_iter} iterations; "
+        f"oscillation still {np.ptp(h.values):.3e} after {max_iter} iterations; "
         "the operator may not be regular - try detect_cycle"
     )
 
@@ -88,7 +89,8 @@ def contamination_limit(
         raise ValueError("epsilon must lie in (0, 1)")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    bound = h.sup_norm()
+    _check_space(precise, h)
+    bound = float(np.abs(h.values).max())
     terms = 1
     if bound > tol:
         terms = max(1, math.ceil(math.log(tol / bound) / math.log1p(-epsilon)))
@@ -99,10 +101,10 @@ def contamination_limit(
         )
     total = 0.0
     weight = epsilon
-    g = h
+    g = h.values[:, None]
     for _ in range(terms):
-        total += weight * g.max()
-        g = precise.apply(g)
+        total += weight * float(g.max())
+        g = precise.apply_many(g)
         weight *= 1.0 - epsilon
     return total
 
@@ -122,12 +124,14 @@ def contamination_evolve(
         raise ValueError("epsilon must lie in (0, 1)")
     if n < 0:
         raise ValueError("n must be >= 0")
+    _check_space(precise, h)
+    _check_space(initial, h)
     total = 0.0
-    g = h
+    g = h.values[:, None]
     for k in range(n):
-        total += epsilon * (1.0 - epsilon) ** k * g.max()
-        g = precise.apply(g)
-    return (1.0 - epsilon) ** n * initial.upper(g) + total
+        total += epsilon * (1.0 - epsilon) ** k * float(g.max())
+        g = precise.apply_many(g)
+    return (1.0 - epsilon) ** n * float(initial.upper_many(g)[0]) + total
 
 
 def precise_stationary(

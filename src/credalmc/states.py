@@ -1,8 +1,9 @@
 """Finite state spaces, gambles, mass functions and precise expectation.
 
 Everything in this module is immutable after construction; arrays are
-frozen so values can be shared freely between threads.  The package's
-numeric tolerances are all defined here.
+frozen so values can be shared freely between threads.  The types
+validate input; the engine computes on their positional arrays.  The
+package's numeric tolerances are all defined here.
 """
 
 from __future__ import annotations
@@ -93,9 +94,6 @@ class StateSpace:
         """The 0/1 gamble of the event given by `members`."""
         return Event(self, frozenset(members)).indicator()
 
-    def constant(self, value: float) -> "Gamble":
-        return Gamble(self, np.full(len(self), float(value)))
-
 
 def _check_space(a, b) -> None:
     if a.space != b.space:
@@ -132,46 +130,8 @@ class Gamble:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "values", values)
 
-    def at(self, label: str) -> float:
-        return float(self.values[self.space.index(label)])
-
-    def __add__(self, other: "Gamble") -> "Gamble":
-        _check_space(self, other)
-        return Gamble(self.space, self.values + other.values)
-
-    def __sub__(self, other: "Gamble") -> "Gamble":
-        _check_space(self, other)
-        return Gamble(self.space, self.values - other.values)
-
     def __neg__(self) -> "Gamble":
         return Gamble(self.space, -self.values)
-
-    def __mul__(self, scalar: float) -> "Gamble":
-        return Gamble(self.space, self.values * float(scalar))
-
-    __rmul__ = __mul__
-
-    def max(self) -> float:
-        return float(self.values.max())
-
-    def min(self) -> float:
-        return float(self.values.min())
-
-    def pointwise_max(self, other: "Gamble") -> "Gamble":
-        _check_space(self, other)
-        return Gamble(self.space, np.maximum(self.values, other.values))
-
-    def pointwise_min(self, other: "Gamble") -> "Gamble":
-        _check_space(self, other)
-        return Gamble(self.space, np.minimum(self.values, other.values))
-
-    def sup_dist(self, other: "Gamble") -> float:
-        """Supremum-norm distance to another gamble on the same space."""
-        _check_space(self, other)
-        return float(np.abs(self.values - other.values).max())
-
-    def sup_norm(self) -> float:
-        return float(np.abs(self.values).max())
 
 
 @dataclass(frozen=True)
@@ -201,9 +161,6 @@ class Event:
 
     def indicator(self) -> Gamble:
         return Gamble(self.space, self.mask())
-
-    def complement(self) -> "Event":
-        return Event(self.space, set(self.space.labels) - self.members)
 
     def mask(self) -> np.ndarray:
         mask = np.zeros(len(self.space), dtype=bool)
@@ -259,9 +216,6 @@ class MassFunction:
         w = np.zeros(len(space))
         w[space.index(label)] = 1.0
         return cls(space, w)
-
-    def at(self, label: str) -> float:
-        return float(self.weights[self.space.index(label)])
 
 
 def _mass_rows(space: StateSpace, W: np.ndarray) -> np.ndarray:

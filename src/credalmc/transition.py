@@ -3,9 +3,9 @@
 On first use the operator builds a row-block plan: the rows are grouped
 by credal family, in order of each family's first row, and every
 family's parameters are stacked once.  One step on an (s, k) gamble
-array then fills a single (s, k) output in which each family writes its
-rows as one contiguous block, with one kernel call per family present
-(per family and column chunk when k exceeds
+array, `credal._step`, then fills a single (s, k) output in which each
+family writes its rows as one contiguous block, with one kernel call
+per family present (per family and column chunk when k exceeds
 `credal.CHUNK_CELLS // s**2`).  The column maximum of the gambles is
 computed once per step, and only if a family present reads it.  A step
 on more than one column also makes one contiguous transposed copy of
@@ -22,9 +22,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .credal import Contamination, CredalModel, Linear, ProbInterval, _chunked
+from .credal import Contamination, CredalModel, Linear, ProbInterval, _chunked, _step
 from .states import REGULARITY_EPS, DimensionMismatch, Gamble, MassFunction
-from .states import StateSpace, _as_columns
+from .states import StateSpace, _as_columns, _check_space
 
 
 @dataclass(frozen=True)
@@ -109,27 +109,15 @@ class UpperTransitionOperator:
 
     def apply_many(self, H) -> np.ndarray:
         """Apply the operator to each column of a raw (s, k) array."""
-        return _chunked(self._apply_columns, _as_columns(self.space, H))
-
-    def _apply_columns(self, H: np.ndarray) -> np.ndarray:
-        blocks, inverse, reads_max = self._plan
-        out = np.empty(H.shape)
-        hmax = H.max(axis=0) if reads_max else None
-        Ht = np.ascontiguousarray(H.T) if H.shape[1] > 1 else None
-        for kernel, params, rows in blocks:
-            kernel(params, H, out[rows], hmax, Ht)
-        return out if inverse is None else out.take(inverse, axis=0)
+        return _chunked(self._plan, _as_columns(self.space, H))
 
     def apply(self, h: Gamble) -> Gamble:
-        if h.space != self.space:
-            raise DimensionMismatch("gamble on a different state space")
+        _check_space(self, h)
         # One column never chunks, and the space check fixes its shape.
-        return Gamble(self.space, self._apply_columns(h.values[:, None])[:, 0])
+        return Gamble(self.space, _step(self._plan, h.values[:, None])[:, 0])
 
     def apply_lower(self, h: Gamble) -> Gamble:
-        if h.space != self.space:
-            raise DimensionMismatch("gamble on a different state space")
-        return Gamble(self.space, -self.apply_many(-h.values[:, None])[:, 0])
+        return -self.apply(-h)
 
     def default_n_max(self) -> int:
         # Wielandt bound for precise primitive matrices; the imprecise

@@ -32,7 +32,7 @@ class TestMarginal:
 
     def test_constant_preserved(self, ex53_chain, ab):
         for n in (1, 3, 10):
-            assert ex53_chain.marginal_upper(n, ab.constant(2.5)) == pytest.approx(2.5)
+            assert ex53_chain.marginal_upper(n, Gamble(ab, [2.5, 2.5])) == pytest.approx(2.5)
 
     def test_out_of_range(self, ex53_chain, ab):
         with pytest.raises(ValueError):
@@ -52,17 +52,15 @@ class TestMarginal:
 class TestConditional:
     def test_single_step_reduces_to_apply(self, ex53_chain, ex53_op, ab):
         h = Gamble(ab, [0.3, -0.7])
-        for x in ab:
-            assert ex53_chain.conditional_upper(2, x, 3, h) == pytest.approx(
-                ex53_op.apply(h).at(x)
-            )
+        for x, want in zip(ab, ex53_op.apply(h).values):
+            assert ex53_chain.conditional_upper(2, x, 3, h) == pytest.approx(want)
 
     def test_two_step_hand_value(self, ex53_chain, ab):
         got = ex53_chain.conditional_upper(1, "a", 3, ab.indicator(["a"]))
         assert got == pytest.approx(0.77995)
 
     def test_constant(self, ex53_chain, ab):
-        assert ex53_chain.conditional_upper(1, "b", 5, ab.constant(-1.5)) == pytest.approx(-1.5)
+        assert ex53_chain.conditional_upper(1, "b", 5, Gamble(ab, [-1.5, -1.5])) == pytest.approx(-1.5)
 
     def test_index_validation(self, ex53_chain, ab):
         with pytest.raises(ValueError):

@@ -607,10 +607,13 @@ _VALID_DOC = {
             "initial",
         ),
         ({"initial": 5}, "initial"),
+        ({"states": [1, 2]}, "scenario"),
+        ({"states": ["a", None]}, "scenario"),
     ],
     ids=["focal-int", "focal-entry-int", "points-int", "rows-int", "states-int",
          "queries-int", "horizon-bool", "states-str", "queries-str",
-         "transition-list-length", "members-str", "initial-int"],
+         "transition-list-length", "members-str", "initial-int", "states-int-labels",
+         "states-null-label"],
 )
 def test_malformed_scenario_exits_2(capsys, tmp_path, patch, where):
     p = tmp_path / "bad.json"
@@ -619,6 +622,13 @@ def test_malformed_scenario_exits_2(capsys, tmp_path, patch, where):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error:schema-error: {where}: ")
+
+
+def test_verify_refuses_a_negative_seed(capsys):
+    path = str(bundled_scenario_path("example_5_3_n2"))
+    code, out, err = _run(capsys, "verify", path, "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error:schema-error: --seed must be >= 0, got -1\n"
 
 
 def test_scenario_must_be_an_object(capsys, tmp_path):

@@ -216,7 +216,7 @@ def _is_regular_ref(op, n_max):
     iterates = [op.space.indicator([y]) for y in op.space]
     for n in range(1, n_max + 1):
         iterates = [_apply_ref(op, g) for g in iterates]
-        if all(g.min() > 1e-12 for g in iterates):
+        if all(g.values.min() > 1e-12 for g in iterates):
             return n
     return None
 
@@ -450,12 +450,13 @@ def test_chunked_calls_equal_one_call(monkeypatch):
     whole_op, whole_initial = op.apply_many(H), initial.upper_many(H)
     widths = []
 
-    def kernel(params, H):
+    def kernel(params, H, out, hmax, Ht):
         widths.append(H.shape[1])
-        return run_kernel(ProbInterval, params, H, 1)
+        ProbInterval.kernel(params, H, out, hmax, Ht)
 
     monkeypatch.setattr(credal, "CHUNK_CELLS", 3 * s**2)
-    assert np.array_equal(credal._chunked(lambda C: kernel(initial._params, C), H)[0], whole_initial)
+    plan = ((kernel, initial._plan[0][0][1], slice(0, 1)),), None, False
+    assert np.array_equal(credal._chunked(plan, H)[0], whole_initial)
     assert widths == [3] * 16 + [2]
     assert np.array_equal(op.apply_many(H), whole_op)
     assert np.array_equal(initial.upper_many(H), whole_initial)

@@ -3,8 +3,11 @@ import pytest
 
 from credalmc import (
     ConvergenceError,
+    DimensionMismatch,
+    Gamble,
     ImpreciseMarkovChain,
     NotRegularError,
+    ProbInterval,
     StateSpace,
     UpperTransitionOperator,
     contamination_evolve,
@@ -34,7 +37,7 @@ class TestLimitUpper:
             for _ in range(5):
                 h = random_gamble(rng, AB)
                 assert limit_upper(op, h, tol=1e-11).value == pytest.approx(
-                    h.max(), abs=1e-9
+                    h.values.max(), abs=1e-9
                 )
 
     def test_contaminated_random_walk(self):
@@ -45,7 +48,7 @@ class TestLimitUpper:
         assert limit_upper(op, h, tol=1e-11).value == pytest.approx(0.55, abs=1e-9)
         for _ in range(5):
             h = random_gamble(rng, AB)
-            want = eps * h.max() + (1 - eps) * h.values.mean()
+            want = eps * h.values.max() + (1 - eps) * h.values.mean()
             assert limit_upper(op, h, tol=1e-11).value == pytest.approx(want, abs=1e-9)
 
     def test_example_series_value(self, ex53_op, ab):
@@ -71,11 +74,11 @@ class TestLimitUpper:
         rng = np.random.default_rng(73)
         for op in (ex53_op, cycle_op):
             h = random_gamble(rng, AB)
-            bound = h.sup_norm()
+            bound = np.abs(h.values).max()
             g = h
             for _ in range(50):
                 g = op.apply(g)
-                assert g.sup_norm() <= bound + 1e-12
+                assert np.abs(g.values).max() <= bound + 1e-12
 
     @pytest.mark.parametrize("scenario", ["stationary_mixed8", "example_5_4"])
     def test_one_apply_per_iteration(self, scenario, monkeypatch):
@@ -156,6 +159,63 @@ class TestContaminationEvolve:
                 )
 
 
+# Outputs of the series recorded bit for bit before they moved from
+# `Gamble` arithmetic onto raw columns; `==` pins every last bit.
+EX53_SERIES = {
+    (1.0, 0.0): (
+        0.6351351350874829,
+        {0: 0.9, 1: 0.487, 2: 0.74026, 5: 0.61179946507, 24: 0.6351391827346811},
+    ),
+    (1.0, 0.25): (
+        0.7263513512917871,
+        {0: 0.925, 1: 0.61525, 2: 0.805195, 5: 0.7088495988025, 24: 0.7263543870510107},
+    ),
+}
+
+SIX_STATE_SERIES = (
+    -0.0038723877855859823,
+    {
+        0: 0.10225729278569526,
+        1: 0.04378931423255643,
+        3: 0.0008390829058758098,
+        10: -0.003872637583105718,
+        40: -0.0038723878090288835,
+    },
+)
+
+
+@pytest.mark.parametrize("values", list(EX53_SERIES))
+def test_example_series_are_pinned(values, ex53_initial, ex53_precise_op, ab):
+    limit, evolved = EX53_SERIES[values]
+    h = Gamble(ab, values)
+    assert contamination_limit(ex53_precise_op, 0.1, h) == limit
+    for n, want in evolved.items():
+        assert contamination_evolve(ex53_initial, ex53_precise_op, 0.1, h, n) == want
+
+
+def test_series_refuse_a_gamble_on_another_space(ex53_initial, ex53_precise_op):
+    xy = StateSpace(["x", "y"])
+    h = Gamble(xy, [1.0, 0.0])
+    with pytest.raises(DimensionMismatch):
+        contamination_limit(ex53_precise_op, 0.1, h)
+    for n in (0, 2):
+        with pytest.raises(DimensionMismatch):
+            contamination_evolve(ex53_initial, ex53_precise_op, 0.1, h, n)
+
+
+def test_six_state_series_are_pinned():
+    rng = np.random.default_rng(2024)
+    space = StateSpace(list("abcdef"))
+    op = UpperTransitionOperator.from_matrix(space, rng.dirichlet(np.ones(6), size=6))
+    lo = rng.dirichlet(np.ones(6)) * 0.5
+    initial = ProbInterval(space, lo, np.minimum(lo + 0.3, 1.0))
+    h = Gamble(space, rng.uniform(-1, 1, 6))
+    limit, evolved = SIX_STATE_SERIES
+    assert contamination_limit(op, 0.2, h) == limit
+    for n, want in evolved.items():
+        assert contamination_evolve(initial, op, 0.2, h, n) == want
+
+
 class TestPreciseStationary:
     def test_example_boundary_matrix(self):
         op = UpperTransitionOperator.from_matrix(
@@ -205,10 +265,10 @@ class TestDetectCycle:
     def test_regular_operator_period_one(self, ex53_op, ab):
         rep = detect_cycle(ex53_op, ab.indicator(["a"]), tol=1e-10)
         assert rep.period == 1
-        assert rep.representative.max() - rep.representative.min() <= 1e-8
+        assert np.ptp(rep.representative.values) <= 1e-8
 
     def test_constant_gamble_immediate(self, cycle_op, ab):
-        rep = detect_cycle(cycle_op, ab.constant(0.4), tol=1e-12)
+        rep = detect_cycle(cycle_op, Gamble(ab, [0.4, 0.4]), tol=1e-12)
         assert rep.period == 1
         assert rep.iterations == 0
 
@@ -219,7 +279,7 @@ class TestDetectCycle:
         back = rep.representative
         for _ in range(rep.period):
             back = cycle_op.apply(back)
-        assert back.sup_dist(rep.representative) <= 1e-12
+        assert np.abs(back.values - rep.representative.values).max() <= 1e-12
 
     def test_max_iter_reached_raises(self, cycle_op, ab):
         # Five iterates (0 to 4) verify the 2-cycle; max_iter=3 stops at 3.
@@ -237,11 +297,11 @@ def _detect_cycle_ref(op, h, tol, max_iter):
             if len(history) < 2 * p + 1:
                 break
             if all(
-                history[-1 - j].sup_dist(history[-1 - j - p]) <= tol
+                np.abs(history[-1 - j].values - history[-1 - j - p].values).max() <= tol
                 for j in range(p + 1)
             ):
                 rep = history[-1 - 2 * p]
-                residual = history[-1 - p].sup_dist(rep)
+                residual = np.abs(history[-1 - p].values - rep.values).max()
                 return p, rep, residual, base + len(history) - 1 - 2 * p
         history.append(op.apply(history[-1]))
         if len(history) > 2 * max_period + 1:

@@ -46,18 +46,7 @@ def test_expectation_dimension_mismatch():
 def test_indicator_and_extremes():
     ind = AB.indicator(["a"])
     assert list(ind.values) == [1.0, 0.0]
-    assert Gamble(AB, [0.15, 0.85]).max() == pytest.approx(0.85)
-    assert Gamble(AB, [1, 0]).sup_dist(Gamble(AB, [0, 1])) == pytest.approx(1.0)
-
-
-def test_gamble_algebra():
-    g = Gamble(AB, [1.0, 2.0])
-    h = Gamble(AB, [0.5, -1.0])
-    assert list((g + h).values) == [1.5, 1.0]
-    assert list((g - h).values) == [0.5, 3.0]
-    assert list((2.0 * g).values) == [2.0, 4.0]
-    assert list(g.pointwise_max(h).values) == [1.0, 2.0]
-    assert list(g.pointwise_min(h).values) == [0.5, -1.0]
+    assert list((-Gamble(AB, [0.15, 0.85])).values) == [-0.15, -0.85]
 
 
 def test_gamble_rejects_nonfinite_and_wrong_shape():
@@ -183,7 +172,6 @@ def test_mass_rows_match_the_constructor():
 def test_event_membership_checked():
     with pytest.raises(KeyError, match=r"\['y', 'z'\]"):
         Event(AB, ["z", "a", "y"])
-    assert set(Event(AB, ["a"]).complement().members) == {"b"}
 
 
 def test_event_positions_are_sorted_state_positions():
@@ -214,7 +202,7 @@ finite = st.floats(min_value=-100, max_value=100, allow_nan=False)
 def test_expectation_is_linear(w, g, h, alpha, beta):
     m = MassFunction(AB, [w, 1 - w])
     gg, hh = Gamble(AB, g), Gamble(AB, h)
-    lhs = expectation(m, alpha * gg + beta * hh)
+    lhs = expectation(m, Gamble(AB, alpha * gg.values + beta * hh.values))
     rhs = alpha * expectation(m, gg) + beta * expectation(m, hh)
     assert lhs == pytest.approx(rhs, abs=1e-9)
 
@@ -223,7 +211,7 @@ def test_expectation_is_linear(w, g, h, alpha, beta):
 def test_expectation_within_extremes(w, h):
     m = MassFunction(AB, [w, 1 - w])
     hh = Gamble(AB, h)
-    assert hh.min() - 1e-12 <= expectation(m, hh) <= hh.max() + 1e-12
+    assert min(h) - 1e-12 <= expectation(m, hh) <= max(h) + 1e-12
 
 
 @given(w=st.floats(min_value=0.0, max_value=1.0))
