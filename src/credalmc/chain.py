@@ -18,20 +18,19 @@ horizon N has N - 1 transition steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .credal import CredalModel, SizeGuardError
-from .states import DimensionMismatch, Gamble, StateSpace, _check_space
+from .states import DimensionMismatch, Gamble, StateSpace, _check_space, frozen
 from .transition import UpperTransitionOperator
 
 #: Refuse to tabulate more initial paths than this in `path_mass_bounds`.
 PATH_GUARD = 2**12
 
 
-@dataclass(frozen=True)
+@frozen
 class PathGamble:
     """A real-valued map on length-N state sequences.
 
@@ -86,7 +85,7 @@ class PathGamble:
         return PathGamble(self.space, self.horizon, -self.values)
 
 
-@dataclass(frozen=True)
+@frozen
 class ImpreciseMarkovChain:
     """Initial credal model plus transition operator(s) and a horizon.
 

@@ -180,6 +180,9 @@ def _read_scenario(doc: dict) -> ImpreciseMarkovChain:
     space = StateSpace(_list(doc, "states"))
     if not all(isinstance(x, str) for x in space.labels):
         raise TypeError(f"state labels must be strings, got {list(space.labels)!r}")
+    if any(">" in x for x in space.labels):
+        # `_path_labels` joins labels with '>'; it must stay a separator.
+        raise ValueError(f"state labels must not contain '>', got {list(space.labels)!r}")
     initial = model_from_json(space, doc["initial"], "initial")
     horizon = doc["horizon"]
     if type(horizon) is not int or horizon < 1:

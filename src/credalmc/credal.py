@@ -54,7 +54,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -72,6 +71,7 @@ from .states import (
     _check_space,
     _freeze,
     _mass_rows,
+    frozen,
 )
 
 #: Refuse vertex enumerations over more candidate points than this.
@@ -243,7 +243,7 @@ def _guard(count: int, what: str) -> None:
         )
 
 
-@dataclass(frozen=True)
+@frozen
 class Linear(CredalModel):
     """The singleton credal set {m}; upper and lower coincide."""
 
@@ -265,7 +265,7 @@ class Linear(CredalModel):
         return [self.mass]
 
 
-@dataclass(frozen=True)
+@frozen
 class Vacuous(CredalModel):
     """The full simplex; upper(h) = max h, lower(h) = min h."""
 
@@ -285,7 +285,7 @@ class Vacuous(CredalModel):
         return [MassFunction.degenerate(self.space, x) for x in self.space]
 
 
-@dataclass(frozen=True)
+@frozen
 class VertexSet(CredalModel):
     """The convex hull of an explicit, nonempty list of mass functions."""
 
@@ -331,7 +331,7 @@ class VertexSet(CredalModel):
         return list(self.points)
 
 
-@dataclass(frozen=True)
+@frozen
 class Contamination(CredalModel):
     """Epsilon-contamination of a precise mass function.
 
@@ -377,7 +377,7 @@ class Contamination(CredalModel):
         return _vertex_list(self.space, W)
 
 
-@dataclass(frozen=True)
+@frozen
 class BeliefFunction(CredalModel):
     """A convex mixture of vacuous models on focal elements.
 
@@ -463,7 +463,7 @@ class BeliefFunction(CredalModel):
         return _vertex_list(self.space, W)
 
 
-@dataclass(frozen=True)
+@frozen
 class ProbInterval(CredalModel):
     """A credal set cut from the simplex by per-state mass bounds.
 

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DEFAULT_TOL, Gamble, MassFunction, _check_space
+from .states import DEFAULT_TOL, Gamble, MassFunction, _check_space, frozen
 from .transition import UpperTransitionOperator
 
 DEFAULT_MAX_ITER = 10**6
@@ -30,14 +29,14 @@ class NotRegularError(ValueError):
     """The operator failed the bounded regularity search."""
 
 
-@dataclass(frozen=True)
+@frozen
 class LimitReport:
     value: float
     iterations: int
     residual: float
 
 
-@dataclass(frozen=True)
+@frozen
 class CycleReport:
     period: int
     representative: Gamble
@@ -60,13 +59,14 @@ def limit_upper(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    for it in range(max_iter + 1):
+    for it in range(max_iter + 1):  # iterate `it` is T^it h
+        if it:
+            h = op.apply(h)
         residual = float(h.values.max()) - float(h.values.min())
         if residual <= tol:
             return LimitReport(float(h.values.max()), it, residual)
-        h = op.apply(h)
     raise ConvergenceError(
-        f"oscillation still {np.ptp(h.values):.3e} after {max_iter} iterations; "
+        f"oscillation still {residual:.3e} after {max_iter} iterations; "
         "the operator may not be regular - try detect_cycle"
     )
 

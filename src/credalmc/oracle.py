@@ -30,14 +30,13 @@ request so any gap is observable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .chain import ImpreciseMarkovChain, PathGamble
 from .credal import SizeGuardError
-from .states import MassFunction
+from .states import MassFunction, frozen
 
 #: Refuse enumerations with more assignments than this; in blocks, a
 #: guard-sized enumeration (839,808 trees on two states at horizon 4, three
@@ -51,7 +50,7 @@ ASSIGNMENT_GUARD = 2**20
 BLOCK_CELLS = 2**16
 
 
-@dataclass(frozen=True)
+@frozen
 class TreeAssignment:
     """One compatible tree: a mass function chosen at every situation.
 

@@ -4,13 +4,26 @@ Everything in this module is immutable after construction; arrays are
 frozen so values can be shared freely between threads.  The types
 validate input; the engine computes on their positional arrays.  The
 package's numeric tolerances are all defined here.
+
+The package's value types are declared with `frozen`, a class decorator
+that installs the same already-compiled methods on every class instead
+of generating code per class.  A class's fields are its own annotated
+attributes, in order; an attribute its `__init__` sets without an
+annotation (`Event.positions`, derived from `members`) is not a field.
+The decorator gives a field-wise `__init__` to a class that defines
+none, `__setattr__` and `__delattr__` that raise `AttributeError`, the
+repr ``Name(field=value, ...)``, and `==` and `hash` over the fields:
+instances of one class are equal when every field is, arrays compared
+element for element (so -0.0 equals 0.0 and `==` never raises), and
+arrays hash from the bytes of `a + 0.0`, which maps -0.0 to 0.0.  A
+field holding an unhashable value, such as a dict, makes the instance
+unhashable.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -49,13 +62,62 @@ class DimensionMismatch(ValueError):
     """Operands are defined on different state spaces."""
 
 
+def _init(self, *args, **kwargs):
+    """Field-wise `__init__` of a `frozen` class that defines none."""
+    names = self._fields
+    values = dict(zip(names, args), **kwargs)
+    if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
+        raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
+    vars(self).update(values)
+
+
+def _refuse(self, name, *value):
+    raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is frozen")
+
+
+def _repr(self) -> str:
+    fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+    return f"{type(self).__qualname__}({fields})"
+
+
+def _eq(self, other):
+    if other is self:
+        return True
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    for name in self._fields:
+        a, b = getattr(self, name), getattr(other, name)
+        if isinstance(a, np.ndarray):
+            if not np.array_equal(a, b):
+                return False
+        elif a != b:
+            return False
+    return True
+
+
+def _hash(self) -> int:
+    values = (getattr(self, name) for name in self._fields)
+    return hash(tuple((a + 0.0).tobytes() if isinstance(a, np.ndarray) else a for a in values))
+
+
+def frozen(cls):
+    """Make `cls` an immutable value type over its own annotated fields
+    (see the module docstring)."""
+    cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+    if "__init__" not in cls.__dict__:
+        cls.__init__ = _init
+    cls.__setattr__ = cls.__delattr__ = _refuse
+    cls.__repr__, cls.__eq__, cls.__hash__ = _repr, _eq, _hash
+    return cls
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a
 
 
-@dataclass(frozen=True)
+@frozen
 class StateSpace:
     """An ordered finite set of distinct state labels.
 
@@ -112,7 +174,7 @@ def _as_columns(space: StateSpace, H) -> np.ndarray:
     return H
 
 
-@dataclass(frozen=True)
+@frozen
 class Gamble:
     """A real-valued map on the state space, stored positionally."""
 
@@ -134,16 +196,16 @@ class Gamble:
         return Gamble(self.space, -self.values)
 
 
-@dataclass(frozen=True)
+@frozen
 class Event:
     """A subset of the state space.
 
-    `positions` holds the members' state positions in increasing order.
+    `positions` holds the members' state positions in increasing order;
+    it is derived from `members`, so not a field.
     """
 
     space: StateSpace
     members: frozenset[str]
-    positions: np.ndarray = field(compare=False, repr=False)
 
     def __init__(self, space: StateSpace, members: Iterable[str]):
         members = frozenset(members)
@@ -168,7 +230,7 @@ class Event:
         return mask
 
 
-@dataclass(frozen=True)
+@frozen
 class MassFunction:
     """A probability mass function on the state space.
 

@@ -17,17 +17,16 @@ already are in state order, as on every single-family operator.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .credal import Contamination, CredalModel, Linear, ProbInterval, _chunked, _step
 from .states import REGULARITY_EPS, DimensionMismatch, Gamble, MassFunction
-from .states import StateSpace, _as_columns, _check_space
+from .states import StateSpace, _as_columns, _check_space, frozen
 
 
-@dataclass(frozen=True)
+@frozen
 class UpperTransitionOperator:
     """The map h -> (x -> upper expectation of h under the row model at x)."""
 

@@ -609,11 +609,12 @@ _VALID_DOC = {
         ({"initial": 5}, "initial"),
         ({"states": [1, 2]}, "scenario"),
         ({"states": ["a", None]}, "scenario"),
+        ({"states": ["a", "a>a"]}, "scenario"),
     ],
     ids=["focal-int", "focal-entry-int", "points-int", "rows-int", "states-int",
          "queries-int", "horizon-bool", "states-str", "queries-str",
          "transition-list-length", "members-str", "initial-int", "states-int-labels",
-         "states-null-label"],
+         "states-null-label", "states-path-separator"],
 )
 def test_malformed_scenario_exits_2(capsys, tmp_path, patch, where):
     p = tmp_path / "bad.json"

@@ -97,6 +97,24 @@ class TestLimitUpper:
         assert report.iterations > 0
         assert len(calls) == report.iterations
 
+    @pytest.mark.parametrize("max_iter", [0, 1, 3])
+    def test_failure_stops_after_max_iter_applies(self, cycle_op, ab, max_iter, monkeypatch):
+        calls = []
+        apply = UpperTransitionOperator.apply
+
+        def counted(self, h):
+            calls.append(h)
+            return apply(self, h)
+
+        monkeypatch.setattr(UpperTransitionOperator, "apply", counted)
+        with pytest.raises(ConvergenceError) as caught:
+            limit_upper(cycle_op, ab.indicator(["a"]), max_iter=max_iter)
+        assert len(calls) == max_iter
+        # The 2-cycle keeps the oscillation of the last checked iterate at 1.
+        assert str(caught.value).startswith(
+            f"oscillation still 1.000e+00 after {max_iter} iterations;"
+        )
+
 
 class TestContaminationLimit:
     def test_matches_iteration(self, ex53_precise_op, ex53_op, ab):
