@@ -54,9 +54,7 @@ class PathGamble:
                 f"path gamble table must have shape {expect}, got {values.shape}"
             )
         values.setflags(write=False)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "horizon", horizon)
-        object.__setattr__(self, "values", values)
+        vars(self).update(space=space, horizon=horizon, values=values)
 
     @classmethod
     def from_gamble(cls, h: Gamble, time: int, horizon: int) -> "PathGamble":
@@ -119,10 +117,9 @@ class ImpreciseMarkovChain:
         for op in ops:
             if op.space != space:
                 raise DimensionMismatch("operator on a different state space")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "transitions", transitions)
-        object.__setattr__(self, "horizon", horizon)
+        vars(self).update(
+            space=space, initial=initial, transitions=transitions, horizon=horizon
+        )
 
     @property
     def stationary(self) -> bool:

@@ -72,12 +72,8 @@ from .limits import (
 from .states import Event, Gamble, MassFunction, StateSpace
 from .transition import UpperTransitionOperator
 
-class ScenarioError(ValueError):
+class ScenarioError(CredalValidationError):
     """A scenario file failed to parse or validate; `code` names the failure."""
-
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
 
 
 # ----------------------------------------------------------------------
@@ -89,8 +85,8 @@ def _parse(where: str, obj, read):
 
     A missing field or unknown tag (KeyError), a bad value (ValueError) or
     a wrong shape (TypeError) becomes ``ScenarioError("schema-error")``
-    prefixed with `where`.  Credal validation errors and scenario errors
-    raised further down, which carry their own path, pass through.
+    prefixed with `where`.  Credal validation errors raised further down,
+    scenario errors among them, carry their own path and pass through.
     """
     if not isinstance(obj, dict):
         raise ScenarioError(
@@ -98,7 +94,7 @@ def _parse(where: str, obj, read):
         )
     try:
         return read(obj)
-    except (CredalValidationError, ScenarioError):
+    except CredalValidationError:
         raise
     except KeyError as exc:
         message = f"{where}: missing or unknown {exc}"
@@ -490,9 +486,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         run(args.command, load_scenario(args.scenario), args)
-    except (ScenarioError, CredalValidationError) as exc:
-        code = getattr(exc, "code", "invalid")
-        print(f"error:{code}: {exc}", file=sys.stderr)
+    except CredalValidationError as exc:
+        print(f"error:{exc.code}: {exc}", file=sys.stderr)
         return 2
     except (ConvergenceError, NotRegularError, oracle.SizeGuardError) as exc:
         name = type(exc).__name__

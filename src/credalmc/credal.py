@@ -10,14 +10,14 @@ Each family has one numeric kernel on raw arrays: `stack(rows)` packs
 the parameters of m models of that family, and
 `kernel(params, H, out, hmax, Ht)` writes the upper expectations of the
 k columns of a gamble matrix H of shape (s, k) under each of them into
-the (m, k) block `out`.  The caller computes two views of H once and
-shares them: `hmax`, the column maximum `H.max(axis=0)`, for the
+the (m, k) block `out`.  `_plan(rows)` stacks the rows of an upper
+transition operator, or a model's one row, family by family, and
+`_step` runs one step through the plan, sharing two views of H that it
+computes once: `hmax`, the column maximum `H.max(axis=0)`, for the
 families that read it (`reads_max`: Vacuous and Contamination; the
 others get None), and for k > 1 `Ht`, a C-contiguous (k, s) copy of
 `H.T`, which the families with a matrix product and ProbInterval read
-(None at k = 1).  `_step` runs one step for upper transition operators,
-which stack their rows once and give each family its row block of one
-output array, and for a model's own `upper_many`, one block of one row.
+(None at k = 1).
 
 Every kernel is column-exact: column j of its block has the same bits
 whatever the other columns and the batch width k, so a batched query
@@ -35,11 +35,10 @@ to right.  Either order holds for every k.  `np.add.reduceat` sums a
 segment a0, a1, ..., an as a0 + (a1 + ... + an), in every column and
 for every k, the parenthesis being numpy's sum of a contiguous 1-D
 array: left to right for a segment of fewer than nine rows, pairwise
-from nine on.  Maxima are
-exact in any order, so a padded table that repeats a member, or a
-reshape, gives the bits of `np.maximum.reduceat`.  `upper_many` and
-`UpperTransitionOperator.apply_many` split wide batches into column
-chunks (`_chunked`), which column-exactness makes bit-neutral.
+from nine on.  Maxima are exact in any order, so a padded table that
+repeats a member, or a reshape, gives the bits of `np.maximum.reduceat`.
+`_step` splits wide batches into column chunks, which column-exactness
+makes bit-neutral.
 
 Every model also exposes `lower(h)` (the conjugate of `upper`) and
 `vertices()` (a finite spanning set containing all extreme points),
@@ -66,7 +65,6 @@ from .states import (
     Gamble,
     MassFunction,
     StateSpace,
-    _FEAS_TOL,
     _as_columns,
     _check_space,
     _freeze,
@@ -119,7 +117,7 @@ class CredalModel:
     @functools.cached_property
     def _plan(self):
         """This model as a row-block plan of one block of one row."""
-        return ((self.kernel, self.stack([self]), slice(0, 1)),), None, self.reads_max
+        return _plan((self,))
 
     @functools.cached_property
     def _vertex_array(self) -> np.ndarray:
@@ -130,7 +128,7 @@ class CredalModel:
 
     def upper_many(self, H: np.ndarray) -> np.ndarray:
         """Upper expectations of the k columns of a raw (s, k) array."""
-        return _chunked(self._plan, _as_columns(self.space, H))[0]
+        return _step(self._plan, _as_columns(self.space, H))[0]
 
     def upper(self, h: Gamble) -> float:
         """Maximum linear expectation of h over the credal set."""
@@ -157,15 +155,21 @@ def _vertex_list(space: StateSpace, W: np.ndarray) -> list[MassFunction]:
     return [MassFunction._stored(space, W[i]) for i in kept]
 
 
-def _chunked(plan, H: np.ndarray) -> np.ndarray:
-    """`_step(plan, H)` on an (s, k) H, made in column chunks of at most
-    CHUNK_CELLS // s**2 columns and joined along the last axis."""
-    width = max(1, CHUNK_CELLS // H.shape[0] ** 2)
-    if H.shape[1] <= width:
-        return _step(plan, H)
-    return np.concatenate(
-        [_step(plan, H[:, j : j + width]) for j in range(0, H.shape[1], width)], axis=-1
-    )
+def _plan(rows: Sequence[CredalModel]):
+    """The row-block plan (blocks, inverse, reads_max) of `rows`: one
+    (kernel, stacked parameters, output row slice) per family, in order
+    of first appearance; `inverse` takes that order back to row order
+    (None for the identity); `reads_max` says whether a kernel reads hmax."""
+    groups: dict[type, list[int]] = {}
+    for i, row in enumerate(rows):
+        groups.setdefault(type(row), []).append(i)
+    blocks, order = [], []
+    for cls, idx in groups.items():
+        params = cls.stack([rows[i] for i in idx])
+        blocks.append((cls.kernel, params, slice(len(order), len(order) + len(idx))))
+        order += idx
+    inverse = None if order == list(range(len(order))) else np.argsort(order)
+    return tuple(blocks), inverse, any(cls.reads_max for cls in groups)
 
 
 def _step(plan, H: np.ndarray) -> np.ndarray:
@@ -174,7 +178,12 @@ def _step(plan, H: np.ndarray) -> np.ndarray:
     of one fresh (s, k) output (a model's one block writes row 0 only),
     `hmax` is computed once if `reads_max`, and for k > 1 one contiguous
     `H.T` is shared.  `inverse`, unless None, takes the rows back to
-    state order."""
+    state order.  Batches wider than CHUNK_CELLS // s**2 columns step in
+    chunks of that width, joined along the last axis."""
+    width = max(1, CHUNK_CELLS // H.shape[0] ** 2)
+    if H.shape[1] > width:
+        chunks = [_step(plan, H[:, j : j + width]) for j in range(0, H.shape[1], width)]
+        return np.concatenate(chunks, axis=-1)
     blocks, inverse, reads_max = plan
     out = np.empty(H.shape)
     hmax = H.max(axis=0) if reads_max else None
@@ -303,8 +312,7 @@ class VertexSet(CredalModel):
                 raise CredalValidationError(
                     "space-mismatch", "vertex defined on a different space"
                 )
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "points", points)
+        vars(self).update(space=space, points=points)
 
     @classmethod
     def stack(cls, rows):
@@ -350,8 +358,7 @@ class Contamination(CredalModel):
                 "epsilon-out-of-range",
                 f"contamination epsilon must lie in (0, 1), got {epsilon}",
             )
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "epsilon", epsilon)
+        vars(self).update(base=base, epsilon=epsilon)
 
     @property
     def space(self) -> StateSpace:
@@ -414,8 +421,7 @@ class BeliefFunction(CredalModel):
             raise CredalValidationError(
                 "mass-sum-violation", f"focal masses sum to {total}, not 1"
             )
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "focal", focal)
+        vars(self).update(space=space, focal=focal)
 
     @classmethod
     def stack(cls, rows):
@@ -494,24 +500,21 @@ class ProbInterval(CredalModel):
                 "empty-credal-set",
                 "need 0 <= lower <= upper <= 1 for every state",
             )
-        if lo.sum() > 1 + MASS_TOL or up.sum() < 1 - MASS_TOL:
+        lo_sum, up_sum = lo.sum(), up.sum()
+        if lo_sum > 1 + MASS_TOL or up_sum < 1 - MASS_TOL:
             raise CredalValidationError(
                 "empty-credal-set",
-                f"sum of lower bounds {lo.sum()} and upper bounds {up.sum()} "
+                f"sum of lower bounds {lo_sum} and upper bounds {up_sum} "
                 "leave no mass function in the set",
             )
         # Reachability: every bound must be attained by some member.
-        for i in range(n):
-            others_up = up.sum() - up[i]
-            others_lo = lo.sum() - lo[i]
-            if lo[i] + others_up < 1 - MASS_TOL or up[i] + others_lo > 1 + MASS_TOL:
-                raise CredalValidationError(
-                    "non-reachable-bounds",
-                    f"bounds for state {space.labels[i]!r} cannot be attained",
-                )
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "lower_mass", lo)
-        object.__setattr__(self, "upper_mass", up)
+        unreachable = (lo + (up_sum - up) < 1 - MASS_TOL) | (up + (lo_sum - lo) > 1 + MASS_TOL)
+        if unreachable.any():
+            raise CredalValidationError(
+                "non-reachable-bounds",
+                f"bounds for state {space.labels[unreachable.argmax()]!r} cannot be attained",
+            )
+        vars(self).update(space=space, lower_mass=lo, upper_mass=up)
 
     def event_upper(self, members) -> float:
         """Upper probability of an event: min of the two interval cuts."""
@@ -569,7 +572,7 @@ class ProbInterval(CredalModel):
         bounds = np.where(bits, up[rest][:, None, :], lo[rest][:, None, :])
         w = 1.0 - bounds.sum(axis=2)
         lo_f, up_f = lo[:, None], up[:, None]
-        feasible = (lo_f - _FEAS_TOL <= w) & (w <= up_f + _FEAS_TOL)
+        feasible = (lo_f - MASS_TOL <= w) & (w <= up_f + MASS_TOL)
         # Candidate W[f, p] puts bounds[f, p] on rest[f] and w[f, p],
         # clipped to min(max(w, lo), up), on f; on a tie np.clip can
         # differ only in the sign of a zero, which the mass function's

@@ -17,7 +17,8 @@ instances of one class are equal when every field is, arrays compared
 element for element (so -0.0 equals 0.0 and `==` never raises), and
 arrays hash from the bytes of `a + 0.0`, which maps -0.0 to 0.0.  A
 field holding an unhashable value, such as a dict, makes the instance
-unhashable.
+unhashable.  Every constructor, that `__init__` included, writes its
+attributes with one `vars(self).update(...)`.
 """
 
 from __future__ import annotations
@@ -44,9 +45,6 @@ VERTEX_DEDUP_TOL = 1e-12
 
 #: Slack on a single focal mass or interval bound (sums use MASS_TOL).
 BOUND_SLACK = 1e-12
-
-#: Feasibility slack used in ProbInterval vertex enumeration.
-_FEAS_TOL = 1e-9
 
 #: Strict-positivity threshold for the regularity test.  Exact zeros
 #: arise structurally (cycles); anything materially positive at desk
@@ -133,7 +131,7 @@ class StateSpace:
             raise ValueError("state space must contain at least one state")
         if len(set(labels)) != len(labels):
             raise ValueError("state labels must be unique")
-        object.__setattr__(self, "labels", labels)
+        vars(self).update(labels=labels)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -189,8 +187,7 @@ class Gamble:
             )
         if not np.isfinite(values).all():
             raise ValueError("gamble values must be finite")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "values", values)
+        vars(self).update(space=space, values=values)
 
     def __neg__(self) -> "Gamble":
         return Gamble(self.space, -self.values)
@@ -217,9 +214,7 @@ class Event:
             raise KeyError(f"unknown states in event: {unknown}") from None
         positions.sort()
         positions.setflags(write=False)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "positions", positions)
+        vars(self).update(space=space, members=members, positions=positions)
 
     def indicator(self) -> Gamble:
         return Gamble(self.space, self.mask())
@@ -262,15 +257,13 @@ class MassFunction:
         if abs(total - 1.0) > RENORM_ULPS * len(space) * _EPS:
             weights = weights / total
         weights.setflags(write=False)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "weights", weights)
+        vars(self).update(space=space, weights=weights)
 
     @classmethod
     def _stored(cls, space: StateSpace, weights: np.ndarray) -> "MassFunction":
         """A mass function holding `weights`, a frozen row of `_mass_rows`."""
         m = object.__new__(cls)
-        object.__setattr__(m, "space", space)
-        object.__setattr__(m, "weights", weights)
+        vars(m).update(space=space, weights=weights)
         return m
 
     @classmethod

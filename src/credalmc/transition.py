@@ -1,11 +1,12 @@
 """Upper transition operators: one credal model per source state.
 
-On first use the operator builds a row-block plan: the rows are grouped
-by credal family, in order of each family's first row, and every
-family's parameters are stacked once.  One step on an (s, k) gamble
-array, `credal._step`, then fills a single (s, k) output in which each
-family writes its rows as one contiguous block, with one kernel call
-per family present (per family and column chunk when k exceeds
+On first use the operator has `credal._plan` build the row-block plan
+of its rows: the rows grouped by credal family, in order of each
+family's first row, and each family's parameters packed once.  Every
+step on an (s, k) gamble array is then one `credal._step` through the
+plan.  It fills a single (s, k) output in which each family writes its
+rows as one contiguous block, in one call per family present (and per
+column chunk, which `_step` makes when k exceeds
 `credal.CHUNK_CELLS // s**2`).  The column maximum of the gambles is
 computed once per step, and only if a family present reads it.  A step
 on more than one column also makes one contiguous transposed copy of
@@ -21,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .credal import Contamination, CredalModel, Linear, ProbInterval, _chunked, _step
+from .credal import Contamination, CredalModel, Linear, ProbInterval, _plan, _step
 from .states import REGULARITY_EPS, DimensionMismatch, Gamble, MassFunction
 from .states import StateSpace, _as_columns, _check_space, frozen
 
@@ -42,8 +43,7 @@ class UpperTransitionOperator:
         for r in rows:
             if r.space != space:
                 raise DimensionMismatch("row model on a different state space")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "rows", rows)
+        vars(self).update(space=space, rows=rows)
 
     @classmethod
     def from_matrix(cls, space: StateSpace, matrix) -> "UpperTransitionOperator":
@@ -71,6 +71,10 @@ class UpperTransitionOperator:
         """Probability-interval rows from lower/upper Markov matrices."""
         lower = np.asarray(lower, dtype=float)
         upper = np.asarray(upper, dtype=float)
+        if lower.shape != upper.shape:
+            raise DimensionMismatch(
+                f"interval lower {lower.shape} and upper {upper.shape} differ in shape"
+            )
         return cls(
             space, [ProbInterval(space, lo, up) for lo, up in zip(lower, upper)]
         )
@@ -80,25 +84,8 @@ class UpperTransitionOperator:
 
     @functools.cached_property
     def _plan(self):
-        """(blocks, inverse, reads_max) of the row-block plan.
-
-        `blocks` holds (kernel, stacked parameters, row slice) per family,
-        the slices tiling the output in order of first appearance;
-        `inverse` maps the block order back to state order, or is None
-        for the identity; `reads_max` says whether a kernel reads hmax.
-        """
-        groups: dict[type, list[int]] = {}
-        for i, row in enumerate(self.rows):
-            groups.setdefault(type(row), []).append(i)
-        blocks, order = [], []
-        for cls, idx in groups.items():
-            params = cls.stack([self.rows[i] for i in idx])
-            blocks.append((cls.kernel, params, slice(len(order), len(order) + len(idx))))
-            order += idx
-        inverse = None
-        if order != list(range(len(order))):
-            inverse = np.argsort(order)
-        return tuple(blocks), inverse, any(cls.reads_max for cls in groups)
+        """The row-block plan of the rows (see `credal._plan`)."""
+        return _plan(self.rows)
 
     @functools.cached_property
     def _mass_bounds(self) -> tuple[np.ndarray, np.ndarray]:
@@ -108,11 +95,11 @@ class UpperTransitionOperator:
 
     def apply_many(self, H) -> np.ndarray:
         """Apply the operator to each column of a raw (s, k) array."""
-        return _chunked(self._plan, _as_columns(self.space, H))
+        return _step(self._plan, _as_columns(self.space, H))
 
     def apply(self, h: Gamble) -> Gamble:
         _check_space(self, h)
-        # One column never chunks, and the space check fixes its shape.
+        # The space check fixes the column's shape, so `_as_columns` is skipped.
         return Gamble(self.space, _step(self._plan, h.values[:, None])[:, 0])
 
     def apply_lower(self, h: Gamble) -> Gamble:

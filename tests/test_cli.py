@@ -610,11 +610,20 @@ _VALID_DOC = {
         ({"states": [1, 2]}, "scenario"),
         ({"states": ["a", None]}, "scenario"),
         ({"states": ["a", "a>a"]}, "scenario"),
+        (
+            {"transition": {"type": "interval", "lower": [[0.4, 0.4]] * 2, "upper": [[0.6, 0.6]] * 3}},
+            "transition",
+        ),
+        (
+            {"transition": {"type": "interval", "lower": [[0.4, 0.4]] * 3, "upper": [[0.6, 0.6]] * 2}},
+            "transition",
+        ),
     ],
     ids=["focal-int", "focal-entry-int", "points-int", "rows-int", "states-int",
          "queries-int", "horizon-bool", "states-str", "queries-str",
          "transition-list-length", "members-str", "initial-int", "states-int-labels",
-         "states-null-label", "states-path-separator"],
+         "states-null-label", "states-path-separator", "interval-upper-longer",
+         "interval-lower-longer"],
 )
 def test_malformed_scenario_exits_2(capsys, tmp_path, patch, where):
     p = tmp_path / "bad.json"

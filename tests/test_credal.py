@@ -18,7 +18,7 @@ from credalmc import (
     VertexSet,
     expectation,
 )
-from credalmc.states import _FEAS_TOL, VERTEX_DEDUP_TOL
+from credalmc.states import MASS_TOL, VERTEX_DEDUP_TOL
 from helpers import FAMILIES, random_gamble, random_model, run_kernel
 
 AB = StateSpace(["a", "b"])
@@ -55,6 +55,12 @@ class TestValidation:
         # m(a) can never reach 0.05: the other mass tops out at 0.5.
         with pytest.raises(CredalValidationError) as exc:
             ProbInterval(AB, [0.05, 0.3], [0.9, 0.5])
+        assert exc.value.code == "non-reachable-bounds"
+
+    def test_non_reachable_bounds_name_the_first_failing_state(self):
+        # a is reachable; m(b) can never reach 0.9: a and c hold at least 0.2.
+        with pytest.raises(CredalValidationError, match="state 'b' cannot") as exc:
+            ProbInterval(ABC, [0.1, 0.0, 0.1], [0.5, 0.9, 0.5])
         assert exc.value.code == "non-reachable-bounds"
 
     def test_belief_mass_sum(self):
@@ -330,7 +336,7 @@ def _reference_interval_vertices(m):
             for i, bit in zip(rest, pattern):
                 w[i] = up[i] if bit else lo[i]
             w[free] = 1.0 - w[rest].sum()
-            if lo[free] - _FEAS_TOL <= w[free] <= up[free] + _FEAS_TOL:
+            if lo[free] - MASS_TOL <= w[free] <= up[free] + MASS_TOL:
                 w[free] = min(max(w[free], lo[free]), up[free])
                 out.append(MassFunction(m.space, w))
     return _reference_dedup(out)

@@ -456,7 +456,7 @@ def test_chunked_calls_equal_one_call(monkeypatch):
 
     monkeypatch.setattr(credal, "CHUNK_CELLS", 3 * s**2)
     plan = ((kernel, initial._plan[0][0][1], slice(0, 1)),), None, False
-    assert np.array_equal(credal._chunked(plan, H)[0], whole_initial)
+    assert np.array_equal(credal._step(plan, H)[0], whole_initial)
     assert widths == [3] * 16 + [2]
     assert np.array_equal(op.apply_many(H), whole_op)
     assert np.array_equal(initial.upper_many(H), whole_initial)
