@@ -28,6 +28,16 @@ Transition operators::
     {"type": "contamination", "matrix": [[...], ...], "epsilon": 0.1}
     {"type": "interval", "lower": [[...], ...], "upper": [[...], ...]}
 
+A `rows` operator is read family by family.  Its rows are grouped by
+type tag.  The `linear`, `contamination` and `vertices` rows of a group
+have their mass vectors validated as one array, and that array is the
+family's kernel parameters.  `belief`, `prob_interval` and `vacuous`
+rows are read one at a time and stacked.  The operator leaves the
+reader with its row-block plan built.  If the operator is malformed
+anywhere, its rows are read again one at a time, so the error names
+its row, as in ``transition[1].rows[2]: ...``, and is the error a
+row-by-row reader gives.
+
 All commands print CSV with a header row on stdout; numbers carry 12
 significant digits, making output byte-stable across runs.  A command
 returns its table as columns, and `_emit` writes a block of rows with
@@ -146,12 +156,58 @@ _MODELS = {
 }
 _MODEL_TAGS = {cls: tag for tag, (cls, _, _) in _MODELS.items()}
 
+#: JSON tag -> read(space, objs) -> (models, stacked parameters), for the
+#: families whose rows of one operator are validated as one array.
+_BLOCKS = {
+    "linear": lambda sp, objs: Linear.block(sp, [o["mass"] for o in objs]),
+    "vertices": lambda sp, objs: VertexSet.block(sp, [_list(o, "points") for o in objs]),
+    "contamination": lambda sp, objs: Contamination.block(
+        sp, [o["base"] for o in objs], [o["epsilon"] for o in objs]
+    ),
+}
+
+
+def _rows_by_family(space: StateSpace, objs) -> UpperTransitionOperator:
+    """The operator of the row objects `objs`, read family by family.
+
+    Rows are grouped by type tag, in order of each tag's first row.  A
+    family in `_BLOCKS` is read as one block whose validated arrays are
+    its kernel parameters; the others are read row by row and stacked.
+    The operator comes with its row-block plan built.  Raises on any
+    malformed input, without saying which row is at fault."""
+    if not (isinstance(objs, list) and all(isinstance(o, dict) for o in objs)):
+        raise TypeError("rows must be a list of objects")
+    groups: dict[str, list[int]] = {}
+    for i, o in enumerate(objs):
+        groups.setdefault(o["type"], []).append(i)
+    blocks = []
+    for tag, idx in groups.items():
+        cls, read, _ = _MODELS[tag]
+        block = [objs[i] for i in idx]
+        if tag in _BLOCKS:
+            models, params = _BLOCKS[tag](space, block)
+        else:
+            models = [read(space, o) for o in block]
+            params = cls.stack(models)
+        blocks.append((cls, models, params, idx))
+    return UpperTransitionOperator._from_blocks(space, blocks)
+
+
+def _read_rows(space: StateSpace, obj: dict, where: str) -> UpperTransitionOperator:
+    """A `rows` operator, read family by family; on any error the rows
+    are read again one by one, so the error names its row as
+    ``<where>.rows[<i>]``."""
+    try:
+        return _rows_by_family(space, obj["rows"])
+    except Exception:
+        rows = obj["rows"]
+        models = [model_from_json(space, r, f"{where}.rows[{i}]") for i, r in enumerate(rows)]
+        return UpperTransitionOperator(space, models)
+
+
 #: JSON tag -> read(space, obj, where) -> operator.
 _OPERATORS = {
-    "rows": lambda sp, o, where: UpperTransitionOperator(
-        sp,
-        [model_from_json(sp, r, f"{where}.rows[{i}]") for i, r in enumerate(o["rows"])],
-    ),
+    "rows": _read_rows,
     "matrix": lambda sp, o, where: UpperTransitionOperator.from_matrix(sp, o["matrix"]),
     "contamination": lambda sp, o, where: UpperTransitionOperator.contamination_of(
         sp, o["matrix"], o["epsilon"]

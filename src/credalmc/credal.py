@@ -10,8 +10,17 @@ Each family has one numeric kernel on raw arrays: `stack(rows)` packs
 the parameters of m models of that family, and
 `kernel(params, H, out, hmax, Ht)` writes the upper expectations of the
 k columns of a gamble matrix H of shape (s, k) under each of them into
-the (m, k) block `out`.  `_plan(rows)` stacks the rows of an upper
-transition operator, or a model's one row, family by family, and
+the (m, k) block `out`.  A row-block plan holds one such block per
+family; `_assemble` lays the blocks out (block order, output slices,
+the permutation back to row order) from (family, parameters, row
+positions) triples.  A plan comes from one of two places.  `_plan(rows)`
+stacks row objects family by family: an operator built from Python
+rows, or a model's one row, builds it so on first use.  The array
+constructors `Linear.block`, `Contamination.block` and
+`VertexSet.block` validate a whole family's mass vectors as one array
+and return the models together with their parameters, which are those
+validated arrays; the JSON reader and the matrix constructors of
+`UpperTransitionOperator` assemble the plan from them at construction.
 `_step` runs one step through the plan, sharing two views of H that it
 computes once: `hmax`, the column maximum `H.max(axis=0)`, for the
 families that read it (`reads_max`: Vacuous and Contamination; the
@@ -155,37 +164,47 @@ def _vertex_list(space: StateSpace, W: np.ndarray) -> list[MassFunction]:
     return [MassFunction._stored(space, W[i]) for i in kept]
 
 
+def _assemble(families):
+    """The row-block plan (blocks, inverse, reads_max) of `families`,
+    (family, stacked parameters, row positions) triples in block order:
+    one (kernel, parameters, output row slice) block per family, the
+    slices tiling the rows in turn; `inverse` takes block order back to
+    row order (None for the identity); `reads_max` says whether a kernel
+    reads hmax."""
+    blocks, order = [], []
+    for cls, params, positions in families:
+        blocks.append((cls.kernel, params, slice(len(order), len(order) + len(positions))))
+        order += positions
+    inverse = None if order == list(range(len(order))) else np.argsort(order)
+    return tuple(blocks), inverse, any(cls.reads_max for cls, _, _ in families)
+
+
 def _plan(rows: Sequence[CredalModel]):
-    """The row-block plan (blocks, inverse, reads_max) of `rows`: one
-    (kernel, stacked parameters, output row slice) per family, in order
-    of first appearance; `inverse` takes that order back to row order
-    (None for the identity); `reads_max` says whether a kernel reads hmax."""
+    """The row-block plan of `rows`: each family's rows stacked, the
+    families in order of first appearance."""
     groups: dict[type, list[int]] = {}
     for i, row in enumerate(rows):
         groups.setdefault(type(row), []).append(i)
-    blocks, order = [], []
-    for cls, idx in groups.items():
-        params = cls.stack([rows[i] for i in idx])
-        blocks.append((cls.kernel, params, slice(len(order), len(order) + len(idx))))
-        order += idx
-    inverse = None if order == list(range(len(order))) else np.argsort(order)
-    return tuple(blocks), inverse, any(cls.reads_max for cls in groups)
+    return _assemble(
+        [(cls, cls.stack([rows[i] for i in idx]), idx) for cls, idx in groups.items()]
+    )
 
 
 def _step(plan, H: np.ndarray) -> np.ndarray:
     """One step on the (s, k) array H through a row-block plan (blocks,
     inverse, reads_max): each (kernel, params, rows) block writes its rows
-    of one fresh (s, k) output (a model's one block writes row 0 only),
-    `hmax` is computed once if `reads_max`, and for k > 1 one contiguous
-    `H.T` is shared.  `inverse`, unless None, takes the rows back to
-    state order.  Batches wider than CHUNK_CELLS // s**2 columns step in
-    chunks of that width, joined along the last axis."""
+    of one fresh (rows, k) output, `rows` being where the last block's
+    slice stops (1 for a model's one-row plan), `hmax` is computed once
+    if `reads_max`, and for k > 1 one contiguous `H.T` is shared.
+    `inverse`, unless None, takes the rows back to state order.  Batches
+    wider than CHUNK_CELLS // s**2 columns step in chunks of that width,
+    joined along the last axis."""
     width = max(1, CHUNK_CELLS // H.shape[0] ** 2)
     if H.shape[1] > width:
         chunks = [_step(plan, H[:, j : j + width]) for j in range(0, H.shape[1], width)]
         return np.concatenate(chunks, axis=-1)
     blocks, inverse, reads_max = plan
-    out = np.empty(H.shape)
+    out = np.empty((blocks[-1][2].stop, H.shape[1]))
     hmax = H.max(axis=0) if reads_max else None
     Ht = np.ascontiguousarray(H.T) if H.shape[1] > 1 else None
     for kernel, params, rows in blocks:
@@ -266,6 +285,14 @@ class Linear(CredalModel):
     def stack(cls, rows):
         return np.array([r.mass.weights for r in rows])
 
+    @classmethod
+    def block(cls, space: StateSpace, weights):
+        """`[Linear(MassFunction(space, w)) for w in weights]` and their
+        `stack`, which is the one validated array the masses store.
+        Raises what that loop raises first."""
+        W = _mass_rows(space, weights)
+        return [cls(MassFunction._stored(space, w)) for w in W], W
+
     @staticmethod
     def kernel(W, H, out, hmax, Ht):
         _gemv(W, H, Ht, out)
@@ -317,7 +344,22 @@ class VertexSet(CredalModel):
     @classmethod
     def stack(cls, rows):
         P = np.array([p.weights for r in rows for p in r.points])
-        counts = [len(r.points) for r in rows]
+        return cls._params(P, [len(r.points) for r in rows])
+
+    @classmethod
+    def block(cls, space: StateSpace, point_lists):
+        """The vertex sets of the `point_lists`, one list of mass vectors
+        each, and their `stack`, all points validated as one array.
+        Raises if any row would be rejected."""
+        counts = [len(points) for points in point_lists]
+        P = _mass_rows(space, [p for points in point_lists for p in points])
+        points = [MassFunction._stored(space, p) for p in P]
+        ends = list(itertools.accumulate(counts))
+        rows = [cls(space, points[e - c : e]) for c, e in zip(counts, ends)]
+        return rows, cls._params(P, counts)
+
+    @staticmethod
+    def _params(P, counts):
         width = counts[0] if len(set(counts)) == 1 else None
         return P, _starts(counts), width
 
@@ -339,6 +381,14 @@ class VertexSet(CredalModel):
         return list(self.points)
 
 
+def _refused(epsilon) -> bool:
+    """Whether `Contamination` refuses `epsilon`."""
+    try:
+        return not 0.0 < float(epsilon) < 1.0
+    except (TypeError, ValueError, OverflowError):
+        return True
+
+
 @frozen
 class Contamination(CredalModel):
     """Epsilon-contamination of a precise mass function.
@@ -353,7 +403,7 @@ class Contamination(CredalModel):
 
     def __init__(self, base: MassFunction, epsilon: float):
         epsilon = float(epsilon)
-        if not (0.0 < epsilon < 1.0):
+        if _refused(epsilon):
             raise CredalValidationError(
                 "epsilon-out-of-range",
                 f"contamination epsilon must lie in (0, 1), got {epsilon}",
@@ -366,7 +416,22 @@ class Contamination(CredalModel):
 
     @classmethod
     def stack(cls, rows):
-        B = np.array([r.base.weights for r in rows])
+        return cls._params(np.array([r.base.weights for r in rows]), rows)
+
+    @classmethod
+    def block(cls, space: StateSpace, bases, epsilons):
+        """`[Contamination(MassFunction(space, b), e) for b, e in
+        zip(bases, epsilons)]` and their `stack`, the bases validated as
+        one array.  Raises what that loop raises first: a base is checked
+        before its own epsilon, so only the bases up to the first refused
+        epsilon are checked before it."""
+        last = next((i for i, e in enumerate(epsilons) if _refused(e)), len(bases))
+        B = _mass_rows(space, bases[: last + 1])
+        rows = [cls(MassFunction._stored(space, b), e) for b, e in zip(B, epsilons)]
+        return rows, cls._params(B, rows)
+
+    @staticmethod
+    def _params(B, rows):
         eps = np.array([[r.epsilon] for r in rows])
         return B, 1.0 - eps, eps
 

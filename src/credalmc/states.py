@@ -277,13 +277,20 @@ def _mass_rows(space: StateSpace, W: np.ndarray) -> np.ndarray:
     """The weights `MassFunction(space, w)` stores, for every row w of the
     (c, |space|) array W, bit for bit, as one frozen array.
 
-    Raises the constructor's error for the first row it would reject."""
+    Raises the constructor's error for the first row it would reject: on
+    an array that is not (c, |space|), a row of the wrong width."""
     W = np.array(W, dtype=float)
+    if W.ndim != 2 or W.shape[1] != len(space):
+        # The first row raises; a 0-d W raises TypeError, as iterating it does.
+        for w in W:
+            MassFunction(space, w)
+        W = W.reshape(0, len(space))  # W has no rows
     lo, hi, total = W.min(axis=1), W.max(axis=1), W.sum(axis=1)
-    bad = ~(np.isfinite(lo) & np.isfinite(hi))
-    bad |= (lo < -MASS_TOL) | (hi > 1 + MASS_TOL) | (np.abs(total - 1.0) > MASS_TOL)
-    if bad.any():
-        MassFunction(space, W[bad.argmax()])  # raises
+    # A comparison with NaN is false and an infinite weight puts lo or hi
+    # out of range, so `ok` marks exactly the rows the constructor accepts.
+    ok = (lo >= -MASS_TOL) & (hi <= 1 + MASS_TOL) & (np.abs(total - 1.0) <= MASS_TOL)
+    if not ok.all():
+        MassFunction(space, W[ok.argmin()])  # raises
     clip = lo <= 0.0
     if clip.any():
         W[clip] = np.clip(W[clip], 0.0, None)

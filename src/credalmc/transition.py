@@ -1,10 +1,13 @@
 """Upper transition operators: one credal model per source state.
 
-On first use the operator has `credal._plan` build the row-block plan
-of its rows: the rows grouped by credal family, in order of each
-family's first row, and each family's parameters packed once.  Every
-step on an (s, k) gamble array is then one `credal._step` through the
-plan.  It fills a single (s, k) output in which each family writes its
+Each operator has a row-block plan of its rows: the rows grouped by
+credal family, in order of each family's first row, and each family's
+parameters packed once.  An operator built from row objects has
+`credal._plan` build it on first use.  `from_matrix`,
+`contamination_of` and the JSON reader (`_from_blocks`) build it at
+construction from the arrays the family's array constructor validated.
+Every step on an (s, k) gamble array is then one `credal._step` through
+the plan.  It fills a single (s, k) output in which each family writes its
 rows as one contiguous block, in one call per family present (and per
 column chunk, which `_step` makes when k exceeds
 `credal.CHUNK_CELLS // s**2`).  The column maximum of the gambles is
@@ -22,8 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .credal import Contamination, CredalModel, Linear, ProbInterval, _plan, _step
-from .states import REGULARITY_EPS, DimensionMismatch, Gamble, MassFunction
+from .credal import Contamination, CredalModel, Linear, ProbInterval, _assemble, _plan, _step
+from .states import REGULARITY_EPS, DimensionMismatch, Gamble
 from .states import StateSpace, _as_columns, _check_space, frozen
 
 
@@ -46,12 +49,23 @@ class UpperTransitionOperator:
         vars(self).update(space=space, rows=rows)
 
     @classmethod
+    def _from_blocks(cls, space: StateSpace, blocks) -> "UpperTransitionOperator":
+        """The operator whose rows at `positions` are `models`, for each
+        (family, models, params, positions) of `blocks` in block order,
+        with its plan assembled from those parameters, not restacked."""
+        rows = [None] * sum(len(positions) for *_, positions in blocks)
+        for _, models, _, positions in blocks:
+            for i, model in zip(positions, models):
+                rows[i] = model
+        op = cls(space, rows)
+        vars(op)["_plan"] = _assemble([(fam, params, pos) for fam, _, params, pos in blocks])
+        return op
+
+    @classmethod
     def from_matrix(cls, space: StateSpace, matrix) -> "UpperTransitionOperator":
         """Precise operator from a row-stochastic matrix."""
-        matrix = np.asarray(matrix, dtype=float)
-        return cls(
-            space, [Linear(MassFunction(space, row)) for row in matrix]
-        )
+        rows, W = Linear.block(space, matrix)
+        return cls._from_blocks(space, [(Linear, rows, W, range(len(rows)))])
 
     @classmethod
     def contamination_of(
@@ -59,10 +73,8 @@ class UpperTransitionOperator:
     ) -> "UpperTransitionOperator":
         """Epsilon-contamination of each row of a precise matrix."""
         matrix = np.asarray(matrix, dtype=float)
-        return cls(
-            space,
-            [Contamination(MassFunction(space, row), epsilon) for row in matrix],
-        )
+        rows, params = Contamination.block(space, matrix, [epsilon for _ in matrix])
+        return cls._from_blocks(space, [(Contamination, rows, params, range(len(rows)))])
 
     @classmethod
     def from_interval_matrices(

@@ -634,6 +634,133 @@ def test_malformed_scenario_exits_2(capsys, tmp_path, patch, where):
     assert err.startswith(f"error:schema-error: {where}: ")
 
 
+def _linear(mass):
+    return {"type": "linear", "mass": mass}
+
+
+def _vertices(*points):
+    return {"type": "vertices", "points": list(points)}
+
+
+def _contamination(base, epsilon):
+    return {"type": "contamination", "base": base, "epsilon": epsilon}
+
+
+_ROWS_ABC_OK = {"type": "rows", "rows": [_linear([0.2, 0.3, 0.5])] * 3}
+
+
+@pytest.mark.parametrize(
+    ("patch", "err"),
+    [
+        (
+            {"transition": {"type": "rows", "rows": [_linear([0.5, 0.5]), _linear([0.7, 0.7])]}},
+            "error:schema-error: transition.rows[1]: weights sum to 1.4, not 1\n",
+        ),
+        (
+            {"transition": {"type": "rows", "rows": [_linear([0.5, 0.5]), _linear([0.2, 0.3, 0.5])]}},
+            "error:schema-error: transition.rows[1]: mass function needs 2 weights, got (3,)\n",
+        ),
+        (
+            {"transition": {"type": "rows", "rows": [_vertices([0.5, 0.5]), _vertices([0.5, 0.5], [float("nan"), 0.5])]}},
+            "error:schema-error: transition.rows[1]: weights must be finite: [nan 0.5]\n",
+        ),
+        (
+            {"transition": {"type": "rows", "rows": [_linear([0.5, 0.5]), {"type": "linear", "base": [0.5, 0.5]}]}},
+            "error:schema-error: transition.rows[1]: missing or unknown 'mass'\n",
+        ),
+        (
+            {"transition": {"type": "rows", "rows": [_contamination([0.5, 0.5], 0.1), _contamination([0.5, 0.5], 1.5)]}},
+            "error:epsilon-out-of-range: contamination epsilon must lie in (0, 1), got 1.5\n",
+        ),
+        (
+            {"transition": {"type": "rows", "rows": [_vertices([0.5, 0.5]), _vertices()]}},
+            "error:empty-credal-set: vertex list must be nonempty\n",
+        ),
+        (
+            {"transition": {"type": "matrix", "matrix": [[0.5, 0.5], [0.7, 0.7]]}},
+            "error:schema-error: transition: weights sum to 1.4, not 1\n",
+        ),
+        (
+            {
+                "states": ["a", "b", "c"],
+                "transition": [
+                    _ROWS_ABC_OK,
+                    {"type": "rows", "rows": [_linear([0.2, 0.3, 0.5])] * 2 + [_linear([0.7, 0.7, 0.0])]},
+                ],
+            },
+            "error:schema-error: transition[1].rows[2]: weights sum to 1.4, not 1\n",
+        ),
+        # Rows in two families: the error of the first bad row wins.
+        (
+            {"transition": {"type": "rows", "rows": [_vertices([0.5, 0.6]), _linear([0.7, 0.7])]}},
+            "error:schema-error: transition.rows[0]: weights sum to 1.1, not 1\n",
+        ),
+        (
+            {"transition": {"type": "rows", "rows": [_vertices([[0.5], [0.5]]), _linear([0.5, 0.5])]}},
+            "error:schema-error: transition.rows[0]: mass function needs 2 weights, got (2, 1)\n",
+        ),
+        (
+            {"transition": {"type": "rows", "rows": [_contamination([0.5, 0.5], None), _linear([0.5, 0.5])]}},
+            "error:schema-error: transition.rows[0]: float() argument must be a string or a "
+            "real number, not 'NoneType'\n",
+        ),
+        (
+            {"transition": {"type": "rows", "rows": [_linear([0.5, 0.5]), 5]}},
+            "error:schema-error: transition.rows[1]: expected an object, got int\n",
+        ),
+        (
+            {"transition": {"type": "rows", "rows": [_linear([0.5, 0.5])]}},
+            "error:schema-error: transition: need one row model per state: 1 != 2\n",
+        ),
+        # A contamination operator checks row 0's base before its epsilon.
+        (
+            {"transition": {"type": "contamination", "matrix": [[0.5, 0.5], [0.7, 0.7]], "epsilon": 1.5}},
+            "error:epsilon-out-of-range: contamination epsilon must lie in (0, 1), got 1.5\n",
+        ),
+        (
+            {"transition": {"type": "contamination", "matrix": [[0.7, 0.7], [0.5, 0.5]], "epsilon": None}},
+            "error:schema-error: transition: weights sum to 1.4, not 1\n",
+        ),
+        (
+            {"transition": {"type": "contamination", "matrix": [[0.5, 0.5], [0.7, 0.7]], "epsilon": 0.5}},
+            "error:schema-error: transition: weights sum to 1.4, not 1\n",
+        ),
+        (
+            {"transition": {"type": "contamination", "matrix": [[0.5, 0.5], [0.7, 0.7]], "epsilon": [0.1]}},
+            "error:schema-error: transition: float() argument must be a string or a real "
+            "number, not 'list'\n",
+        ),
+        (
+            {"transition": {"type": "matrix", "matrix": 5}},
+            "error:schema-error: transition: iteration over a 0-d array\n",
+        ),
+        (
+            {"transition": {"type": "matrix", "matrix": [0.5, 0.5]}},
+            "error:schema-error: transition: mass function needs 2 weights, got ()\n",
+        ),
+        (
+            {"transition": {"type": "matrix", "matrix": []}},
+            "error:schema-error: transition: need one row model per state: 0 != 2\n",
+        ),
+        (
+            {"transition": {"type": "matrix", "matrix": [[0.5, 0.5]] * 3}},
+            "error:schema-error: transition: need one row model per state: 3 != 2\n",
+        ),
+    ],
+    ids=["linear-sum", "linear-width", "vertices-nan", "linear-missing-mass",
+         "contamination-epsilon", "vertices-empty", "matrix-row", "per-step-row",
+         "two-families", "vertices-nested", "epsilon-null", "row-not-object",
+         "rows-too-few", "contamination-operator-epsilon",
+         "contamination-operator-base-first", "contamination-operator-row",
+         "contamination-operator-epsilon-list",
+         "matrix-scalar", "matrix-vector", "matrix-empty", "matrix-too-long"],
+)
+def test_malformed_row_prints_the_row_by_row_error(capsys, tmp_path, patch, err):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({**_VALID_DOC, **patch}))
+    assert _run(capsys, "evolve", str(p), "--event", "a") == (2, "", err)
+
+
 def test_verify_refuses_a_negative_seed(capsys):
     path = str(bundled_scenario_path("example_5_3_n2"))
     code, out, err = _run(capsys, "verify", path, "--seed", "-1")

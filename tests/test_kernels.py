@@ -462,6 +462,23 @@ def test_chunked_calls_equal_one_call(monkeypatch):
     assert np.array_equal(initial.upper_many(H), whole_initial)
 
 
+def test_a_models_batch_holds_one_row_of_floats():
+    # A model's plan has one row, so each chunk's output is (1, k): the
+    # returned row is not a view into an (s, k) array.
+    rng = np.random.default_rng(233)
+    s, k = 48, 4096
+    space = StateSpace([f"x{i}" for i in range(s)])
+    model = random_prob_interval(rng, space)
+    H = rng.uniform(-1.0, 1.0, size=(s, k))
+    got = model.upper_many(H)
+    owner = got
+    while owner.base is not None:
+        owner = owner.base
+    assert owner.nbytes <= k * got.itemsize
+    want = run_kernel(ProbInterval, ProbInterval.stack([model]), H, 1)[0]
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("m", [1, 2, 8])
 def test_interval_kernel_sums_pairwise_only_for_one_row(m, k):

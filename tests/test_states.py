@@ -169,6 +169,24 @@ def test_mass_rows_match_the_constructor():
     assert _outcome(lambda: MassFunction(space, W[50]).weights) == (ValueError, str(caught.value))
 
 
+@pytest.mark.parametrize(
+    "W",
+    [np.full((4, 3), 1 / 3), np.full((2, 2, 1), 0.5), np.full(2, 0.5), np.empty((3, 0))],
+    ids=["too-wide", "3-d", "1-d", "no-columns"],
+)
+def test_mass_rows_refuse_the_wrong_width_as_the_constructor_does(W):
+    want = _outcome(lambda: MassFunction(AB, W[0]).weights)
+    assert want[0] is DimensionMismatch
+    assert _outcome(lambda: _mass_rows(AB, W)) == want
+
+
+def test_mass_rows_of_no_rows():
+    assert _mass_rows(AB, []).shape == (0, 2)
+    assert _mass_rows(AB, np.empty((0, 2))).shape == (0, 2)
+    with pytest.raises(TypeError, match="0-d"):
+        _mass_rows(AB, 0.5)
+
+
 def test_event_membership_checked():
     with pytest.raises(KeyError, match=r"\['y', 'z'\]"):
         Event(AB, ["z", "a", "y"])
