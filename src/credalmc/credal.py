@@ -23,10 +23,10 @@ validated arrays; the JSON reader and the matrix constructors of
 `UpperTransitionOperator` assemble the plan from them at construction.
 `_step` runs one step through the plan, sharing two views of H that it
 computes once: `hmax`, the column maximum `H.max(axis=0)`, for the
-families that read it (`reads_max`: Vacuous and Contamination; the
-others get None), and for k > 1 `Ht`, a C-contiguous (k, s) copy of
-`H.T`, which the families with a matrix product and ProbInterval read
-(None at k = 1).
+families that read it (`reads_max`: Vacuous, Contamination and
+BeliefFunction; the others get None), and for k > 1 `Ht`, a
+C-contiguous (k, s) copy of `H.T`, which the families with a matrix
+product and ProbInterval read (None at k = 1).
 
 Every kernel is column-exact: column j of its block has the same bits
 whatever the other columns and the batch width k, so a batched query
@@ -46,6 +46,12 @@ for every k, the parenthesis being numpy's sum of a contiguous 1-D
 array: left to right for a segment of fewer than nine rows, pairwise
 from nine on.  Maxima are exact in any order, so a padded table that
 repeats a member, or a reshape, gives the bits of `np.maximum.reduceat`.
+On k > 1 columns `BeliefFunction` gathers only its proper focal subsets
+from padded tables and takes every whole-space focal maximum from
+`hmax`: on a batch whose rows are contiguous, `H.max(axis=0)` and a
+gathered table both fold the states row by row in position order, so
+even a signed zero keeps its bits.  One column keeps the `reduceat` over
+all members, which is the cheaper there.
 `_step` splits wide batches into column chunks, which column-exactness
 makes bit-neutral.
 
@@ -78,6 +84,7 @@ from .states import (
     _check_space,
     _freeze,
     _mass_rows,
+    _normalized,
     frozen,
 )
 
@@ -453,12 +460,17 @@ class Contamination(CredalModel):
 class BeliefFunction(CredalModel):
     """A convex mixture of vacuous models on focal elements.
 
-    upper(h) = sum_j m(F_j) * max over F_j of h; the masses m(F_j) are
-    nonnegative and sum to one, each focal element F_j is nonempty.
+    upper(h) = sum_j m(F_j) * max over F_j of h; each focal element F_j
+    is nonempty.  The masses m(F_j) must each be at least -BOUND_SLACK
+    and sum to one within MASS_TOL; they are stored as `MassFunction`
+    stores weights on the same space: clipped at zero and, unless they
+    then sum to one up to rounding, renormalized.
     """
 
     space: StateSpace
     focal: tuple[tuple[Event, float], ...]
+
+    reads_max = True
 
     def __init__(self, space: StateSpace, focal: Sequence[tuple[Event, float]]):
         focal = tuple((ev, float(w)) for ev, w in focal)
@@ -486,6 +498,9 @@ class BeliefFunction(CredalModel):
             raise CredalValidationError(
                 "mass-sum-violation", f"focal masses sum to {total}, not 1"
             )
+        masses = [w for _, w in focal]
+        masses = _normalized(np.array(masses), len(space), min(masses), total)
+        focal = tuple(zip([ev for ev, _ in focal], masses.tolist()))
         vars(self).update(space=space, focal=focal)
 
     @classmethod
@@ -494,24 +509,40 @@ class BeliefFunction(CredalModel):
         members = np.concatenate(positions)
         sizes = [len(p) for p in positions]
         member_starts = _starts(sizes)
-        tables, inverse = _padded_tables(members, member_starts, sizes)
+        # A batch gathers the n proper subsets from padded tables into
+        # rows 0 .. n - 1 of its focal maxima and, if some focal element
+        # is the whole space, puts hmax in row n; `inverse` takes those
+        # rows to focal order.
+        whole_size = len(rows[0].space)
+        proper = [i for i, size in enumerate(sizes) if size < whole_size]
+        tables, table_rows = _padded_tables(
+            members, member_starts[proper], [sizes[i] for i in proper]
+        )
+        whole = len(proper) < len(sizes)
+        inverse = np.full(len(sizes), len(proper))
+        inverse[proper] = np.arange(len(proper)) if table_rows is None else table_rows
+        if not whole and table_rows is None:
+            inverse = None
         w = np.array([[w] for r in rows for _, w in r.focal])
         starts = _starts([len(r.focal) for r in rows])
-        return members, member_starts, tables, inverse, w, starts
+        return members, member_starts, tables, len(proper), whole, inverse, w, starts
 
     @staticmethod
     def kernel(params, H, out, hmax, Ht):
         # Focal maxima, weighted, then summed per row.  One column
-        # gathers just the members; wider batches gather padded tables,
-        # whose maxima over whole (focal, k) slabs cost far less than
-        # `np.maximum.reduceat` over many short segments.
-        members, member_starts, tables, inverse, w, starts = params
+        # gathers just the members; wider batches gather padded tables of
+        # the proper subsets, whose maxima over whole (focal, k) slabs
+        # cost far less than `np.maximum.reduceat` over many short
+        # segments, and take each whole-space maximum from hmax.
+        members, member_starts, tables, n, whole, inverse, w, starts = params
         if H.shape[1] == 1:
             focal_max = np.maximum.reduceat(H.take(members, axis=0), member_starts, axis=0)
         else:
-            focal_max = np.empty((len(w), H.shape[1]))
+            focal_max = np.empty((n + whole, H.shape[1]))
             for table, block in tables:
                 H.take(table, axis=0).max(axis=0, out=focal_max[block])
+            if whole:
+                focal_max[n] = hmax
             if inverse is not None:
                 focal_max = focal_max.take(inverse, axis=0)
         focal_max *= w
@@ -541,7 +572,9 @@ class ProbInterval(CredalModel):
     The upper expectation is the greedy allocation of de Campos, Huete
     and Moral (1994): start from the lower bounds and hand the slack
     1 - sum(lower) to the states in decreasing order of h, each up to
-    its upper bound.
+    its upper bound.  Bounds outside [0, 1] by at most BOUND_SLACK are
+    accepted and stored clipped to [0, 1]; validation reads them as
+    given.
     """
 
     space: StateSpace
@@ -579,7 +612,11 @@ class ProbInterval(CredalModel):
                 "non-reachable-bounds",
                 f"bounds for state {space.labels[unreachable.argmax()]!r} cannot be attained",
             )
-        vars(self).update(space=space, lower_mass=lo, upper_mass=up)
+        vars(self).update(
+            space=space,
+            lower_mass=_freeze(np.clip(lo, 0.0, 1.0)),
+            upper_mass=_freeze(np.clip(up, 0.0, 1.0)),
+        )
 
     def event_upper(self, members) -> float:
         """Upper probability of an event: min of the two interval cuts."""

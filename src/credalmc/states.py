@@ -251,11 +251,7 @@ class MassFunction:
         total = weights.sum()
         if abs(total - 1.0) > MASS_TOL:
             raise ValueError(f"weights sum to {total}, not 1")
-        if lo <= 0.0:  # clipping also turns -0.0 into 0.0
-            weights = np.clip(weights, 0.0, None)
-            total = weights.sum()
-        if abs(total - 1.0) > RENORM_ULPS * len(space) * _EPS:
-            weights = weights / total
+        weights = _normalized(weights, len(space), lo, total)
         weights.setflags(write=False)
         vars(self).update(space=space, weights=weights)
 
@@ -271,6 +267,19 @@ class MassFunction:
         w = np.zeros(len(space))
         w[space.index(label)] = 1.0
         return cls(space, w)
+
+
+def _normalized(weights: np.ndarray, n: int, lo: float, total: float) -> np.ndarray:
+    """Accepted masses on a space of n states, whose minimum and sum the
+    caller has computed as `lo` and `total`, as they are stored: clipped
+    at zero (which also turns -0.0 into 0.0) and, unless they then sum to
+    one within RENORM_ULPS * n ulps, divided by their sum."""
+    if lo <= 0.0:
+        weights = np.clip(weights, 0.0, None)
+        total = weights.sum()
+    if abs(total - 1.0) > RENORM_ULPS * n * _EPS:
+        weights = weights / total
+    return weights
 
 
 def _mass_rows(space: StateSpace, W: np.ndarray) -> np.ndarray:

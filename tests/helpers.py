@@ -89,10 +89,22 @@ def extreme_focal_belief(
     return BeliefFunction(space, [(Event(space, sets[i]), float(w)) for i, w in zip(order, masses)])
 
 
+def sized_focal_belief(rng: np.random.Generator, space: StateSpace, sizes) -> BeliefFunction:
+    """A belief function whose focal elements have the given sizes, with
+    random members and masses."""
+    masses = rng.dirichlet(np.ones(len(sizes)))
+    focal = [
+        (Event(space, rng.choice(space.labels, size=int(n), replace=False).tolist()), float(w))
+        for n, w in zip(sizes, masses)
+    ]
+    return BeliefFunction(space, focal)
+
+
 #: Row kinds of the kernel contract tests: the six families, vertex-set
 #: rows that all have four vertices, and belief rows whose focal elements
-#: include the full space and singletons.
-ROW_KINDS = FAMILIES + ("vertices4", "belief_extremes")
+#: include the full space and singletons, are all proper subsets, or are
+#: all the full space.
+ROW_KINDS = FAMILIES + ("vertices4", "belief_extremes", "belief_proper", "belief_whole")
 
 
 def random_row(rng: np.random.Generator, space: StateSpace, kind: str, n_focal: int):
@@ -101,6 +113,10 @@ def random_row(rng: np.random.Generator, space: StateSpace, kind: str, n_focal: 
         return random_focal_belief(rng, space, n_focal)
     if kind == "belief_extremes":
         return extreme_focal_belief(rng, space, n_focal)
+    if kind == "belief_proper":
+        return sized_focal_belief(rng, space, rng.integers(1, len(space), size=n_focal))
+    if kind == "belief_whole":
+        return sized_focal_belief(rng, space, [len(space)] * n_focal)
     if kind == "vertices4":
         return VertexSet(space, [random_mass(rng, space) for _ in range(4)])
     return random_model(rng, space, kind)

@@ -399,6 +399,63 @@ def test_zero_bounds_print_without_sign(capsys, argv):
     assert "0" in cells and "-0" not in cells
 
 
+VACUOUS = {"type": "vacuous"}
+
+
+def _two_state(tmp_path, initial, row_a, row_b):
+    """A two-state scenario at horizon 2 with transition rows a and b."""
+    doc = {
+        "states": ["a", "b"],
+        "initial": initial,
+        "transition": {"type": "rows", "rows": [row_a, row_b]},
+        "horizon": 2,
+    }
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+def _belief(*focal):
+    return {"type": "belief", "focal": [{"members": m, "mass": w} for m, w in focal]}
+
+
+HALVES_ABOVE_ONE = _belief((["a"], 0.5), (["b"], 0.5000000009))
+
+
+def test_belief_masses_within_tolerance_of_one_print_one(capsys, tmp_path):
+    path = _two_state(tmp_path, HALVES_ABOVE_ONE, HALVES_ABOVE_ONE, VACUOUS)
+    code, out, _ = _run(capsys, "evolve", path, "--event", "a,b")
+    assert code == 0
+    assert out.splitlines()[1:] == ["1,1,1", "2,1,1"]
+
+
+def test_belief_row_verifies_against_the_oracle_without_a_gap(capsys, tmp_path):
+    linear = {"type": "linear", "mass": [0.3, 0.7]}
+    path = _two_state(tmp_path, VACUOUS, HALVES_ABOVE_ONE, linear)
+    code, out, _ = _run(capsys, "verify", path)
+    assert code == 0
+    gaps = [line.rsplit(",", 1)[1] for line in out.splitlines()[1:]]
+    assert gaps[:4] == ["0"] * 4  # the four paths
+    assert all(float(gap) <= 1e-15 for gap in gaps[4:])
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        _belief((["a"], -1e-13), (["a", "b"], 1.0000000000001)),
+        {"type": "prob_interval", "lower": [-1e-13, 0.2], "upper": [0.8, 1.0]},
+    ],
+    ids=["belief", "interval"],
+)
+def test_masses_a_hair_below_zero_print_no_negative_bound(capsys, tmp_path, model):
+    path = _two_state(tmp_path, model, model, VACUOUS)
+    code, out, _ = _run(capsys, "evolve", path, "--event", "a")
+    assert code == 0
+    lines = out.splitlines()[1:]
+    assert [line.split(",")[1] for line in lines] == ["0", "0"]
+    assert not any(cell.startswith("-") for line in lines for cell in line.split(","))
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -74,6 +74,32 @@ class TestValidation:
             BeliefFunction(AB, focal)
         assert exc.value.code == "mass-sum-violation"
 
+    @pytest.mark.parametrize(
+        ("members", "masses"),
+        [([["a"], ["b"]], [0.5, 0.5000000009]), ([["a"], ["a", "b"]], [-1e-13, 1.0000000000001])],
+        ids=["sum-above-one", "negative-mass"],
+    )
+    def test_belief_masses_are_stored_as_mass_functions_store_weights(self, members, masses):
+        # Clipped at zero and renormalized, bit for bit as MassFunction
+        # stores the same numbers on the same space.
+        bf = BeliefFunction(AB, [(Event(AB, m), w) for m, w in zip(members, masses)])
+        stored = [w for _, w in bf.focal]
+        assert stored == MassFunction(AB, masses).weights.tolist()
+        assert min(stored) >= 0.0 and sum(stored) == pytest.approx(1.0, abs=1e-15)
+        assert bf.upper(AB.indicator(["a", "b"])) == pytest.approx(1.0, abs=1e-15)
+        assert bf.lower(AB.indicator(["a"])) >= 0.0
+
+    def test_belief_masses_that_sum_to_one_are_kept(self):
+        focal = [(Event(AB, ["a"]), 0.1), (Event(AB, ["b"]), 0.2), (Event(AB, ["a", "b"]), 0.7)]
+        assert BeliefFunction(AB, focal).focal == tuple(focal)
+
+    def test_interval_bounds_are_stored_clipped_to_the_unit_interval(self):
+        m = ProbInterval(AB, [-1e-13, 0.2], [0.8, 1.0 + 1e-13])
+        assert m.lower_mass.tolist() == [0.0, 0.2]
+        assert m.upper_mass.tolist() == [0.8, 1.0]
+        assert not m.lower_mass.flags.writeable and not m.upper_mass.flags.writeable
+        assert m.lower(AB.indicator(["a"])) == 0.0
+
     def test_belief_empty_focal(self):
         with pytest.raises(CredalValidationError) as exc:
             BeliefFunction(AB, [(Event(AB, []), 1.0)])

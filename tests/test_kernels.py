@@ -27,6 +27,7 @@ from credalmc import (
     ProbInterval,
     StateSpace,
     UpperTransitionOperator,
+    Vacuous,
     VertexSet,
 )
 from credalmc import credal
@@ -348,7 +349,7 @@ def _contract_matrix(rng, s, k):
 def _plain_kernel(kind, rows, H):
     """Each family's formula as one whole-batch numpy expression, which
     sets the bits of a single-column call."""
-    family = {"vertices4": "vertices", "belief_extremes": "belief"}.get(kind, kind)
+    family = "belief" if kind.startswith("belief") else {"vertices4": "vertices"}.get(kind, kind)
     if family == "linear":
         return np.array([r.mass.weights for r in rows]) @ H
     if family == "vacuous":
@@ -438,6 +439,38 @@ def test_padded_tables_cover_each_list_and_at_most_double_the_cells():
         for col, want in zip(columns, lists, strict=True):
             assert np.array_equal(col[: len(want)], want)
             assert set(col[len(want) :]) <= {want[-1]}
+
+
+@pytest.mark.parametrize("k", [1, 2, 64])
+def test_whole_space_belief_row_equals_vacuous(k):
+    rng = np.random.default_rng(241 + k)
+    for s in (2, 8, 48):
+        space = StateSpace([f"x{i}" for i in range(s)])
+        whole = BeliefFunction(space, [(Event(space, space.labels), 1.0)])
+        H = _contract_matrix(rng, s, k)
+        want = run_kernel(Vacuous, Vacuous.stack([Vacuous(space)]), H, 1)
+        assert np.array_equal(run_kernel(BeliefFunction, BeliefFunction.stack([whole]), H, 1), want)
+        rows = [random_row(rng, space, "belief_extremes", 9) for _ in range(3)]
+        rows[1:1] = [whole]
+        rows.append(whole)
+        got = run_kernel(BeliefFunction, BeliefFunction.stack(rows), H, len(rows))
+        assert np.array_equal(got[[1, 4]], np.repeat(want, 2, axis=0))
+
+
+def test_belief_tables_hold_only_proper_subsets():
+    # Whole-space focal maxima come from hmax, so no table gathers one,
+    # and a block of whole-space focal elements builds no table at all.
+    rng = np.random.default_rng(251)
+    for s in (2, 3, 8, 24, 48):
+        space = StateSpace([f"x{i}" for i in range(s)])
+        for kind in ("belief_extremes", "belief_proper", "belief_whole"):
+            rows = _contract_rows(rng, space, kind)
+            sizes = [len(ev.positions) for r in rows for ev, _ in r.focal]
+            tables = BeliefFunction.stack(rows)[2]
+            assert (tables == []) == (kind == "belief_whole")
+            assert all(len(set(col)) < s for table, _ in tables for col in table.T)
+            assert sum(t.size for t, _ in tables) <= 2 * sum(n for n in sizes if n < s)
+            assert sum(t.shape[1] for t, _ in tables) == sum(n < s for n in sizes)
 
 
 def test_chunked_calls_equal_one_call(monkeypatch):
