@@ -10,50 +10,45 @@ Each family has one numeric kernel on raw arrays: `stack(rows)` packs
 the parameters of m models of that family, and
 `kernel(params, H, out, hmax, Ht)` writes the upper expectations of the
 k columns of a gamble matrix H of shape (s, k) under each of them into
-the (m, k) block `out`.  A row-block plan holds one such block per
-family; `_assemble` lays the blocks out (block order, output slices,
-the permutation back to row order) from (family, parameters, row
-positions) triples.  A plan comes from one of two places.  `_plan(rows)`
-stacks row objects family by family: an operator built from Python
-rows, or a model's one row, builds it so on first use.  The array
-constructors `Linear.block`, `Contamination.block` and
-`VertexSet.block` validate a whole family's mass vectors as one array
-and return the models together with their parameters, which are those
-validated arrays; the JSON reader and the matrix constructors of
-`UpperTransitionOperator` assemble the plan from them at construction.
-`_step` runs one step through the plan, sharing two views of H that it
-computes once: `hmax`, the column maximum `H.max(axis=0)`, for the
-families that read it (`reads_max`: Vacuous, Contamination and
-BeliefFunction; the others get None), and for k > 1 `Ht`, a
-C-contiguous (k, s) copy of `H.T`, which the families with a matrix
-product and ProbInterval read (None at k = 1).
+the (m, k) block `out`.  `_plan(rows)` builds every row-block plan: one
+stacked block per family, in order of each family's first row, and the
+permutation back to row order.  An operator builds the plan of its rows
+at construction, a model the plan of its one row on first use.  The
+array constructors `Linear.block`, `VertexSet.block` and
+`Contamination.block` validate a whole family's mass vectors as one
+array and return the models.  `_step` runs one step through a plan,
+sharing two views of H that it computes once: `hmax`, the column
+maximum `H.max(axis=0)`, for the families that read it (`reads_max`:
+Vacuous, Contamination and BeliefFunction; the others get None), and
+for k > 1 `Ht`, a C-contiguous (k, s) copy of `H.T`, which the families
+with a matrix product and ProbInterval read (None at k = 1).
 
-Every kernel is column-exact: column j of its block has the same bits
-whatever the other columns and the batch width k, so a batched query
-prints what one fold per gamble prints.  Matrix products go through
-`_gemv`, one BLAS matrix-vector product per column (a plain `W @ H`
-over k > 1 columns is one gemm, whose blocking changes the order of
-the sums; a row's bits can also change with the shape of W, so rows of
-different families, or padded rows, never share one product); a
-single column is made contiguous first.  `ProbInterval` sums its gains
-along the state axis of an (m, k, s) array that keeps the row axis
-innermost in memory: with one row (a model's own `upper`, or an
-interval initial model) that axis is contiguous and numpy sums it
-pairwise, with m >= 2 stacked rows it is strided and the sum runs left
-to right.  Either order holds for every k.  `np.add.reduceat` sums a
-segment a0, a1, ..., an as a0 + (a1 + ... + an), in every column and
-for every k, the parenthesis being numpy's sum of a contiguous 1-D
-array: left to right for a segment of fewer than nine rows, pairwise
-from nine on.  Maxima are exact in any order, so a padded table that
-repeats a member, or a reshape, gives the bits of `np.maximum.reduceat`.
-On k > 1 columns `BeliefFunction` gathers only its proper focal subsets
-from padded tables and takes every whole-space focal maximum from
-`hmax`: on a batch whose rows are contiguous, `H.max(axis=0)` and a
-gathered table both fold the states row by row in position order, so
-even a signed zero keeps its bits.  One column keeps the `reduceat` over
-all members, which is the cheaper there.
-`_step` splits wide batches into column chunks, which column-exactness
-makes bit-neutral.
+Every kernel is column-exact: column j of its block has the same bits,
+except the sign of a zero, whatever the other columns and the batch
+width k, so a batched query prints what one fold per gamble prints (the
+CLI prints every zero unsigned).  Matrix products go through `_gemv`,
+one BLAS matrix-vector product per column (a plain `W @ H` over k > 1
+columns is one gemm, whose blocking changes the order of the sums; a
+row's bits can also change with the shape of W, so rows of different
+families, or padded rows, never share one product); a single column is
+made contiguous first.  `ProbInterval` sums its gains along the state
+axis of an (m, k, s) array that keeps the row axis innermost in memory:
+with one row (a model's own `upper`, or an interval initial model) that
+axis is contiguous and numpy sums it pairwise, with m >= 2 stacked rows
+it is strided and the sum runs left to right.  Either order holds for
+every k.  `np.add.reduceat` sums a segment a0, a1, ..., an as
+a0 + (a1 + ... + an), in every column and for every k, the parenthesis
+being numpy's sum of a contiguous 1-D array: left to right for a
+segment of fewer than nine rows, pairwise from nine on.  Maxima are
+exact in any order but for the sign of a zero: of 0.0 and -0.0, a
+maximum keeps the one its reduction meets last, and `H.max(axis=0)`, a
+padded table and `reduceat` meet them in orders that depend on the
+layout of H.  So a padded table that repeats a member, or a reshape,
+gives the bits of `np.maximum.reduceat` up to that sign.
+`BeliefFunction` gathers its proper focal subsets from padded tables
+and takes every whole-space focal maximum from `hmax`.  `_step` splits
+wide batches into column chunks, which column-exactness makes
+bit-neutral.
 
 Every model also exposes `lower(h)` (the conjugate of `upper`) and
 `vertices()` (a finite spanning set containing all extreme points),
@@ -171,30 +166,22 @@ def _vertex_list(space: StateSpace, W: np.ndarray) -> list[MassFunction]:
     return [MassFunction._stored(space, W[i]) for i in kept]
 
 
-def _assemble(families):
-    """The row-block plan (blocks, inverse, reads_max) of `families`,
-    (family, stacked parameters, row positions) triples in block order:
-    one (kernel, parameters, output row slice) block per family, the
-    slices tiling the rows in turn; `inverse` takes block order back to
-    row order (None for the identity); `reads_max` says whether a kernel
-    reads hmax."""
-    blocks, order = [], []
-    for cls, params, positions in families:
-        blocks.append((cls.kernel, params, slice(len(order), len(order) + len(positions))))
-        order += positions
-    inverse = None if order == list(range(len(order))) else np.argsort(order)
-    return tuple(blocks), inverse, any(cls.reads_max for cls, _, _ in families)
-
-
 def _plan(rows: Sequence[CredalModel]):
-    """The row-block plan of `rows`: each family's rows stacked, the
-    families in order of first appearance."""
+    """The row-block plan (blocks, inverse, reads_max) of `rows`: one
+    (kernel, stacked parameters, output row slice) block per family, in
+    order of each family's first row, the slices tiling the rows in turn;
+    `inverse` takes block order back to row order (None for the
+    identity); `reads_max` says whether a kernel reads hmax."""
     groups: dict[type, list[int]] = {}
     for i, row in enumerate(rows):
         groups.setdefault(type(row), []).append(i)
-    return _assemble(
-        [(cls, cls.stack([rows[i] for i in idx]), idx) for cls, idx in groups.items()]
-    )
+    blocks, order = [], []
+    for cls, idx in groups.items():
+        out_rows = slice(len(order), len(order) + len(idx))
+        blocks.append((cls.kernel, cls.stack([rows[i] for i in idx]), out_rows))
+        order += idx
+    inverse = None if order == list(range(len(order))) else np.argsort(order)
+    return tuple(blocks), inverse, any(cls.reads_max for cls in groups)
 
 
 def _step(plan, H: np.ndarray) -> np.ndarray:
@@ -294,11 +281,9 @@ class Linear(CredalModel):
 
     @classmethod
     def block(cls, space: StateSpace, weights):
-        """`[Linear(MassFunction(space, w)) for w in weights]` and their
-        `stack`, which is the one validated array the masses store.
-        Raises what that loop raises first."""
-        W = _mass_rows(space, weights)
-        return [cls(MassFunction._stored(space, w)) for w in W], W
+        """`[Linear(MassFunction(space, w)) for w in weights]`, the masses
+        validated as one array.  Raises what that loop raises first."""
+        return [cls(MassFunction._stored(space, w)) for w in _mass_rows(space, weights)]
 
     @staticmethod
     def kernel(W, H, out, hmax, Ht):
@@ -350,25 +335,21 @@ class VertexSet(CredalModel):
 
     @classmethod
     def stack(cls, rows):
-        P = np.array([p.weights for r in rows for p in r.points])
-        return cls._params(P, [len(r.points) for r in rows])
+        counts = [len(r.points) for r in rows]
+        width = counts[0] if len(set(counts)) == 1 else None
+        return np.array([p.weights for r in rows for p in r.points]), _starts(counts), width
 
     @classmethod
     def block(cls, space: StateSpace, point_lists):
         """The vertex sets of the `point_lists`, one list of mass vectors
-        each, and their `stack`, all points validated as one array.
-        Raises if any row would be rejected."""
-        counts = [len(points) for points in point_lists]
+        each, all points validated as one array.  Raises if any row would
+        be rejected; for one list, what `VertexSet(space, [MassFunction(
+        space, p) for p in points])` raises."""
+        point_lists = [list(points) for points in point_lists]
         P = _mass_rows(space, [p for points in point_lists for p in points])
         points = [MassFunction._stored(space, p) for p in P]
-        ends = list(itertools.accumulate(counts))
-        rows = [cls(space, points[e - c : e]) for c, e in zip(counts, ends)]
-        return rows, cls._params(P, counts)
-
-    @staticmethod
-    def _params(P, counts):
-        width = counts[0] if len(set(counts)) == 1 else None
-        return P, _starts(counts), width
+        ends = itertools.accumulate(map(len, point_lists))
+        return [cls(space, points[e - len(ps) : e]) for ps, e in zip(point_lists, ends)]
 
     @staticmethod
     def kernel(params, H, out, hmax, Ht):
@@ -423,24 +404,19 @@ class Contamination(CredalModel):
 
     @classmethod
     def stack(cls, rows):
-        return cls._params(np.array([r.base.weights for r in rows]), rows)
+        eps = np.array([[r.epsilon] for r in rows])
+        return np.array([r.base.weights for r in rows]), 1.0 - eps, eps
 
     @classmethod
     def block(cls, space: StateSpace, bases, epsilons):
         """`[Contamination(MassFunction(space, b), e) for b, e in
-        zip(bases, epsilons)]` and their `stack`, the bases validated as
-        one array.  Raises what that loop raises first: a base is checked
-        before its own epsilon, so only the bases up to the first refused
-        epsilon are checked before it."""
+        zip(bases, epsilons)]`, the bases validated as one array.  Raises
+        what that loop raises first: a base is checked before its own
+        epsilon, so only the bases up to the first refused epsilon are
+        checked before it."""
         last = next((i for i, e in enumerate(epsilons) if _refused(e)), len(bases))
         B = _mass_rows(space, bases[: last + 1])
-        rows = [cls(MassFunction._stored(space, b), e) for b, e in zip(B, epsilons)]
-        return rows, cls._params(B, rows)
-
-    @staticmethod
-    def _params(B, rows):
-        eps = np.array([[r.epsilon] for r in rows])
-        return B, 1.0 - eps, eps
+        return [cls(MassFunction._stored(space, b), e) for b, e in zip(B, epsilons)]
 
     @staticmethod
     def kernel(params, H, out, hmax, Ht):
@@ -506,17 +482,15 @@ class BeliefFunction(CredalModel):
     @classmethod
     def stack(cls, rows):
         positions = [ev.positions for r in rows for ev, _ in r.focal]
-        members = np.concatenate(positions)
         sizes = [len(p) for p in positions]
-        member_starts = _starts(sizes)
-        # A batch gathers the n proper subsets from padded tables into
+        # A step gathers the n proper subsets from padded tables into
         # rows 0 .. n - 1 of its focal maxima and, if some focal element
         # is the whole space, puts hmax in row n; `inverse` takes those
         # rows to focal order.
         whole_size = len(rows[0].space)
         proper = [i for i, size in enumerate(sizes) if size < whole_size]
         tables, table_rows = _padded_tables(
-            members, member_starts[proper], [sizes[i] for i in proper]
+            np.concatenate(positions), _starts(sizes)[proper], [sizes[i] for i in proper]
         )
         whole = len(proper) < len(sizes)
         inverse = np.full(len(sizes), len(proper))
@@ -525,26 +499,22 @@ class BeliefFunction(CredalModel):
             inverse = None
         w = np.array([[w] for r in rows for _, w in r.focal])
         starts = _starts([len(r.focal) for r in rows])
-        return members, member_starts, tables, len(proper), whole, inverse, w, starts
+        return tables, len(proper), whole, inverse, w, starts
 
     @staticmethod
     def kernel(params, H, out, hmax, Ht):
-        # Focal maxima, weighted, then summed per row.  One column
-        # gathers just the members; wider batches gather padded tables of
-        # the proper subsets, whose maxima over whole (focal, k) slabs
-        # cost far less than `np.maximum.reduceat` over many short
-        # segments, and take each whole-space maximum from hmax.
-        members, member_starts, tables, n, whole, inverse, w, starts = params
-        if H.shape[1] == 1:
-            focal_max = np.maximum.reduceat(H.take(members, axis=0), member_starts, axis=0)
-        else:
-            focal_max = np.empty((n + whole, H.shape[1]))
-            for table, block in tables:
-                H.take(table, axis=0).max(axis=0, out=focal_max[block])
-            if whole:
-                focal_max[n] = hmax
-            if inverse is not None:
-                focal_max = focal_max.take(inverse, axis=0)
+        # Focal maxima, weighted, then summed per row.  The proper subsets
+        # are gathered from padded tables, whose maxima over whole
+        # (focal, k) slabs cost far less than `np.maximum.reduceat` over
+        # many short segments; each whole-space maximum is hmax.
+        tables, n, whole, inverse, w, starts = params
+        focal_max = np.empty((n + whole, H.shape[1]))
+        for table, block in tables:
+            H.take(table, axis=0).max(axis=0, out=focal_max[block])
+        if whole:
+            focal_max[n] = hmax
+        if inverse is not None:
+            focal_max = focal_max.take(inverse, axis=0)
         focal_max *= w
         np.add.reduceat(focal_max, starts, axis=0, out=out)
 

@@ -288,7 +288,12 @@ def _mass_rows(space: StateSpace, W: np.ndarray) -> np.ndarray:
 
     Raises the constructor's error for the first row it would reject: on
     an array that is not (c, |space|), a row of the wrong width."""
-    W = np.array(W, dtype=float)
+    try:
+        W = np.array(W, dtype=float)
+    except ValueError:  # ragged rows or a non-number: the first bad row raises
+        for w in W:
+            MassFunction(space, w)
+        raise
     if W.ndim != 2 or W.shape[1] != len(space):
         # The first row raises; a 0-d W raises TypeError, as iterating it does.
         for w in W:

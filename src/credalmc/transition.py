@@ -1,13 +1,10 @@
 """Upper transition operators: one credal model per source state.
 
-Each operator has a row-block plan of its rows: the rows grouped by
-credal family, in order of each family's first row, and each family's
-parameters packed once.  An operator built from row objects has
-`credal._plan` build it on first use.  `from_matrix`,
-`contamination_of` and the JSON reader (`_from_blocks`) build it at
-construction from the arrays the family's array constructor validated.
-Every step on an (s, k) gamble array is then one `credal._step` through
-the plan.  It fills a single (s, k) output in which each family writes its
+The constructor builds the operator's row-block plan with
+`credal._plan`: the rows grouped by credal family, in order of each
+family's first row, and each family's parameters packed once.  Every
+step on an (s, k) gamble array is then one `credal._step` through the
+plan.  It fills a single (s, k) output in which each family writes its
 rows as one contiguous block, in one call per family present (and per
 column chunk, which `_step` makes when k exceeds
 `credal.CHUNK_CELLS // s**2`).  The column maximum of the gambles is
@@ -25,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .credal import Contamination, CredalModel, Linear, ProbInterval, _assemble, _plan, _step
+from .credal import Contamination, CredalModel, Linear, ProbInterval, _plan, _step
 from .states import REGULARITY_EPS, DimensionMismatch, Gamble
 from .states import StateSpace, _as_columns, _check_space, frozen
 
@@ -46,26 +43,12 @@ class UpperTransitionOperator:
         for r in rows:
             if r.space != space:
                 raise DimensionMismatch("row model on a different state space")
-        vars(self).update(space=space, rows=rows)
-
-    @classmethod
-    def _from_blocks(cls, space: StateSpace, blocks) -> "UpperTransitionOperator":
-        """The operator whose rows at `positions` are `models`, for each
-        (family, models, params, positions) of `blocks` in block order,
-        with its plan assembled from those parameters, not restacked."""
-        rows = [None] * sum(len(positions) for *_, positions in blocks)
-        for _, models, _, positions in blocks:
-            for i, model in zip(positions, models):
-                rows[i] = model
-        op = cls(space, rows)
-        vars(op)["_plan"] = _assemble([(fam, params, pos) for fam, _, params, pos in blocks])
-        return op
+        vars(self).update(space=space, rows=rows, _plan=_plan(rows))
 
     @classmethod
     def from_matrix(cls, space: StateSpace, matrix) -> "UpperTransitionOperator":
         """Precise operator from a row-stochastic matrix."""
-        rows, W = Linear.block(space, matrix)
-        return cls._from_blocks(space, [(Linear, rows, W, range(len(rows)))])
+        return cls(space, Linear.block(space, matrix))
 
     @classmethod
     def contamination_of(
@@ -73,8 +56,7 @@ class UpperTransitionOperator:
     ) -> "UpperTransitionOperator":
         """Epsilon-contamination of each row of a precise matrix."""
         matrix = np.asarray(matrix, dtype=float)
-        rows, params = Contamination.block(space, matrix, [epsilon for _ in matrix])
-        return cls._from_blocks(space, [(Contamination, rows, params, range(len(rows)))])
+        return cls(space, Contamination.block(space, matrix, [epsilon for _ in matrix]))
 
     @classmethod
     def from_interval_matrices(
@@ -93,11 +75,6 @@ class UpperTransitionOperator:
 
     def is_precise(self) -> bool:
         return all(isinstance(r, Linear) for r in self.rows)
-
-    @functools.cached_property
-    def _plan(self):
-        """The row-block plan of the rows (see `credal._plan`)."""
-        return _plan(self.rows)
 
     @functools.cached_property
     def _mass_bounds(self) -> tuple[np.ndarray, np.ndarray]:

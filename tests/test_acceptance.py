@@ -278,9 +278,9 @@ def test_criterion_12_linear_time_marginals(monkeypatch):
         chain.marginal_upper(n, h)
         return time.perf_counter() - t0
 
-    # Best of three, the sizes interleaved so that a slow spell of a
+    # Best of seven, the sizes interleaved so that a slow spell of a
     # shared host weighs on both.
-    pairs = [(timed(10000), timed(20000)) for _ in range(3)]
+    pairs = [(timed(10000), timed(20000)) for _ in range(7)]
     t_10k, t_20k = (min(col) for col in zip(*pairs))
     # The exact count: one operator application per backward step.
     calls = []

@@ -1,11 +1,12 @@
-"""Operators read from JSON carry the plan `credal._plan` builds from their rows.
+"""Every operator carries the plan `credal._plan` builds from its rows.
 
-A `rows` operator is read family by family, and the `matrix` and
-`contamination` operators through the families' array constructors;
-each comes out of the reader with its row-block plan built from the
-validated arrays.  That plan must equal, array for array, the one built
-lazily from the row objects, and the rows must equal the models built
-one row at a time.
+The operator constructor builds the plan, so an operator read from JSON
+(`rows`, `matrix`, `contamination` or `interval`) or built from Python
+row objects has it before its first step.  A `rows` operator is read
+family by family, each family by one reader that validates its rows
+together (the `linear`, `vertices` and `contamination` mass vectors as
+one array); its rows must equal the models read one row at a time, and
+the row-by-row reader names the faulty row of a malformed operator.
 """
 
 import json
@@ -13,15 +14,26 @@ import json
 import numpy as np
 import pytest
 
-from credalmc import Linear, MassFunction, StateSpace, UpperTransitionOperator, credal
+from credalmc import (
+    Contamination,
+    Linear,
+    MassFunction,
+    StateSpace,
+    UpperTransitionOperator,
+    VertexSet,
+    cli,
+    credal,
+)
 from credalmc.cli import (
     _MODELS,
+    _parse,
     bundled_scenario_path,
+    load_bundled,
     model_from_json,
     scenario_from_json,
     scenario_to_json,
 )
-from helpers import six_family_chain
+from helpers import FAMILIES, random_model, six_family_chain
 
 BUNDLED = sorted(p.stem for p in bundled_scenario_path("x").parent.glob("*.json"))
 
@@ -50,19 +62,12 @@ def _assert_same(got, want, where="plan"):
 
 
 def _check_operator(space: StateSpace, obj: dict, op: UpperTransitionOperator):
-    if obj["type"] in ("rows", "matrix", "contamination"):
-        assert "_plan" in vars(op)  # built at load, not on first use
+    assert "_plan" in vars(op)  # built at load, not on first use
     _assert_same(op._plan, credal._plan(op.rows))
     if obj["type"] == "rows":
         by_row = [model_from_json(space, r, "row") for r in obj["rows"]]
         assert list(op.rows) == by_row
         assert list(map(hash, op.rows)) == list(map(hash, by_row))
-    # The validated arrays are the parameters: a Linear row's weights are
-    # a row of its block's parameter array.
-    for kernel, params, _ in op._plan[0]:
-        if kernel is Linear.kernel:
-            linear = [r for r in op.rows if isinstance(r, Linear)]
-            assert all(np.shares_memory(r.mass.weights, params) for r in linear)
 
 
 def _check_scenario(doc: dict):
@@ -105,3 +110,79 @@ def test_array_constructors_equal_the_row_constructors():
     assert [(r.base.weights.tobytes(), r.epsilon) for r in op.rows] == [
         (MassFunction(space, w).weights.tobytes(), 0.25) for w in M
     ]
+
+
+def test_operators_built_from_row_objects_carry_their_plan():
+    rng = np.random.default_rng(7)
+    space = StateSpace(list("abcdef"))
+    op = UpperTransitionOperator(space, [random_model(rng, space, f) for f in FAMILIES])
+    assert "_plan" in vars(op)
+    _assert_same(op._plan, credal._plan(op.rows))
+
+
+def test_a_family_by_family_error_on_valid_rows_is_raised(monkeypatch):
+    # The row-by-row reread only names a faulty row; when every row reads
+    # and the operator builds, the family-by-family error must surface.
+    def broken(space, objs):
+        raise RuntimeError("family reader failed")
+
+    monkeypatch.setattr(cli, "_rows_by_family", broken)
+    with pytest.raises(RuntimeError, match="family reader failed"):
+        load_bundled("stationary_mixed8")
+
+
+#: The row constructors each family's reader stands for, one row at a time.
+_ROW_CONSTRUCTORS = {
+    "linear": lambda sp, o: Linear(MassFunction(sp, o["mass"])),
+    "vertices": lambda sp, o: VertexSet(sp, [MassFunction(sp, p) for p in o["points"]]),
+    "contamination": lambda sp, o: Contamination(MassFunction(sp, o["base"]), o["epsilon"]),
+}
+
+_MALFORMED = [
+    {"type": "linear", "mass": [[0.5], [0.5, 0.5]]},
+    {"type": "linear", "mass": "ab"},
+    {"type": "linear", "mass": 0.5},
+    {"type": "linear", "mass": None},
+    {"type": "linear", "mass": ["x", 0.5]},
+    {"type": "linear", "mass": [0.5, 0.5, 0.0]},
+    {"type": "linear"},
+    {"type": "vertices", "points": [[0.5, 0.5], [1.0]]},
+    {"type": "vertices", "points": [[0.5, 0.5], [0.5, [0.5]]]},
+    {"type": "vertices", "points": "ab"},
+    {"type": "vertices", "points": "0.5"},
+    {"type": "vertices", "points": 5},
+    {"type": "vertices", "points": None},
+    {"type": "vertices", "points": {"a": 1}},
+    {"type": "vertices", "points": [0.5, 0.5]},
+    {"type": "vertices", "points": []},
+    {"type": "vertices", "points": [[0.5, 0.5], [0.7, 0.7]]},
+    {"type": "contamination", "base": [[0.5], [0.5, 0.5]], "epsilon": 0.5},
+    {"type": "contamination", "base": [0.7, 0.7], "epsilon": 1.5},
+    {"type": "contamination", "base": [0.5, 0.5], "epsilon": [0.1]},
+    {"type": "contamination", "base": [0.5, 0.5]},
+]
+
+
+@pytest.mark.parametrize("obj", _MALFORMED, ids=lambda o: json.dumps(o))
+def test_one_row_reads_raise_what_the_row_constructor_raises(obj):
+    space = StateSpace(["a", "b"])
+
+    def error(read):
+        with pytest.raises(ValueError) as info:
+            _parse("row", obj, read)
+        return type(info.value), getattr(info.value, "code", None), str(info.value)
+
+    want = error(lambda o: _ROW_CONSTRUCTORS[o["type"]](space, o))
+    assert error(lambda o: model_from_json(space, o, "row")) == want
+
+
+@pytest.mark.parametrize(
+    "matrix", [[[0.7, 0.7], ["x", 0.5]], [[0.7, 0.7], [1.0]], [[0.5, 0.5], [0.5, 0.5, 0.0]], "ab"]
+)
+def test_array_constructors_raise_what_the_row_loop_raises(matrix):
+    space = StateSpace(["a", "b"])
+    with pytest.raises((ValueError, TypeError)) as want:
+        [Linear(MassFunction(space, w)) for w in matrix]
+    with pytest.raises(type(want.value)) as got:
+        Linear.block(space, matrix)
+    assert str(got.value) == str(want.value)
