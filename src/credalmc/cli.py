@@ -28,14 +28,10 @@ Transition operators::
     {"type": "contamination", "matrix": [[...], ...], "epsilon": 0.1}
     {"type": "interval", "lower": [[...], ...], "upper": [[...], ...]}
 
-Each model tag has one reader, which takes a list of row objects of
-that family; the `linear`, `vertices` and `contamination` readers
-validate the family's mass vectors as one array.  A single model is
-read as a list of one, and a `rows` operator family by family, its rows
-grouped by type tag.  If the operator is malformed anywhere, its rows
-are read again one at a time, so the error names its row, as in
-``transition[1].rows[2]: ...``, and is the error a row-by-row reader
-gives; if every row then reads, the first error is raised as it is.
+Each model tag has one reader, which calls the family's row constructor
+on one object.  A `rows` operator is read one row at a time through
+those readers, so an error names its row, as in
+``transition[1].rows[2]: ...``.
 
 All commands print CSV with a header row on stdout; numbers carry 12
 significant digits, making output byte-stable across runs.  A command
@@ -78,7 +74,7 @@ from .limits import (
     NotRegularError,
     limit_upper,
 )
-from .states import Event, Gamble, StateSpace
+from .states import Event, Gamble, MassFunction, StateSpace
 from .transition import UpperTransitionOperator
 
 class ScenarioError(CredalValidationError):
@@ -120,76 +116,46 @@ def _list(obj: dict, key: str) -> list:
     return value
 
 
-#: JSON tag -> (class, read(space, objs) -> models, write(model) -> fields);
-#: `read` takes the row objects of one family and returns their models.
+#: JSON tag -> (class, read(space, obj) -> model, write(model) -> fields).
 _MODELS = {
     "linear": (
         Linear,
-        lambda sp, objs: Linear.block(sp, [o["mass"] for o in objs]),
+        lambda sp, o: Linear(MassFunction(sp, o["mass"])),
         lambda m: {"mass": list(m.mass.weights)},
     ),
-    "vacuous": (Vacuous, lambda sp, objs: [Vacuous(sp) for _ in objs], lambda m: {}),
+    "vacuous": (Vacuous, lambda sp, o: Vacuous(sp), lambda m: {}),
     "vertices": (
         VertexSet,
-        lambda sp, objs: VertexSet.block(sp, [o["points"] for o in objs]),
+        lambda sp, o: VertexSet(sp, [MassFunction(sp, p) for p in o["points"]]),
         lambda m: {"points": [list(p.weights) for p in m.points]},
     ),
     "contamination": (
         Contamination,
-        lambda sp, objs: Contamination.block(
-            sp, [o["base"] for o in objs], [o["epsilon"] for o in objs]
-        ),
+        lambda sp, o: Contamination(MassFunction(sp, o["base"]), o["epsilon"]),
         lambda m: {"base": list(m.base.weights), "epsilon": m.epsilon},
     ),
     "belief": (
         BeliefFunction,
-        lambda sp, objs: [
-            BeliefFunction(sp, [(Event(sp, _list(f, "members")), f["mass"]) for f in o["focal"]])
-            for o in objs
-        ],
+        lambda sp, o: BeliefFunction(
+            sp, [(Event(sp, _list(f, "members")), f["mass"]) for f in o["focal"]]
+        ),
         lambda m: {
             "focal": [{"members": sorted(ev.members), "mass": w} for ev, w in m.focal]
         },
     ),
     "prob_interval": (
         ProbInterval,
-        lambda sp, objs: [ProbInterval(sp, o["lower"], o["upper"]) for o in objs],
+        lambda sp, o: ProbInterval(sp, o["lower"], o["upper"]),
         lambda m: {"lower": list(m.lower_mass), "upper": list(m.upper_mass)},
     ),
 }
 _MODEL_TAGS = {cls: tag for tag, (cls, _, _) in _MODELS.items()}
 
 
-def _rows_by_family(space: StateSpace, objs) -> UpperTransitionOperator:
-    """The operator of the row objects `objs`, read family by family.
-
-    Rows are grouped by type tag and each group is read by one `_MODELS`
-    reader.  Raises on any malformed input, without saying which row is
-    at fault."""
-    if not (isinstance(objs, list) and all(isinstance(o, dict) for o in objs)):
-        raise TypeError("rows must be a list of objects")
-    groups: dict[str, list[int]] = {}
-    for i, o in enumerate(objs):
-        groups.setdefault(o["type"], []).append(i)
-    rows = [None] * len(objs)
-    for tag, idx in groups.items():
-        for i, model in zip(idx, _MODELS[tag][1](space, [objs[i] for i in idx])):
-            rows[i] = model
-    return UpperTransitionOperator(space, rows)
-
-
 def _read_rows(space: StateSpace, obj: dict, where: str) -> UpperTransitionOperator:
-    """A `rows` operator, read family by family.  On an error the rows are
-    read again one by one, so the error names its row as
-    ``<where>.rows[<i>]``; should every row read and the operator build,
-    the family-by-family error is raised as it is."""
-    try:
-        return _rows_by_family(space, obj["rows"])
-    except Exception:
-        rows = obj["rows"]
-        models = [model_from_json(space, r, f"{where}.rows[{i}]") for i, r in enumerate(rows)]
-        UpperTransitionOperator(space, models)
-        raise
+    """A `rows` operator, read row by row, so an error names its row."""
+    rows = [model_from_json(space, r, f"{where}.rows[{i}]") for i, r in enumerate(obj["rows"])]
+    return UpperTransitionOperator(space, rows)
 
 
 #: JSON tag -> read(space, obj, where) -> operator.
@@ -206,7 +172,7 @@ _OPERATORS = {
 
 
 def model_from_json(space: StateSpace, obj: dict, where: str) -> CredalModel:
-    return _parse(where, obj, lambda o: _MODELS[o["type"]][1](space, [o])[0])
+    return _parse(where, obj, lambda o: _MODELS[o["type"]][1](space, o))
 
 
 def operator_from_json(

@@ -13,15 +13,13 @@ k columns of a gamble matrix H of shape (s, k) under each of them into
 the (m, k) block `out`.  `_plan(rows)` builds every row-block plan: one
 stacked block per family, in order of each family's first row, and the
 permutation back to row order.  An operator builds the plan of its rows
-at construction, a model the plan of its one row on first use.  The
-array constructors `Linear.block`, `VertexSet.block` and
-`Contamination.block` validate a whole family's mass vectors as one
-array and return the models.  `_step` runs one step through a plan,
-sharing two views of H that it computes once: `hmax`, the column
-maximum `H.max(axis=0)`, for the families that read it (`reads_max`:
-Vacuous, Contamination and BeliefFunction; the others get None), and
-for k > 1 `Ht`, a C-contiguous (k, s) copy of `H.T`, which the families
-with a matrix product and ProbInterval read (None at k = 1).
+at construction, a model the plan of its one row on first use.  `_step`
+runs one step through a plan, sharing two views of H that it computes
+once: `hmax`, the column maximum `H.max(axis=0)`, for the families that
+read it (`reads_max`: Vacuous, Contamination and BeliefFunction; the
+others get None), and for k > 1 `Ht`, a C-contiguous (k, s) copy of
+`H.T`, which the families with a matrix product and ProbInterval read
+(None at k = 1).
 
 Every kernel is column-exact: column j of its block has the same bits,
 except the sign of a zero, whatever the other columns and the batch
@@ -279,12 +277,6 @@ class Linear(CredalModel):
     def stack(cls, rows):
         return np.array([r.mass.weights for r in rows])
 
-    @classmethod
-    def block(cls, space: StateSpace, weights):
-        """`[Linear(MassFunction(space, w)) for w in weights]`, the masses
-        validated as one array.  Raises what that loop raises first."""
-        return [cls(MassFunction._stored(space, w)) for w in _mass_rows(space, weights)]
-
     @staticmethod
     def kernel(W, H, out, hmax, Ht):
         _gemv(W, H, Ht, out)
@@ -339,18 +331,6 @@ class VertexSet(CredalModel):
         width = counts[0] if len(set(counts)) == 1 else None
         return np.array([p.weights for r in rows for p in r.points]), _starts(counts), width
 
-    @classmethod
-    def block(cls, space: StateSpace, point_lists):
-        """The vertex sets of the `point_lists`, one list of mass vectors
-        each, all points validated as one array.  Raises if any row would
-        be rejected; for one list, what `VertexSet(space, [MassFunction(
-        space, p) for p in points])` raises."""
-        point_lists = [list(points) for points in point_lists]
-        P = _mass_rows(space, [p for points in point_lists for p in points])
-        points = [MassFunction._stored(space, p) for p in P]
-        ends = itertools.accumulate(map(len, point_lists))
-        return [cls(space, points[e - len(ps) : e]) for ps, e in zip(point_lists, ends)]
-
     @staticmethod
     def kernel(params, H, out, hmax, Ht):
         # `width` is the vertex count when every row has the same; the
@@ -369,14 +349,6 @@ class VertexSet(CredalModel):
         return list(self.points)
 
 
-def _refused(epsilon) -> bool:
-    """Whether `Contamination` refuses `epsilon`."""
-    try:
-        return not 0.0 < float(epsilon) < 1.0
-    except (TypeError, ValueError, OverflowError):
-        return True
-
-
 @frozen
 class Contamination(CredalModel):
     """Epsilon-contamination of a precise mass function.
@@ -391,7 +363,7 @@ class Contamination(CredalModel):
 
     def __init__(self, base: MassFunction, epsilon: float):
         epsilon = float(epsilon)
-        if _refused(epsilon):
+        if not 0.0 < epsilon < 1.0:
             raise CredalValidationError(
                 "epsilon-out-of-range",
                 f"contamination epsilon must lie in (0, 1), got {epsilon}",
@@ -406,17 +378,6 @@ class Contamination(CredalModel):
     def stack(cls, rows):
         eps = np.array([[r.epsilon] for r in rows])
         return np.array([r.base.weights for r in rows]), 1.0 - eps, eps
-
-    @classmethod
-    def block(cls, space: StateSpace, bases, epsilons):
-        """`[Contamination(MassFunction(space, b), e) for b, e in
-        zip(bases, epsilons)]`, the bases validated as one array.  Raises
-        what that loop raises first: a base is checked before its own
-        epsilon, so only the bases up to the first refused epsilon are
-        checked before it."""
-        last = next((i for i, e in enumerate(epsilons) if _refused(e)), len(bases))
-        B = _mass_rows(space, bases[: last + 1])
-        return [cls(MassFunction._stored(space, b), e) for b, e in zip(B, epsilons)]
 
     @staticmethod
     def kernel(params, H, out, hmax, Ht):

@@ -26,7 +26,7 @@ class ConvergenceError(RuntimeError):
 
 
 class NotRegularError(ValueError):
-    """The operator failed the bounded regularity search."""
+    """The operator is not regular."""
 
 
 @frozen

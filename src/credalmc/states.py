@@ -46,11 +46,6 @@ VERTEX_DEDUP_TOL = 1e-12
 #: Slack on a single focal mass or interval bound (sums use MASS_TOL).
 BOUND_SLACK = 1e-12
 
-#: Strict-positivity threshold for the regularity test.  Exact zeros
-#: arise structurally (cycles); anything materially positive at desk
-#: scale exceeds this by orders of magnitude.
-REGULARITY_EPS = 1e-12
-
 #: Stop criterion of the long-run iterations in `limits`: the
 #: oscillation (or sup-norm change, or geometric tail) they stop below.
 DEFAULT_TOL = 1e-10

@@ -23,8 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .credal import Contamination, CredalModel, Linear, ProbInterval, _plan, _step
-from .states import REGULARITY_EPS, DimensionMismatch, Gamble
-from .states import StateSpace, _as_columns, _check_space, frozen
+from .states import DimensionMismatch, Gamble, MassFunction, StateSpace
+from .states import _as_columns, _check_space, _mass_rows, frozen
 
 
 @frozen
@@ -48,7 +48,8 @@ class UpperTransitionOperator:
     @classmethod
     def from_matrix(cls, space: StateSpace, matrix) -> "UpperTransitionOperator":
         """Precise operator from a row-stochastic matrix."""
-        return cls(space, Linear.block(space, matrix))
+        rows = _mass_rows(space, matrix)
+        return cls(space, [Linear(MassFunction._stored(space, w)) for w in rows])
 
     @classmethod
     def contamination_of(
@@ -56,7 +57,7 @@ class UpperTransitionOperator:
     ) -> "UpperTransitionOperator":
         """Epsilon-contamination of each row of a precise matrix."""
         matrix = np.asarray(matrix, dtype=float)
-        return cls(space, Contamination.block(space, matrix, [epsilon for _ in matrix]))
+        return cls(space, [Contamination(MassFunction(space, b), epsilon) for b in matrix])
 
     @classmethod
     def from_interval_matrices(
@@ -95,25 +96,24 @@ class UpperTransitionOperator:
         return -self.apply(-h)
 
     def default_n_max(self) -> int:
-        # Wielandt bound for precise primitive matrices; the imprecise
-        # case has no published bound, so is_regular treats exhaustion of
-        # n_max as inconclusive.
+        # Wielandt's bound on the primitivity index of an s x s boolean
+        # matrix, which `is_regular` decides for every family.
         return (len(self.space) - 1) ** 2 + 1
 
     def is_regular(self, n_max: int | None = None) -> int | None:
-        """Smallest n <= n_max with min over x of T^n I_{y}(x) > 0 for all y.
-
-        Returns that n, or None if no such n <= n_max was found.  None is
-        a bounded-search verdict, not a proof of non-regularity.
-        """
+        """Smallest n <= n_max with min over x of T^n I_{y}(x) > 0 for all y,
+        or None if there is none.  T^n I_{y}(x) > 0 exactly when entry
+        [x, y] of the n-th boolean power of U = (T I_{y}(x) > 0) is true,
+        as T g(x) > 0 for g >= 0 exactly when g(y) > 0 at some y with
+        T I_{y}(x) > 0: n is decided exactly, and at the default n_max
+        None proves that T is not regular."""
         if n_max is None:
             n_max = self.default_n_max()
         if n_max < 1:
             raise ValueError("n_max must be >= 1")
-        # Column y holds the iterate T^n I_{y}.
-        iterates = np.eye(len(self.space))
+        power = U = self.apply_many(np.eye(len(self.space))) > 0
         for n in range(1, n_max + 1):
-            iterates = self.apply_many(iterates)
-            if iterates.min() > REGULARITY_EPS:
+            if power.all():
                 return n
+            power = power @ U
         return None

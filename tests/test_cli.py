@@ -255,6 +255,19 @@ def test_regularity_not_found(capsys, tmp_path):
     assert out.splitlines()[1] == "not_found,12"
 
 
+def test_regularity_counts_a_tiny_positive_mass(capsys, tmp_path):
+    # T^2 I_b(b) = 1e-13 is positive, so the chain is regular at n = 2.
+    doc = {
+        "states": ["a", "b"],
+        "initial": {"type": "vacuous"},
+        "transition": {"type": "matrix", "matrix": [[1 - 1e-13, 1e-13], [1.0, 0.0]]},
+        "horizon": 3,
+    }
+    p = tmp_path / "tiny.json"
+    p.write_text(json.dumps(doc))
+    assert _run(capsys, "regularity", str(p)) == (0, "verdict,n\nfound,2\n", "")
+
+
 def test_joint_command(capsys):
     path = str(bundled_scenario_path("example_5_3_n2"))
     code, out, _ = _run(capsys, "joint", path)

@@ -2,11 +2,12 @@
 
 The operator constructor builds the plan, so an operator read from JSON
 (`rows`, `matrix`, `contamination` or `interval`) or built from Python
-row objects has it before its first step.  A `rows` operator is read
-family by family, each family by one reader that validates its rows
-together (the `linear`, `vertices` and `contamination` mass vectors as
-one array); its rows must equal the models read one row at a time, and
-the row-by-row reader names the faulty row of a malformed operator.
+row objects has it before its first step.  A `rows` operator is read one
+row at a time, each row by its family's reader, which calls the row
+constructor; its rows must equal the models read one row at a time, and
+a one-row read raises what the row constructor raises.  `from_matrix`
+validates its mass vectors as one array and raises what the row loop
+raises.
 """
 
 import json
@@ -21,14 +22,12 @@ from credalmc import (
     StateSpace,
     UpperTransitionOperator,
     VertexSet,
-    cli,
     credal,
 )
 from credalmc.cli import (
     _MODELS,
     _parse,
     bundled_scenario_path,
-    load_bundled,
     model_from_json,
     scenario_from_json,
     scenario_to_json,
@@ -120,18 +119,7 @@ def test_operators_built_from_row_objects_carry_their_plan():
     _assert_same(op._plan, credal._plan(op.rows))
 
 
-def test_a_family_by_family_error_on_valid_rows_is_raised(monkeypatch):
-    # The row-by-row reread only names a faulty row; when every row reads
-    # and the operator builds, the family-by-family error must surface.
-    def broken(space, objs):
-        raise RuntimeError("family reader failed")
-
-    monkeypatch.setattr(cli, "_rows_by_family", broken)
-    with pytest.raises(RuntimeError, match="family reader failed"):
-        load_bundled("stationary_mixed8")
-
-
-#: The row constructors each family's reader stands for, one row at a time.
+#: The row constructors each family's reader calls, one row at a time.
 _ROW_CONSTRUCTORS = {
     "linear": lambda sp, o: Linear(MassFunction(sp, o["mass"])),
     "vertices": lambda sp, o: VertexSet(sp, [MassFunction(sp, p) for p in o["points"]]),
@@ -184,5 +172,5 @@ def test_array_constructors_raise_what_the_row_loop_raises(matrix):
     with pytest.raises((ValueError, TypeError)) as want:
         [Linear(MassFunction(space, w)) for w in matrix]
     with pytest.raises(type(want.value)) as got:
-        Linear.block(space, matrix)
+        UpperTransitionOperator.from_matrix(space, matrix)
     assert str(got.value) == str(want.value)

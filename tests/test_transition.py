@@ -78,6 +78,13 @@ def test_cycle_not_regular(cycle_op):
     assert cycle_op.is_regular(50) is None
 
 
+def test_regularity_is_decided_on_the_support():
+    # The iterates' minimum T^2 I_b(b) is 1e-13: positive, so regular at 2.
+    op = UpperTransitionOperator.from_matrix(AB, [[1 - 1e-13, 1e-13], [1.0, 0.0]])
+    assert op.is_regular(1) is None
+    assert op.is_regular() == 2
+
+
 def test_interval_operator_regular(ex54_op):
     n = ex54_op.is_regular(9)
     assert n is not None and n <= 9
