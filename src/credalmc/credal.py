@@ -76,7 +76,6 @@ from .states import (
     _as_columns,
     _check_space,
     _freeze,
-    _mass_rows,
     _normalized,
     frozen,
 )
@@ -153,15 +152,16 @@ class CredalModel:
 
 
 def _vertex_list(space: StateSpace, W: np.ndarray) -> list[MassFunction]:
-    """The rows of the (c, s) candidate array W as mass functions, in
-    order, without each row that lies within VERTEX_DEDUP_TOL of an
-    earlier kept one (compared as the mass functions store them)."""
-    W = _mass_rows(space, W)
+    """The rows of the (c, s) candidate array W, each built by the
+    `MassFunction` constructor, in order, without each one whose stored
+    weights lie within VERTEX_DEDUP_TOL of an earlier kept one's."""
+    masses = [MassFunction(space, w) for w in W]
+    W = np.array([m.weights for m in masses])
     kept: list[int] = []
     for i, w in enumerate(W):
         if not kept or np.abs(W[kept] - w).max(axis=1).min() > VERTEX_DEDUP_TOL:
             kept.append(i)
-    return [MassFunction._stored(space, W[i]) for i in kept]
+    return [masses[i] for i in kept]
 
 
 def _plan(rows: Sequence[CredalModel]):

@@ -251,13 +251,6 @@ class MassFunction:
         vars(self).update(space=space, weights=weights)
 
     @classmethod
-    def _stored(cls, space: StateSpace, weights: np.ndarray) -> "MassFunction":
-        """A mass function holding `weights`, a frozen row of `_mass_rows`."""
-        m = object.__new__(cls)
-        vars(m).update(space=space, weights=weights)
-        return m
-
-    @classmethod
     def degenerate(cls, space: StateSpace, label: str) -> "MassFunction":
         w = np.zeros(len(space))
         w[space.index(label)] = 1.0
@@ -275,40 +268,6 @@ def _normalized(weights: np.ndarray, n: int, lo: float, total: float) -> np.ndar
     if abs(total - 1.0) > RENORM_ULPS * n * _EPS:
         weights = weights / total
     return weights
-
-
-def _mass_rows(space: StateSpace, W: np.ndarray) -> np.ndarray:
-    """The weights `MassFunction(space, w)` stores, for every row w of the
-    (c, |space|) array W, bit for bit, as one frozen array.
-
-    Raises the constructor's error for the first row it would reject: on
-    an array that is not (c, |space|), a row of the wrong width."""
-    try:
-        W = np.array(W, dtype=float)
-    except ValueError:  # ragged rows or a non-number: the first bad row raises
-        for w in W:
-            MassFunction(space, w)
-        raise
-    if W.ndim != 2 or W.shape[1] != len(space):
-        # The first row raises; a 0-d W raises TypeError, as iterating it does.
-        for w in W:
-            MassFunction(space, w)
-        W = W.reshape(0, len(space))  # W has no rows
-    lo, hi, total = W.min(axis=1), W.max(axis=1), W.sum(axis=1)
-    # A comparison with NaN is false and an infinite weight puts lo or hi
-    # out of range, so `ok` marks exactly the rows the constructor accepts.
-    ok = (lo >= -MASS_TOL) & (hi <= 1 + MASS_TOL) & (np.abs(total - 1.0) <= MASS_TOL)
-    if not ok.all():
-        MassFunction(space, W[ok.argmin()])  # raises
-    clip = lo <= 0.0
-    if clip.any():
-        W[clip] = np.clip(W[clip], 0.0, None)
-        total[clip] = W[clip].sum(axis=1)
-    renorm = np.abs(total - 1.0) > RENORM_ULPS * len(space) * _EPS
-    if renorm.any():
-        W[renorm] /= total[renorm, None]
-    W.setflags(write=False)
-    return W
 
 
 def expectation(m: MassFunction, h: Gamble) -> float:

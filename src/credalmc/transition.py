@@ -24,7 +24,7 @@ import numpy as np
 
 from .credal import Contamination, CredalModel, Linear, ProbInterval, _plan, _step
 from .states import DimensionMismatch, Gamble, MassFunction, StateSpace
-from .states import _as_columns, _check_space, _mass_rows, frozen
+from .states import _as_columns, _check_space, frozen
 
 
 @frozen
@@ -47,16 +47,15 @@ class UpperTransitionOperator:
 
     @classmethod
     def from_matrix(cls, space: StateSpace, matrix) -> "UpperTransitionOperator":
-        """Precise operator from a row-stochastic matrix."""
-        rows = _mass_rows(space, matrix)
-        return cls(space, [Linear(MassFunction._stored(space, w)) for w in rows])
+        """Precise operator from a row-stochastic matrix, read row by row."""
+        return cls(space, [Linear(MassFunction(space, w)) for w in matrix])
 
     @classmethod
     def contamination_of(
         cls, space: StateSpace, matrix, epsilon: float
     ) -> "UpperTransitionOperator":
-        """Epsilon-contamination of each row of a precise matrix."""
-        matrix = np.asarray(matrix, dtype=float)
+        """Epsilon-contamination of each row of a precise matrix, read row
+        by row."""
         return cls(space, [Contamination(MassFunction(space, b), epsilon) for b in matrix])
 
     @classmethod
@@ -105,14 +104,17 @@ class UpperTransitionOperator:
         or None if there is none.  T^n I_{y}(x) > 0 exactly when entry
         [x, y] of the n-th boolean power of U = (T I_{y}(x) > 0) is true,
         as T g(x) > 0 for g >= 0 exactly when g(y) > 0 at some y with
-        T I_{y}(x) > 0: n is decided exactly, and at the default n_max
-        None proves that T is not regular."""
+        T I_{y}(x) > 0: n is decided exactly.  The search stops at
+        Wielandt's bound `default_n_max()`, which no regular operator
+        exceeds, so None at any n_max from there on proves that T is not
+        regular."""
+        bound = self.default_n_max()
         if n_max is None:
-            n_max = self.default_n_max()
+            n_max = bound
         if n_max < 1:
             raise ValueError("n_max must be >= 1")
         power = U = self.apply_many(np.eye(len(self.space))) > 0
-        for n in range(1, n_max + 1):
+        for n in range(1, min(n_max, bound) + 1):
             if power.all():
                 return n
             power = power @ U

@@ -802,7 +802,7 @@ _ROWS_ABC_OK = {"type": "rows", "rows": [_linear([0.2, 0.3, 0.5])] * 3}
         ),
         (
             {"transition": {"type": "matrix", "matrix": 5}},
-            "error:schema-error: transition: iteration over a 0-d array\n",
+            "error:schema-error: transition: 'int' object is not iterable\n",
         ),
         (
             {"transition": {"type": "matrix", "matrix": [0.5, 0.5]}},

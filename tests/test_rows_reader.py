@@ -5,9 +5,9 @@ The operator constructor builds the plan, so an operator read from JSON
 row objects has it before its first step.  A `rows` operator is read one
 row at a time, each row by its family's reader, which calls the row
 constructor; its rows must equal the models read one row at a time, and
-a one-row read raises what the row constructor raises.  `from_matrix`
-validates its mass vectors as one array and raises what the row loop
-raises.
+a one-row read raises what the row constructor raises.  Both matrix
+constructors, `from_matrix` and `contamination_of`, read row by row, so
+they raise what their row loop raises.
 """
 
 import json
@@ -164,13 +164,27 @@ def test_one_row_reads_raise_what_the_row_constructor_raises(obj):
     assert error(lambda o: model_from_json(space, o, "row")) == want
 
 
+#: (array constructor, the row loop it stands for) pairs.
+_ARRAY_CONSTRUCTORS = {
+    "from_matrix": (
+        UpperTransitionOperator.from_matrix,
+        lambda sp, M: [Linear(MassFunction(sp, w)) for w in M],
+    ),
+    "contamination_of": (
+        lambda sp, M: UpperTransitionOperator.contamination_of(sp, M, 0.25),
+        lambda sp, M: [Contamination(MassFunction(sp, b), 0.25) for b in M],
+    ),
+}
+
+
 @pytest.mark.parametrize(
     "matrix", [[[0.7, 0.7], ["x", 0.5]], [[0.7, 0.7], [1.0]], [[0.5, 0.5], [0.5, 0.5, 0.0]], "ab"]
 )
 def test_array_constructors_raise_what_the_row_loop_raises(matrix):
     space = StateSpace(["a", "b"])
-    with pytest.raises((ValueError, TypeError)) as want:
-        [Linear(MassFunction(space, w)) for w in matrix]
-    with pytest.raises(type(want.value)) as got:
-        UpperTransitionOperator.from_matrix(space, matrix)
-    assert str(got.value) == str(want.value)
+    for name, (build, row_loop) in _ARRAY_CONSTRUCTORS.items():
+        with pytest.raises((ValueError, TypeError)) as want:
+            row_loop(space, matrix)
+        with pytest.raises(type(want.value)) as got:
+            build(space, matrix)
+        assert str(got.value) == str(want.value), name

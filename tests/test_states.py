@@ -11,7 +11,7 @@ from credalmc import (
     StateSpace,
     expectation,
 )
-from credalmc.states import MASS_TOL, RENORM_ULPS, _freeze, _mass_rows
+from credalmc.states import MASS_TOL, RENORM_ULPS, _freeze
 
 AB = StateSpace(["a", "b"])
 
@@ -148,43 +148,6 @@ def test_mass_function_boundaries():
     with pytest.raises(ValueError, match="sum to"):
         MassFunction(AB, [0.5, 0.5 + 2 * t])
     MassFunction(AB, [0.5, 0.5 + 0.9 * t])
-
-
-def test_mass_rows_match_the_constructor():
-    rng = np.random.default_rng(43)
-    space = StateSpace([f"x{i}" for i in range(9)])
-    W = rng.dirichlet(np.ones(9), size=200)
-    W[rng.random(W.shape) < 0.2] = 0.0
-    W /= W.sum(axis=1, keepdims=True)
-    W += rng.choice([-1.0, 0.0, 0.5, 1.0], size=W.shape) * (MASS_TOL / 9) * rng.random((200, 1))
-    W[:20][W[:20] == 0.0] = -0.0
-    got = _mass_rows(space, W)
-    assert not got.flags.writeable
-    for row, w in zip(got, W):
-        assert row.tobytes() == MassFunction(space, w).weights.tobytes()
-    # The first rejected row raises the constructor's error.
-    W[[50, 120], 0] = [np.inf, 0.5]
-    with pytest.raises(ValueError) as caught:
-        _mass_rows(space, W)
-    assert _outcome(lambda: MassFunction(space, W[50]).weights) == (ValueError, str(caught.value))
-
-
-@pytest.mark.parametrize(
-    "W",
-    [np.full((4, 3), 1 / 3), np.full((2, 2, 1), 0.5), np.full(2, 0.5), np.empty((3, 0))],
-    ids=["too-wide", "3-d", "1-d", "no-columns"],
-)
-def test_mass_rows_refuse_the_wrong_width_as_the_constructor_does(W):
-    want = _outcome(lambda: MassFunction(AB, W[0]).weights)
-    assert want[0] is DimensionMismatch
-    assert _outcome(lambda: _mass_rows(AB, W)) == want
-
-
-def test_mass_rows_of_no_rows():
-    assert _mass_rows(AB, []).shape == (0, 2)
-    assert _mass_rows(AB, np.empty((0, 2))).shape == (0, 2)
-    with pytest.raises(TypeError, match="0-d"):
-        _mass_rows(AB, 0.5)
 
 
 def test_event_membership_checked():

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,24 @@ def test_regular_contamination_found_at_one(ex53_op):
 
 def test_cycle_not_regular(cycle_op):
     assert cycle_op.is_regular(50) is None
+
+
+def test_regularity_search_stops_at_the_wielandt_bound(cycle_op):
+    start = time.perf_counter()
+    assert cycle_op.is_regular(10**6) is None
+    assert time.perf_counter() - start < 0.1
+
+
+def test_wielandt_matrix_is_found_at_the_bound():
+    # Wielandt's matrix on s states is regular at exactly (s - 1)**2 + 1.
+    space = StateSpace(list("abcd"))
+    M = np.zeros((4, 4))
+    M[[0, 1, 2], [1, 2, 3]] = 1.0
+    M[3, [0, 1]] = 0.5
+    op = UpperTransitionOperator.from_matrix(space, M)
+    assert op.default_n_max() == 10
+    assert op.is_regular(9) is None
+    assert op.is_regular(10**9) == op.is_regular() == 10
 
 
 def test_regularity_is_decided_on_the_support():
