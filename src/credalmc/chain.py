@@ -53,6 +53,8 @@ class PathGamble:
             raise DimensionMismatch(
                 f"path gamble table must have shape {expect}, got {values.shape}"
             )
+        if not np.isfinite(values).all():
+            raise ValueError("path gamble values must be finite")
         values.setflags(write=False)
         vars(self).update(space=space, horizon=horizon, values=values)
 

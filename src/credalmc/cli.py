@@ -401,13 +401,10 @@ def cmd_limit(chain: ImpreciseMarkovChain, args) -> Table:
 
 
 def cmd_regularity(chain: ImpreciseMarkovChain, args) -> Table:
-    if args.n_max is not None and args.n_max < 1:
-        raise ScenarioError("schema-error", f"--n-max must be >= 1, got {args.n_max}")
     op = _single_operator(chain)
-    n_max = op.default_n_max() if args.n_max is None else args.n_max
-    n = op.is_regular(n_max)
+    n = op.is_regular()
     if n is None:
-        return ["verdict", "n"], [["not_found"], [n_max]]
+        return ["verdict", "n"], [["not_found"], [op.wielandt_bound()]]
     return ["verdict", "n"], [["found"], [n]]
 
 
@@ -481,7 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--length", type=int, help="path length for `joint`")
     parser.add_argument("--tol", type=float, default=DEFAULT_TOL)
     parser.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
-    parser.add_argument("--n-max", type=int, default=None)
     parser.add_argument("--seed", type=int, default=0)
     return parser
 

@@ -551,9 +551,9 @@ class ProbInterval(CredalModel):
 
     def event_upper(self, members) -> float:
         """Upper probability of an event: min of the two interval cuts."""
-        if isinstance(members, Event):
-            members = members.members
-        mask = np.array([x in members for x in self.space.labels])
+        if not isinstance(members, Event):
+            members = Event(self.space, members)
+        mask = members.mask()
         return float(
             min(self.upper_mass[mask].sum(), 1.0 - self.lower_mass[~mask].sum())
         )

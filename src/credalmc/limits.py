@@ -26,7 +26,8 @@ class ConvergenceError(RuntimeError):
 
 
 class NotRegularError(ValueError):
-    """The operator is not regular."""
+    """The operator is not regular: `is_regular` found no n up to the
+    Wielandt bound, which proves it."""
 
 
 @frozen
@@ -57,8 +58,10 @@ def limit_upper(
     limit lies within [value - r, value]: truncation stays conservative
     for an upper expectation.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
+    if max_iter < 0:
+        raise ValueError("max_iter must be >= 0")
     for it in range(max_iter + 1):  # iterate `it` is T^it h
         if it:
             h = op.apply(h)
@@ -83,11 +86,14 @@ def contamination_limit(
     Evaluates eps * sum_k (1 - eps)^k max T^k h over the K terms needed
     for the geometric tail bound (1 - eps)^K * max|h| to drop to tol.
     K is computed up front; past max_iter terms this raises
-    ConvergenceError instead of running.
+    ConvergenceError instead of running.  The closed form holds only for
+    a precise base, so `precise` must have all-Linear rows.
     """
+    if not precise.is_precise():
+        raise ValueError("contamination_limit needs all-Linear rows")
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     _check_space(precise, h)
     bound = float(np.abs(h.values).max())
@@ -118,8 +124,11 @@ def contamination_evolve(
 ) -> float:
     """Upper expectation of h(X(n+1)) under a contamination chain.
 
-    (1 - eps)^n * upper_1(T^n h) + eps * sum_{k<n} (1 - eps)^k max T^k h.
+    (1 - eps)^n * upper_1(T^n h) + eps * sum_{k<n} (1 - eps)^k max T^k h,
+    which holds only for a precise base: `precise` must have all-Linear rows.
     """
+    if not precise.is_precise():
+        raise ValueError("contamination_evolve needs all-Linear rows")
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     if n < 0:
@@ -147,6 +156,8 @@ def precise_stationary(
     """
     if not op.is_precise():
         raise ValueError("precise_stationary needs all-Linear rows")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     if op.is_regular() is None:
         raise NotRegularError(
             "operator is not regular within the Wielandt bound"
@@ -176,7 +187,7 @@ def detect_cycle(
     `iterations` its index in the iterate sequence.  The window is
     heuristic: no bound on periods of upper operators is known.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     max_period = 2 * len(op.space) ** 2
     history = deque([h.values], maxlen=2 * max_period + 1)

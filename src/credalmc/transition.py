@@ -94,27 +94,21 @@ class UpperTransitionOperator:
     def apply_lower(self, h: Gamble) -> Gamble:
         return -self.apply(-h)
 
-    def default_n_max(self) -> int:
-        # Wielandt's bound on the primitivity index of an s x s boolean
-        # matrix, which `is_regular` decides for every family.
+    def wielandt_bound(self) -> int:
+        """(s - 1)**2 + 1, Wielandt's bound on the primitivity index of an
+        s x s boolean matrix, which no regular operator exceeds."""
         return (len(self.space) - 1) ** 2 + 1
 
-    def is_regular(self, n_max: int | None = None) -> int | None:
-        """Smallest n <= n_max with min over x of T^n I_{y}(x) > 0 for all y,
-        or None if there is none.  T^n I_{y}(x) > 0 exactly when entry
+    def is_regular(self) -> int | None:
+        """Smallest n with min over x of T^n I_{y}(x) > 0 for all y, or
+        None if T is not regular.  T^n I_{y}(x) > 0 exactly when entry
         [x, y] of the n-th boolean power of U = (T I_{y}(x) > 0) is true,
         as T g(x) > 0 for g >= 0 exactly when g(y) > 0 at some y with
         T I_{y}(x) > 0: n is decided exactly.  The search stops at
-        Wielandt's bound `default_n_max()`, which no regular operator
-        exceeds, so None at any n_max from there on proves that T is not
-        regular."""
-        bound = self.default_n_max()
-        if n_max is None:
-            n_max = bound
-        if n_max < 1:
-            raise ValueError("n_max must be >= 1")
+        `wielandt_bound()`, which no regular operator exceeds, so None
+        proves that T is not regular."""
         power = U = self.apply_many(np.eye(len(self.space))) > 0
-        for n in range(1, min(n_max, bound) + 1):
+        for n in range(1, self.wielandt_bound() + 1):
             if power.all():
                 return n
             power = power @ U

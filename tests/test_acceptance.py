@@ -172,7 +172,7 @@ def test_criterion_8_closed_form_vs_recursion():
 def test_criterion_9_initial_condition_independence():
     t0 = time.perf_counter()
     op = UpperTransitionOperator.from_interval_matrices(ABC, EX54_LOWER, EX54_UPPER)
-    n_reg = op.is_regular(9)
+    n_reg = op.is_regular()
     assert n_reg is not None and n_reg <= 9
     initials = [
         Vacuous(ABC),

@@ -96,6 +96,11 @@ class TestPathGamble:
         with pytest.raises(ValueError):
             chain.markov_invariance_gap(2, f)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_refused(self, ab, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PathGamble(ab, 2, [[bad, 0.0], [0.0, 0.0]])
+
     def test_from_gamble_round_trip(self, ab):
         h = Gamble(ab, [2.0, -1.0])
         f = PathGamble.from_gamble(h, 2, 3)

@@ -250,9 +250,33 @@ def test_regularity_not_found(capsys, tmp_path):
     }
     p = tmp_path / "cycle.json"
     p.write_text(json.dumps(doc))
-    code, out, _ = _run(capsys, "regularity", str(p), "--n-max", "12")
+    code, out, _ = _run(capsys, "regularity", str(p))
     assert code == 0
-    assert out.splitlines()[1] == "not_found,12"
+    assert out.splitlines()[1] == "not_found,2"
+
+
+def test_regularity_finds_the_wielandt_matrix_at_the_bound(capsys, tmp_path):
+    # Wielandt's matrix on 4 states is regular at exactly (4 - 1)**2 + 1.
+    doc = {
+        "states": ["a", "b", "c", "d"],
+        "initial": {"type": "vacuous"},
+        "transition": {
+            "type": "matrix",
+            "matrix": [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0.5, 0.5, 0, 0]],
+        },
+        "horizon": 3,
+    }
+    p = tmp_path / "wielandt.json"
+    p.write_text(json.dumps(doc))
+    assert _run(capsys, "regularity", str(p)) == (0, "verdict,n\nfound,10\n", "")
+
+
+def test_regularity_refuses_an_n_max_flag(capsys):
+    path = str(bundled_scenario_path("example_5_4"))
+    with pytest.raises(SystemExit) as caught:
+        main(["regularity", path, "--n-max", "5"])
+    assert caught.value.code == 2
+    assert "unrecognized arguments: --n-max 5" in capsys.readouterr().err
 
 
 def test_regularity_counts_a_tiny_positive_mass(capsys, tmp_path):
@@ -605,7 +629,6 @@ def test_cli_error_paths(capsys, tmp_path):
         ("evolve", "example_5_3", "--event", "a,,b"),
         ("joint", "example_5_3_n2", "--length", "4"),
         ("joint", "example_5_3_n2", "--length", "0"),
-        ("regularity", "example_5_4", "--n-max", "0"),
         ("limit", "example_5_3", "--gamble", "a:1", "--tol", "0"),
         ("limit", "example_5_3", "--gamble", "a:1", "--tol", "-1"),
         ("limit", "example_5_3", "--gamble", "a:nan"),
@@ -622,7 +645,6 @@ def test_cli_error_paths(capsys, tmp_path):
         "empty-event-label",
         "length-above-horizon",
         "length-zero",
-        "n-max-zero",
         "tol-zero",
         "tol-negative",
         "gamble-nan",

@@ -209,6 +209,11 @@ class TestEventUpper:
     def test_row_b_pair(self):
         assert ROW_B.event_upper({"a", "b"}) == pytest.approx(0.91)
 
+    def test_unknown_labels_refused(self):
+        for members in ({"zz"}, {"a", "zz"}):
+            with pytest.raises(KeyError, match="zz"):
+                ROW_A.event_upper(members)
+
 
 class TestIntervalUpper:
     def test_indicator_reduces_to_event_upper(self):

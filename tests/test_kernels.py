@@ -275,7 +275,7 @@ def test_is_regular_matches_per_row_loop():
         ]
         op = UpperTransitionOperator(space, rows)
         got = op.is_regular()
-        assert got == _is_regular_ref(op, op.default_n_max())
+        assert got == _is_regular_ref(op, op.wielandt_bound())
         verdicts.add(got is None)
     assert verdicts == {True, False}
 

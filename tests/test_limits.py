@@ -221,6 +221,37 @@ def test_series_refuse_a_gamble_on_another_space(ex53_initial, ex53_precise_op):
             contamination_evolve(ex53_initial, ex53_precise_op, 0.1, h, n)
 
 
+def test_series_refuse_an_imprecise_base(ex53_initial, ex53_op, ab):
+    # The closed forms hold only for a precise base operator.
+    h = ab.indicator(["a"])
+    with pytest.raises(ValueError, match="all-Linear"):
+        contamination_limit(ex53_op, 0.1, h)
+    with pytest.raises(ValueError, match="all-Linear"):
+        contamination_evolve(ex53_initial, ex53_op, 0.1, h, 5)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda op, h: limit_upper(op, h, tol=float("nan"), max_iter=50),
+        lambda op, h: limit_upper(op, h, max_iter=-1),
+        lambda op, h: contamination_limit(op, 0.1, h, tol=float("nan"), max_iter=50),
+        lambda op, h: detect_cycle(op, h, tol=float("nan"), max_iter=50),
+        lambda op, h: precise_stationary(op, tol=float("nan"), max_iter=50),
+    ],
+    ids=[
+        "limit-tol-nan",
+        "limit-max-iter-negative",
+        "contamination-tol-nan",
+        "cycle-tol-nan",
+        "stationary-tol-nan",
+    ],
+)
+def test_iteration_parameters_are_refused(call, ex53_precise_op, ab):
+    with pytest.raises(ValueError):
+        call(ex53_precise_op, ab.indicator(["a"]))
+
+
 def test_six_state_series_are_pinned():
     rng = np.random.default_rng(2024)
     space = StateSpace(list("abcdef"))
