@@ -361,12 +361,12 @@ def _marginal_columns(chain: ImpreciseMarkovChain, indicators: list[Gamble]):
         blocks = [base]
         for _ in steps:
             blocks.append(chain.transitions.apply_many(blocks[-1]))
-        table = np.hstack(blocks)
+        table = np.concatenate(blocks, axis=1)
     else:
         swept = base[:, :0]
         for k in reversed(steps):
-            swept = chain.operator_at(k).apply_many(np.hstack([base, swept]))
-        table = np.hstack([base, swept])
+            swept = chain.operator_at(k).apply_many(np.concatenate([base, swept], axis=1))
+        table = np.concatenate([base, swept], axis=1)
     ups = chain.initial.upper_many(table).reshape(-1, 2)
     times = np.repeat(np.arange(1, chain.horizon + 1), len(indicators))
     return [times, -ups[:, 0], ups[:, 1]]

@@ -24,29 +24,29 @@ others get None), and for k > 1 `Ht`, a C-contiguous (k, s) copy of
 Every kernel is column-exact: column j of its block has the same bits,
 except the sign of a zero, whatever the other columns and the batch
 width k, so a batched query prints what one fold per gamble prints (the
-CLI prints every zero unsigned).  Matrix products go through `_gemv`,
-one BLAS matrix-vector product per column (a plain `W @ H` over k > 1
-columns is one gemm, whose blocking changes the order of the sums; a
-row's bits can also change with the shape of W, so rows of different
-families, or padded rows, never share one product); a single column is
-made contiguous first.  `ProbInterval` sums its gains along the state
-axis of an (m, k, s) array that keeps the row axis innermost in memory:
-with one row (a model's own `upper`, or an interval initial model) that
-axis is contiguous and numpy sums it pairwise, with m >= 2 stacked rows
-it is strided and the sum runs left to right.  Either order holds for
-every k.  `np.add.reduceat` sums a segment a0, a1, ..., an as
-a0 + (a1 + ... + an), in every column and for every k, the parenthesis
-being numpy's sum of a contiguous 1-D array: left to right for a
-segment of fewer than nine rows, pairwise from nine on.  Maxima are
-exact in any order but for the sign of a zero: of 0.0 and -0.0, a
-maximum keeps the one its reduction meets last, and `H.max(axis=0)`, a
+CLI prints every zero unsigned).  Matrix products go through `_gemv`:
+`np.matvec` over the rows of `Ht` makes one BLAS gemv per column (a
+plain `W @ H` over k > 1 columns is one gemm, whose blocking reorders
+the sums; a row's bits also change with the shape of W, so no two
+families, nor padded rows, share one product), and one column keeps
+`np.matmul` on a contiguous copy, since one row times a strided column
+is a strided dot product, with other bits.  `ProbInterval` sums its
+gains along the state axis of an (m, k, s) array that keeps the row axis
+innermost in memory: with one row (a model's own `upper`, or an interval
+initial model) that axis is contiguous and numpy sums it pairwise, with
+m >= 2 stacked rows it is strided and the sum runs left to right.
+Either order holds for every k.  `np.add.reduceat` sums a segment a0,
+a1, ..., an as a0 + (a1 + ... + an), in every column and for every k,
+the parenthesis being numpy's sum of a contiguous 1-D array: left to
+right for a segment of fewer than nine rows, pairwise from nine on.
+Maxima are exact in any order but for the sign of a zero: of 0.0 and
+-0.0, a maximum keeps the one its reduction meets last, and `hmax`, a
 padded table and `reduceat` meet them in orders that depend on the
 layout of H.  So a padded table that repeats a member, or a reshape,
 gives the bits of `np.maximum.reduceat` up to that sign.
-`BeliefFunction` gathers its proper focal subsets from padded tables
-and takes every whole-space focal maximum from `hmax`.  `_step` splits
-wide batches into column chunks, which column-exactness makes
-bit-neutral.
+`BeliefFunction` gathers its proper focal subsets from padded tables and
+takes every whole-space focal maximum from `hmax`.  `_step` splits wide
+batches into column chunks, which column-exactness makes bit-neutral.
 
 Every model also exposes `lower(h)` (the conjugate of `upper`) and
 `vertices()` (a finite spanning set containing all extreme points),
@@ -154,8 +154,10 @@ class CredalModel:
 def _vertex_list(space: StateSpace, W: np.ndarray) -> list[MassFunction]:
     """The rows of the (c, s) candidate array W, each built by the
     `MassFunction` constructor, in order, without each one whose stored
-    weights lie within VERTEX_DEDUP_TOL of an earlier kept one's."""
-    masses = [MassFunction(space, w) for w in W]
+    weights lie within VERTEX_DEDUP_TOL of an earlier kept one's.  A row
+    whose bits repeat an earlier row's is built once: it stores the same
+    weights, so it would be dropped."""
+    masses = [MassFunction(space, w) for w in {w.tobytes(): w for w in W}.values()]
     W = np.array([m.weights for m in masses])
     kept: list[int] = []
     for i, w in enumerate(W):
@@ -197,7 +199,7 @@ def _step(plan, H: np.ndarray) -> np.ndarray:
         return np.concatenate(chunks, axis=-1)
     blocks, inverse, reads_max = plan
     out = np.empty((blocks[-1][2].stop, H.shape[1]))
-    hmax = H.max(axis=0) if reads_max else None
+    hmax = np.maximum.reduce(H, axis=0) if reads_max else None
     Ht = np.ascontiguousarray(H.T) if H.shape[1] > 1 else None
     for kernel, params, rows in blocks:
         kernel(params, H, out[rows], hmax, Ht)
@@ -207,16 +209,16 @@ def _step(plan, H: np.ndarray) -> np.ndarray:
 def _gemv(W: np.ndarray, H: np.ndarray, Ht: np.ndarray | None, out: np.ndarray) -> None:
     """out = W @ H as one matrix-vector product per column of H.
 
-    `np.matmul` over the stack of (s, 1) columns of the contiguous
-    transpose Ht loops BLAS gemv in C, so each column gets the bits of
-    the k = 1 product `W @ h`; it writes column j of `out` through a
-    strided view.  A single column is made contiguous first: the product
+    `np.matvec` over the rows of the contiguous transpose Ht loops BLAS
+    gemv in C, so each column gets the bits of the k = 1 product
+    `W @ h`; it writes column j of `out` through the strided view out.T.
+    A single column keeps `np.matmul` on a contiguous copy: the product
     of one row with a strided column is a strided dot product, which
     sums in another order from s = 4 on."""
     if H.shape[1] == 1:
         np.matmul(W, np.ascontiguousarray(H), out)
     else:
-        np.matmul(W, Ht[:, :, None], out.T[:, :, None])
+        np.matvec(W, Ht, out=out.T)
 
 
 def _starts(sizes: Sequence[int]) -> np.ndarray:
@@ -341,7 +343,7 @@ class VertexSet(CredalModel):
         products = np.empty((len(P), k))
         _gemv(P, H, Ht, products)
         if k > 1 and width is not None:
-            products.reshape(len(out), width, k).max(axis=1, out=out)
+            np.maximum.reduce(products.reshape(len(out), width, k), axis=1, out=out)
         else:
             np.maximum.reduceat(products, starts, axis=0, out=out)
 
@@ -471,7 +473,7 @@ class BeliefFunction(CredalModel):
         tables, n, whole, inverse, w, starts = params
         focal_max = np.empty((n + whole, H.shape[1]))
         for table, block in tables:
-            H.take(table, axis=0).max(axis=0, out=focal_max[block])
+            np.maximum.reduce(H.take(table, axis=0), axis=0, out=focal_max[block])
         if whole:
             focal_max[n] = hmax
         if inverse is not None:
@@ -584,7 +586,7 @@ class ProbInterval(CredalModel):
         steps[:, :-1] -= steps[:, 1:]
         gain *= steps
         _gemv(L, H, Ht, out)
-        out += gain.sum(axis=2)
+        out += np.add.reduce(gain, axis=2)
 
     def vertices(self) -> list[MassFunction]:
         # Every vertex of an interval polytope on the simplex has at most

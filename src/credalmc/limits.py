@@ -30,6 +30,15 @@ class NotRegularError(ValueError):
     Wielandt bound, which proves it."""
 
 
+def _check_stop(tol: float, max_iter: int) -> None:
+    """Refuse the stop rule of an iteration unless tol is positive (not
+    NaN) and max_iter non-negative."""
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    if max_iter < 0:
+        raise ValueError("max_iter must be >= 0")
+
+
 @frozen
 class LimitReport:
     value: float
@@ -58,16 +67,14 @@ def limit_upper(
     limit lies within [value - r, value]: truncation stays conservative
     for an upper expectation.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 0:
-        raise ValueError("max_iter must be >= 0")
+    _check_stop(tol, max_iter)
     for it in range(max_iter + 1):  # iterate `it` is T^it h
         if it:
             h = op.apply(h)
-        residual = float(h.values.max()) - float(h.values.min())
+        top = float(np.maximum.reduce(h.values))
+        residual = top - float(np.minimum.reduce(h.values))
         if residual <= tol:
-            return LimitReport(float(h.values.max()), it, residual)
+            return LimitReport(top, it, residual)
     raise ConvergenceError(
         f"oscillation still {residual:.3e} after {max_iter} iterations; "
         "the operator may not be regular - try detect_cycle"
@@ -93,8 +100,7 @@ def contamination_limit(
         raise ValueError("contamination_limit needs all-Linear rows")
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    _check_stop(tol, max_iter)
     _check_space(precise, h)
     bound = float(np.abs(h.values).max())
     terms = 1
@@ -156,15 +162,14 @@ def precise_stationary(
     """
     if not op.is_precise():
         raise ValueError("precise_stationary needs all-Linear rows")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    _check_stop(tol, max_iter)
     if op.is_regular() is None:
         raise NotRegularError(
             "operator is not regular within the Wielandt bound"
         )
     q = np.array([row.mass.weights for row in op.rows])
     m = np.full(len(op.space), 1.0 / len(op.space))
-    for _ in range(max_iter):
+    for _ in range(max_iter + 1):  # tests the start and max_iter updates
         nxt = m @ q
         if np.abs(nxt - m).max() <= tol:
             return MassFunction(op.space, nxt)
@@ -187,8 +192,7 @@ def detect_cycle(
     `iterations` its index in the iterate sequence.  The window is
     heuristic: no bound on periods of upper operators is known.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    _check_stop(tol, max_iter)
     max_period = 2 * len(op.space) ** 2
     history = deque([h.values], maxlen=2 * max_period + 1)
     for it in range(max_iter):  # history[-1] is iterate `it`

@@ -18,6 +18,7 @@ from credalmc import (
     VertexSet,
     expectation,
 )
+from credalmc import credal
 from credalmc.states import MASS_TOL, VERTEX_DEDUP_TOL
 from helpers import FAMILIES, random_gamble, random_model, run_kernel
 
@@ -445,3 +446,17 @@ def test_vertex_lists_equal_the_reference_enumeration(model):
     got = model.vertices()
     assert [v.weights.tobytes() for v in got] == [v.weights.tobytes() for v in want]
     assert all(v.space is model.space and not v.weights.flags.writeable for v in got)
+
+
+def test_repeated_candidates_are_built_once(monkeypatch):
+    # ROW_B's nine feasible bound patterns hold three distinct rows, and
+    # each distinct row is one vertex.
+    calls = []
+
+    def counting(space, w):
+        calls.append(w.tobytes())
+        return MassFunction(space, w)
+
+    monkeypatch.setattr(credal, "MassFunction", counting)
+    vertices = ROW_B.vertices()
+    assert len(calls) == len(set(calls)) == len(vertices) == 3

@@ -413,6 +413,25 @@ def test_kernels_are_column_exact(family, s):
                 assert _same_but_zero_signs(one, _plain_kernel(family, rows, Z[:, [j]]))
 
 
+@pytest.mark.parametrize("m", [1, 5])
+def test_gemv_is_one_contiguous_product_per_column(m):
+    # `_gemv` writes into a row slice of a larger array, as a kernel block
+    # does, and each column has the bits of the product with that column
+    # alone, whether H is a batch or a strided single column.
+    rng = np.random.default_rng(61 + m)
+    for s in (1, 2, 3, 4, 9, 24, 48, 64):
+        W = rng.uniform(0.0, 1.0, size=(m, s))
+        wide = rng.uniform(-1.0, 1.0, size=(s, 130))
+        for H in (wide[:, :2], wide[:, :65], wide, wide[:, 7:8], wide[:, [7]]):
+            k = H.shape[1]
+            Ht = np.ascontiguousarray(H.T) if k > 1 else None
+            block = np.zeros((m + 3, k))
+            credal._gemv(W, H, Ht, block[1 : m + 1])
+            want = np.hstack([W @ np.ascontiguousarray(H[:, [j]]) for j in range(k)])
+            assert block[1 : m + 1].tobytes() == want.tobytes(), (s, k)
+            assert not block[0].any() and not block[m + 1 :].any()
+
+
 def _same_but_zero_signs(a, b) -> bool:
     """Whether a and b have the same bits once every -0.0 is made 0.0."""
     return (a + 0.0).tobytes() == (b + 0.0).tobytes()

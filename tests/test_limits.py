@@ -238,6 +238,9 @@ def test_series_refuse_an_imprecise_base(ex53_initial, ex53_op, ab):
         lambda op, h: contamination_limit(op, 0.1, h, tol=float("nan"), max_iter=50),
         lambda op, h: detect_cycle(op, h, tol=float("nan"), max_iter=50),
         lambda op, h: precise_stationary(op, tol=float("nan"), max_iter=50),
+        lambda op, h: contamination_limit(op, 0.1, h, max_iter=-1),
+        lambda op, h: detect_cycle(op, h, max_iter=-1),
+        lambda op, h: precise_stationary(op, max_iter=-1),
     ],
     ids=[
         "limit-tol-nan",
@@ -245,6 +248,9 @@ def test_series_refuse_an_imprecise_base(ex53_initial, ex53_op, ab):
         "contamination-tol-nan",
         "cycle-tol-nan",
         "stationary-tol-nan",
+        "contamination-max-iter-negative",
+        "cycle-max-iter-negative",
+        "stationary-max-iter-negative",
     ],
 )
 def test_iteration_parameters_are_refused(call, ex53_precise_op, ab):
@@ -277,6 +283,13 @@ class TestPreciseStationary:
         op = UpperTransitionOperator.from_matrix(AB, [[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(NotRegularError):
             precise_stationary(op)
+
+    def test_stationary_start_needs_no_update(self):
+        # The uniform start of a doubly stochastic chain is stationary, so
+        # max_iter=0 returns it.
+        q = [[0.25, 0.75], [0.75, 0.25]]
+        pi = precise_stationary(UpperTransitionOperator.from_matrix(AB, q), max_iter=0)
+        assert list(pi.weights) == [0.5, 0.5]
 
     def test_doubly_stochastic_symmetric_uniform(self):
         space = StateSpace(["a", "b", "c"])
