@@ -5,13 +5,12 @@ level is the invariant upper expectation of h; `limit_upper` detects
 this through the oscillation max - min of the iterate.  Non-regular
 operators are still non-expansive in the supremum norm, so their
 iterates settle into a periodic limit cycle, found by `detect_cycle`.
-The iterations read raw arrays; only `limit_upper` steps through `apply`.
+Both are views of one driver, which steps through `apply`.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 
 import numpy as np
 
@@ -31,8 +30,7 @@ class NotRegularError(ValueError):
 
 
 def _check_stop(tol: float, max_iter: int) -> None:
-    """Refuse the stop rule of an iteration unless tol is positive (not
-    NaN) and max_iter non-negative."""
+    """Refuse a tol that is not positive (or is NaN) or a negative max_iter."""
     if not tol > 0:
         raise ValueError("tol must be positive")
     if max_iter < 0:
@@ -54,6 +52,34 @@ class CycleReport:
     iterations: int
 
 
+def _iterate(
+    op: UpperTransitionOperator, h: Gamble, tol: float, lag_tol: float, max_iter: int
+) -> tuple[CycleReport, float]:
+    """Step h <- T h, one `apply` per iteration, up to the first of the
+    iterates 0 to max_iter that is flat or within lag_tol of Brent's
+    checkpoint: iterate 0, then the iterate 2, 4, 8, ... steps after the
+    last.  Returns the stop and the oscillation of the last iterate."""
+    _check_stop(tol, max_iter)
+    start, power = -1, 1  # iterate 0 becomes the first checkpoint
+    for it in range(max_iter + 1):  # h is T^it of the input
+        if it:
+            h = op.apply(h)
+        top = float(np.maximum.reduce(h.values))
+        bottom = float(np.minimum.reduce(h.values))
+        if top - bottom <= tol:
+            return CycleReport(1, h, top - bottom, it), top - bottom
+        # A gap <= lag_tol needs the max and the min within lag_tol too.
+        if it and abs(top - mark_top) <= lag_tol and abs(bottom - mark_bot) <= lag_tol:
+            gap = float(np.abs(h.values - mark.values).max())
+            if gap <= lag_tol:
+                return CycleReport(it - start, mark, gap, start), top - bottom
+        if it - start == power:
+            start, power, mark, mark_top, mark_bot = it, 2 * power, h, top, bottom
+    raise ConvergenceError(
+        f"oscillation still {top - bottom:.3e} after {max_iter} iterations; no cycle"
+    )
+
+
 def limit_upper(
     op: UpperTransitionOperator,
     h: Gamble,
@@ -65,20 +91,24 @@ def limit_upper(
     Iterates h <- T h until the oscillation max(h) - min(h) drops to tol.
     The reported value is max(h) at stop, so with residual r the true
     limit lies within [value - r, value]: truncation stays conservative
-    for an upper expectation.
+    for an upper expectation.  An exact repeat of an iterate above tol
+    proves, as T is a function of the bits, that it never converges.
     """
-    _check_stop(tol, max_iter)
-    for it in range(max_iter + 1):  # iterate `it` is T^it h
-        if it:
-            h = op.apply(h)
-        top = float(np.maximum.reduce(h.values))
-        residual = top - float(np.minimum.reduce(h.values))
-        if residual <= tol:
-            return LimitReport(top, it, residual)
-    raise ConvergenceError(
-        f"oscillation still {residual:.3e} after {max_iter} iterations; "
-        "the operator may not be regular - try detect_cycle"
-    )
+    stop, residual = _iterate(op, h, tol, 0.0, max_iter)
+    if residual > tol:
+        raise ConvergenceError(
+            f"oscillation still {residual:.3e} after {stop.iterations + stop.period} "
+            f"iterations, which repeat with period {stop.period} - try detect_cycle"
+        )
+    return LimitReport(float(stop.representative.values.max()), stop.iterations, residual)
+
+
+def _check_contamination(name: str, precise: UpperTransitionOperator, epsilon: float):
+    """Refuse a base operator that is not precise, or epsilon outside (0, 1)."""
+    if not precise.is_precise():
+        raise ValueError(f"{name} needs all-Linear rows")
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie in (0, 1)")
 
 
 def contamination_limit(
@@ -96,10 +126,7 @@ def contamination_limit(
     ConvergenceError instead of running.  The closed form holds only for
     a precise base, so `precise` must have all-Linear rows.
     """
-    if not precise.is_precise():
-        raise ValueError("contamination_limit needs all-Linear rows")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
+    _check_contamination("contamination_limit", precise, epsilon)
     _check_stop(tol, max_iter)
     _check_space(precise, h)
     bound = float(np.abs(h.values).max())
@@ -122,21 +149,14 @@ def contamination_limit(
 
 
 def contamination_evolve(
-    initial,
-    precise: UpperTransitionOperator,
-    epsilon: float,
-    h: Gamble,
-    n: int,
+    initial, precise: UpperTransitionOperator, epsilon: float, h: Gamble, n: int
 ) -> float:
     """Upper expectation of h(X(n+1)) under a contamination chain.
 
     (1 - eps)^n * upper_1(T^n h) + eps * sum_{k<n} (1 - eps)^k max T^k h,
     which holds only for a precise base: `precise` must have all-Linear rows.
     """
-    if not precise.is_precise():
-        raise ValueError("contamination_evolve needs all-Linear rows")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
+    _check_contamination("contamination_evolve", precise, epsilon)
     if n < 0:
         raise ValueError("n must be >= 0")
     _check_space(precise, h)
@@ -164,9 +184,7 @@ def precise_stationary(
         raise ValueError("precise_stationary needs all-Linear rows")
     _check_stop(tol, max_iter)
     if op.is_regular() is None:
-        raise NotRegularError(
-            "operator is not regular within the Wielandt bound"
-        )
+        raise NotRegularError("operator is not regular within the Wielandt bound")
     q = np.array([row.mass.weights for row in op.rows])
     m = np.full(len(op.space), 1.0 / len(op.space))
     for _ in range(max_iter + 1):  # tests the start and max_iter updates
@@ -185,31 +203,12 @@ def detect_cycle(
 ) -> CycleReport:
     """Find the periodic limit cycle of the iterates T^n h.
 
-    Searches the last 2P + 1 iterates, P = 2|X|^2, for the smallest
-    period p <= P whose p-periodicity is sustained over a full extra
-    period (2p + 1 iterates matching pairwise at lag p).  The
-    representative is the earliest iterate of the verified cycle and
-    `iterations` its index in the iterate sequence.  The window is
-    heuristic: no bound on periods of upper operators is known.
+    Stops at the first iterate within tol of Brent's checkpoint r, held
+    for 2, 4, 8, ... steps.  One lag check suffices: T is non-expansive
+    in the supremum norm, so ||T^p r - r|| <= tol makes every later
+    iterate p-periodic within tol.  p is r's first return, so minimal for
+    r; `iterations` is r's index, which need not be the first on the
+    cycle.  A flat iterate has period 1 and its oscillation as residual.
+    No period bound is known for upper operators: max_iter bounds the search.
     """
-    _check_stop(tol, max_iter)
-    max_period = 2 * len(op.space) ** 2
-    history = deque([h.values], maxlen=2 * max_period + 1)
-    for it in range(max_iter):  # history[-1] is iterate `it`
-        for p in range(1, min(max_period, (len(history) - 1) // 2) + 1):
-            if all(
-                np.abs(history[-1 - j] - history[-1 - j - p]).max() <= tol
-                for j in range(p + 1)
-            ):
-                rep = history[-1 - 2 * p]
-                return CycleReport(
-                    period=p,
-                    representative=Gamble(op.space, rep),
-                    residual=float(np.abs(history[-1 - p] - rep).max()),
-                    iterations=it - 2 * p,
-                )
-        history.append(op.apply_many(history[-1][:, None])[:, 0])
-    raise ConvergenceError(
-        f"no cycle of period <= {max_period} found in {max_iter} iterations; "
-        "the search window may be too small"
-    )
+    return _iterate(op, h, tol, tol, max_iter)[0]

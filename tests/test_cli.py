@@ -233,6 +233,24 @@ def test_limit_command_value(capsys):
     assert value == pytest.approx(0.5 + 0.05 / 0.37, abs=1e-6)
 
 
+def test_limit_on_a_cycle_exits_3_at_the_repeat(capsys, tmp_path):
+    # Iterate 2 repeats iterate 0, so `limit` stops there, not at --max-iter.
+    doc = {
+        "states": ["a", "b"],
+        "initial": {"type": "vacuous"},
+        "transition": {"type": "matrix", "matrix": [[0.0, 1.0], [1.0, 0.0]]},
+        "horizon": 2,
+    }
+    p = tmp_path / "cycle.json"
+    p.write_text(json.dumps(doc))
+    assert _run(capsys, "limit", str(p), "--gamble", "a:1") == (
+        3,
+        "",
+        "error:ConvergenceError: oscillation still 1.000e+00 after 2 iterations, "
+        "which repeat with period 2 - try detect_cycle\n",
+    )
+
+
 def test_regularity_command(capsys):
     path = str(bundled_scenario_path("example_5_4"))
     code, out, _ = _run(capsys, "regularity", path)

@@ -2,10 +2,15 @@ import numpy as np
 import pytest
 
 from credalmc import (
+    BeliefFunction,
+    Contamination,
     ConvergenceError,
     DimensionMismatch,
+    Event,
     Gamble,
     ImpreciseMarkovChain,
+    Linear,
+    MassFunction,
     NotRegularError,
     ProbInterval,
     StateSpace,
@@ -27,6 +32,18 @@ EX53_LIMIT = 0.5 + 0.05 / 0.37  # geometric series: max T^k I_a = 0.5 + 0.5 * 0.
 
 def contaminated(matrix, eps):
     return UpperTransitionOperator.contamination_of(AB, matrix, eps)
+
+
+def _count_applies(monkeypatch):
+    calls = []
+    apply = UpperTransitionOperator.apply
+
+    def counted(self, h):
+        calls.append(h)
+        return apply(self, h)
+
+    monkeypatch.setattr(UpperTransitionOperator, "apply", counted)
+    return calls
 
 
 class TestLimitUpper:
@@ -99,20 +116,37 @@ class TestLimitUpper:
 
     @pytest.mark.parametrize("max_iter", [0, 1, 3])
     def test_failure_stops_after_max_iter_applies(self, cycle_op, ab, max_iter, monkeypatch):
-        calls = []
-        apply = UpperTransitionOperator.apply
-
-        def counted(self, h):
-            calls.append(h)
-            return apply(self, h)
-
-        monkeypatch.setattr(UpperTransitionOperator, "apply", counted)
+        calls = _count_applies(monkeypatch)
         with pytest.raises(ConvergenceError) as caught:
             limit_upper(cycle_op, ab.indicator(["a"]), max_iter=max_iter)
-        assert len(calls) == max_iter
+        # Iterate 2 repeats iterate 0 bit for bit, which proves that the
+        # iterates never converge, so a ceiling of 3 stops after 2 applies
+        # and names the period.
+        applies = min(max_iter, 2)
+        assert len(calls) == applies
         # The 2-cycle keeps the oscillation of the last checked iterate at 1.
         assert str(caught.value).startswith(
-            f"oscillation still 1.000e+00 after {max_iter} iterations;"
+            f"oscillation still 1.000e+00 after {applies} iterations"
+            + (", which repeat with period 2" if max_iter == 3 else ";")
+        )
+
+    @pytest.mark.parametrize(
+        "perm, applies, period",
+        [([0, 1], 1, 1), ([1, 2, 0], 5, 3)],
+        ids=["identity", "three-cycle"],
+    )
+    def test_exact_repeat_raises_at_once(self, perm, applies, period, monkeypatch):
+        # Brent's checkpoint is iterate 0 for 2 steps, then iterate 2 for 4:
+        # the identity repeats iterate 0 at once, the 3-cycle iterate 2 at 5.
+        space = StateSpace(["a", "b", "c"][: len(perm)])
+        op = UpperTransitionOperator.from_matrix(space, np.eye(len(perm))[perm])
+        calls = _count_applies(monkeypatch)
+        with pytest.raises(ConvergenceError) as caught:
+            limit_upper(op, space.indicator(["a"]))
+        assert len(calls) == applies
+        assert str(caught.value) == (
+            f"oscillation still 1.000e+00 after {applies} iterations, which repeat "
+            f"with period {period} - try detect_cycle"
         )
 
 
@@ -344,31 +378,66 @@ class TestDetectCycle:
         assert np.abs(back.values - rep.representative.values).max() <= 1e-12
 
     def test_max_iter_reached_raises(self, cycle_op, ab):
-        # Five iterates (0 to 4) verify the 2-cycle; max_iter=3 stops at 3.
+        # Iterate 2 comes back to iterate 0, the first checkpoint, so
+        # max_iter=1 stops first and max_iter=2 finds the 2-cycle.
         with pytest.raises(ConvergenceError):
-            detect_cycle(cycle_op, ab.indicator(["a"]), tol=1e-12, max_iter=3)
-        assert detect_cycle(cycle_op, ab.indicator(["a"]), max_iter=5).period == 2
+            detect_cycle(cycle_op, ab.indicator(["a"]), tol=1e-12, max_iter=1)
+        rep = detect_cycle(cycle_op, ab.indicator(["a"]), max_iter=2)
+        assert (rep.period, rep.iterations) == (2, 0)
+
+    def test_period_beyond_any_quadratic_window(self, monkeypatch):
+        # A permutation of 29 states with cycles of 5, 7, 8 and 9 has period
+        # lcm = 2520 > 2 * 29**2.  The first checkpoint held for 2520 steps
+        # is iterate 4094, so the cycle closes at apply 6614.
+        perm, start = [], 0
+        for n in (5, 7, 8, 9):
+            perm += [start + (i + 1) % n for i in range(n)]
+            start += n
+        space = StateSpace([f"x{i}" for i in range(29)])
+        op = UpperTransitionOperator.from_matrix(space, np.eye(29)[perm])
+        calls = _count_applies(monkeypatch)
+        rep = detect_cycle(op, Gamble(space, np.arange(29.0)), max_iter=7000)
+        assert (rep.period, rep.iterations, rep.residual) == (2520, 4094, 0.0)
+        assert len(calls) == 6614
+
+    def test_non_constant_fixed_point(self):
+        # Two absorbing states; the belief row at c keeps 1 - 2**-53 of its
+        # mass, so the iterates drift by single ulps and never repeat bit for
+        # bit, yet settle within tol of a non-constant fixed point.
+        space = StateSpace(["a", "b", "c", "d"])
+        eye = np.eye(4)
+        op = UpperTransitionOperator(
+            space,
+            [
+                Linear(MassFunction(space, eye[0])),
+                Linear(MassFunction(space, eye[1])),
+                BeliefFunction(space, [(Event(space, ["a", "b", "c"]), 1 - 2**-53)]),
+                Contamination(MassFunction(space, [0.05, 0.1, 0.05, 0.8]), 0.25),
+            ],
+        )
+        rep = detect_cycle(op, Gamble(space, [-0.6, -0.3, 0.4, -0.8]), tol=1e-12)
+        assert rep.period == 1
+        np.testing.assert_allclose(rep.representative.values, [-0.6, -0.3, 0.4, 0.175])
+        step = op.apply(rep.representative).values
+        assert 0 < np.abs(step - rep.representative.values).max() <= 1e-12
 
 
 def _detect_cycle_ref(op, h, tol, max_iter):
-    # Reference: a growing list of Gamble iterates, trimmed by hand.
-    max_period = 2 * len(op.space) ** 2
-    history, base = [h], 0
-    for _ in range(max_iter):
-        for p in range(1, max_period + 1):
-            if len(history) < 2 * p + 1:
-                break
-            if all(
-                np.abs(history[-1 - j].values - history[-1 - j - p].values).max() <= tol
-                for j in range(p + 1)
-            ):
-                rep = history[-1 - 2 * p]
-                residual = np.abs(history[-1 - p].values - rep.values).max()
-                return p, rep, residual, base + len(history) - 1 - 2 * p
-        history.append(op.apply(history[-1]))
-        if len(history) > 2 * max_period + 1:
-            del history[0]
-            base += 1
+    # Reference: every iterate kept in a list, compared with Brent's
+    # checkpoints written out: iterate 2**k - 2 is held for 2**k steps.
+    checkpoints = [2**k - 2 for k in range(1, max_iter.bit_length() + 2)]
+    iterates = [h]
+    for it in range(max_iter + 1):
+        if it:
+            iterates.append(op.apply(iterates[-1]))
+        g = iterates[it].values
+        if g.max() - g.min() <= tol:
+            return 1, iterates[it], g.max() - g.min(), it
+        if it:
+            start = max(c for c in checkpoints if c < it)
+            gap = np.abs(g - iterates[start].values).max()
+            if gap <= tol:
+                return it - start, iterates[start], gap, start
     return None
 
 
@@ -399,7 +468,18 @@ def test_detect_cycle_matches_per_gamble_loop():
         period, rep, residual, iterations = want
         assert (got.period, got.residual, got.iterations) == (period, residual, iterations)
         np.testing.assert_array_equal(got.representative.values, rep.values)
+        # Properties that hold for any checkpoint schedule: r is iterate
+        # number `iterations`, ||T^p r - r|| <= tol, and no p' < p does so.
+        g = h
+        for _ in range(got.iterations):
+            g = op.apply(g)
+        np.testing.assert_array_equal(g.values, got.representative.values)
+        gaps = []
+        for _ in range(got.period):
+            g = op.apply(g)
+            gaps.append(np.abs(g.values - got.representative.values).max())
+        assert gaps[-1] <= 1e-12 < min(gaps[:-1], default=np.inf)
         periods.add(got.period)
-        late |= got.iterations > 2 * (2 * s * s) + 1  # past the first window
+        late |= got.period > 1 and got.iterations >= 14  # a later checkpoint
     assert {1, 2, 3} <= periods
     assert late
