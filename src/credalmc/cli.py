@@ -264,7 +264,8 @@ def scenario_to_json(chain: ImpreciseMarkovChain) -> dict:
 
 #: A command's result: the CSV header and one sequence of cells per
 #: column.  The cells of a column share one type: floats (a numpy float
-#: array or a list of floats) print as `.12g`, other cells through `str`.
+#: array or a list of floats) print as `.12g`, integers (a numpy integer
+#: array or a list of ints) as `%d`, other cells through `str`.
 Table = tuple[list[str], list[Sequence]]
 
 #: Rows written per %-format call.
@@ -288,7 +289,11 @@ def _column(cells) -> tuple[str, list]:
         # A zero built as -upper(-h) prints as 0.
         return "%.12g", (np.asarray(cells, dtype=float) + 0.0).tolist()
     if isinstance(cells, np.ndarray):
+        if cells.dtype.kind in "iu":
+            return "%d", cells.tolist()
         cells = cells.tolist()
+    elif len(cells) and all(type(c) is int for c in cells):  # no bool: it prints True
+        return "%d", cells
     cells = list(map(str, cells))
     if _CSV_SPECIAL.search("".join(cells)):
         cells = list(map(_csv_field, cells))
@@ -348,23 +353,20 @@ def _marginal_columns(chain: ImpreciseMarkovChain, indicators: list[Gamble]):
     Each indicator h and its negation -h are columns of one batch, taken
     back to time 1 and closed with the initial model in one call; lower
     is minus the upper expectation of -h.  A stationary chain sweeps the
-    batch forward: the columns for time n are T applied to those for
-    n - 1.  A per-step chain sweeps back from the horizon: at step k the
-    columns for time k + 1 join the batch, and the step operator is
-    applied once to every live column.  Either way the table costs
-    H - 1 `apply_many` calls.  The kernels are column-exact, so every
-    cell has the bits of the `marginal_upper` fold at its n.
+    batch forward with `iterates`: the columns for time n are T applied
+    to those for n - 1, H - 1 steps written in place into one table.  A
+    per-step chain sweeps back from the horizon: at step k the columns
+    for time k + 1 join the batch, and one `apply_many` call applies the
+    step operator to every live column, H - 1 calls in all.  The kernels
+    are column-exact, so every cell has the bits of the `marginal_upper`
+    fold at its n.
     """
     base = np.stack([v for ind in indicators for v in (-ind.values, ind.values)], axis=1)
-    steps = range(1, chain.horizon)
     if chain.stationary:
-        blocks = [base]
-        for _ in steps:
-            blocks.append(chain.transitions.apply_many(blocks[-1]))
-        table = np.concatenate(blocks, axis=1)
+        table = chain.transitions.iterates(base, chain.horizon)
     else:
         swept = base[:, :0]
-        for k in reversed(steps):
+        for k in reversed(range(1, chain.horizon)):
             swept = chain.operator_at(k).apply_many(np.concatenate([base, swept], axis=1))
         table = np.concatenate([base, swept], axis=1)
     ups = chain.initial.upper_many(table).reshape(-1, 2)

@@ -14,7 +14,8 @@ the (m, k) block `out`.  `_plan(rows)` builds every row-block plan: one
 stacked block per family, in order of each family's first row, and the
 permutation back to row order.  An operator builds the plan of its rows
 at construction, a model the plan of its one row on first use.  `_step`
-runs one step through a plan, sharing two views of H that it computes
+is the one step loop: it runs one step through a plan into an output
+the caller gives (or a fresh one), sharing two views of H that it computes
 once: `hmax`, the column maximum `H.max(axis=0)`, for the families that
 read it (`reads_max`: Vacuous, Contamination and BeliefFunction; the
 others get None), and for k > 1 `Ht`, a C-contiguous (k, s) copy of
@@ -46,7 +47,8 @@ layout of H.  So a padded table that repeats a member, or a reshape,
 gives the bits of `np.maximum.reduceat` up to that sign.
 `BeliefFunction` gathers its proper focal subsets from padded tables and
 takes every whole-space focal maximum from `hmax`.  `_step` splits wide
-batches into column chunks, which column-exactness makes bit-neutral.
+batches into column chunks, each written into its columns of the
+output, which column-exactness makes bit-neutral.
 
 Every model also exposes `lower(h)` (the conjugate of `upper`) and
 `vertices()` (a finite spanning set containing all extreme points),
@@ -184,26 +186,35 @@ def _plan(rows: Sequence[CredalModel]):
     return tuple(blocks), inverse, any(cls.reads_max for cls in groups)
 
 
-def _step(plan, H: np.ndarray) -> np.ndarray:
+def _step(plan, H: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """One step on the (s, k) array H through a row-block plan (blocks,
-    inverse, reads_max): each (kernel, params, rows) block writes its rows
-    of one fresh (rows, k) output, `rows` being where the last block's
-    slice stops (1 for a model's one-row plan), `hmax` is computed once
-    if `reads_max`, and for k > 1 one contiguous `H.T` is shared.
-    `inverse`, unless None, takes the rows back to state order.  Batches
-    wider than CHUNK_CELLS // s**2 columns step in chunks of that width,
-    joined along the last axis."""
-    width = max(1, CHUNK_CELLS // H.shape[0] ** 2)
-    if H.shape[1] > width:
-        chunks = [_step(plan, H[:, j : j + width]) for j in range(0, H.shape[1], width)]
-        return np.concatenate(chunks, axis=-1)
+    inverse, reads_max), written into the caller's (rows, k) array `out`,
+    or into a fresh one if None, and returned; `rows` is where the last
+    block's slice stops (1 for a model's one-row plan).  Each (kernel,
+    params, rows) block writes its rows, `hmax` is computed once if
+    `reads_max`, and for k > 1 one contiguous `H.T` is shared.  Unless
+    `inverse` is None, the blocks fill a scratch array and one `take`
+    writes it to `out` in state order.  Batches wider than
+    CHUNK_CELLS // s**2 columns step in chunks of that width, each into
+    its columns of `out`."""
     blocks, inverse, reads_max = plan
-    out = np.empty((blocks[-1][2].stop, H.shape[1]))
+    s, k = H.shape
+    if out is None:
+        out = np.empty((blocks[-1][2].stop, k))
+    if k > 1 and k * s * s > CHUNK_CELLS:  # k > max(1, CHUNK_CELLS // s**2)
+        width = max(1, CHUNK_CELLS // s**2)
+        for j in range(0, k, width):
+            _step(plan, H[:, j : j + width], out[:, j : j + width])
+        return out
+    stacked = out if inverse is None else np.empty(out.shape)
     hmax = np.maximum.reduce(H, axis=0) if reads_max else None
-    Ht = np.ascontiguousarray(H.T) if H.shape[1] > 1 else None
+    Ht = np.ascontiguousarray(H.T) if k > 1 else None
     for kernel, params, rows in blocks:
-        kernel(params, H, out[rows], hmax, Ht)
-    return out if inverse is None else out.take(inverse, axis=0)
+        kernel(params, H, stacked[rows], hmax, Ht)
+    if inverse is not None:
+        # mode="raise" would buffer `out` in one more copy.
+        stacked.take(inverse, axis=0, out=out, mode="clip")
+    return out
 
 
 def _gemv(W: np.ndarray, H: np.ndarray, Ht: np.ndarray | None, out: np.ndarray) -> None:

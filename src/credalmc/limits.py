@@ -98,7 +98,8 @@ def limit_upper(
     if residual > tol:
         raise ConvergenceError(
             f"oscillation still {residual:.3e} after {stop.iterations + stop.period} "
-            f"iterations, which repeat with period {stop.period} - try detect_cycle"
+            f"iterations: the iterates cycle with period {stop.period} and have no "
+            "limit (the library function credalmc.detect_cycle finds the cycle)"
         )
     return LimitReport(float(stop.representative.values.max()), stop.iterations, residual)
 

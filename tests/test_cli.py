@@ -18,9 +18,11 @@ from credalmc import (
     UpperTransitionOperator,
     oracle,
 )
+from credalmc import transition
 from credalmc.cli import (
     EMIT_BLOCK,
     ScenarioError,
+    _column,
     _emit,
     bundled_scenario_path,
     cmd_credal_approx,
@@ -246,8 +248,9 @@ def test_limit_on_a_cycle_exits_3_at_the_repeat(capsys, tmp_path):
     assert _run(capsys, "limit", str(p), "--gamble", "a:1") == (
         3,
         "",
-        "error:ConvergenceError: oscillation still 1.000e+00 after 2 iterations, "
-        "which repeat with period 2 - try detect_cycle\n",
+        "error:ConvergenceError: oscillation still 1.000e+00 after 2 iterations: "
+        "the iterates cycle with period 2 and have no limit (the library function "
+        "credalmc.detect_cycle finds the cycle)\n",
     )
 
 
@@ -576,6 +579,19 @@ _FLOATS = [
     -float("inf"), float("nan"), np.float64(-0.0), 123456789012.5,
 ]
 _INTS = [0, -3, np.int64(7), 10**13, np.int64(-(10**13)), True, 10**30, 42, 1, 2, 3, 4]
+
+
+def test_integer_columns_print_with_d_and_bools_and_strings_with_str():
+    # Integers skip `str`, the join and the CSV scan; a bool is an int to
+    # Python, but `%d` would print True as 1, so bools keep `str`.
+    assert _column(np.arange(3)) == ("%d", [0, 1, 2])
+    assert _column(np.array([7], dtype=np.uint8)) == ("%d", [7])
+    assert _column([12, -3, 10**30]) == ("%d", [12, -3, 10**30])
+    assert _column(np.array([True, False])) == ("%s", ["True", "False"])
+    assert _column([True]) == ("%s", ["True"])
+    assert _column([1, True, np.int64(2)]) == ("%s", ["1", "True", "2"])
+    assert _column(["found"]) == ("%s", ["found"])
+    assert _column(["a,b", "c"]) == ("%s", ['"a,b"', "c"])
 
 
 @pytest.mark.parametrize("arrays", [False, True], ids=["lists", "arrays"])
@@ -978,15 +994,25 @@ def _count_apply_many(monkeypatch):
 def test_stationary_marginals_apply_the_operator_once_per_column_and_step(
     monkeypatch, horizon
 ):
-    # Every column is advanced once per step, all columns in one call.
+    # Every column is advanced once per step, all columns in one `_step`
+    # that writes into the sweep's table; no `apply_many` call is made.
     ex54 = load_bundled("example_5_4")
     chain = ImpreciseMarkovChain(ex54.initial, ex54.transitions, horizon)
     calls = _count_apply_many(monkeypatch)
+    steps = []
+    inner = transition._step
+
+    def counted(plan, H, out=None):
+        steps.append((H.shape, None if out is None else out.shape))
+        return inner(plan, H, out)
+
+    monkeypatch.setattr(transition, "_step", counted)
     cmd_evolve(chain, argparse.Namespace(event="a"))
-    assert len(calls) == horizon - 1
-    calls.clear()
+    assert steps == [((3, 2), (3, 2))] * (horizon - 1)
+    steps.clear()
     cmd_credal_approx(chain, argparse.Namespace())
-    assert len(calls) == horizon - 1
+    assert steps == [((3, 6), (3, 6))] * (horizon - 1)
+    assert calls == []
 
 
 @pytest.mark.parametrize("horizon", [1, 2, 7])

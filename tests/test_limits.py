@@ -127,7 +127,7 @@ class TestLimitUpper:
         # The 2-cycle keeps the oscillation of the last checked iterate at 1.
         assert str(caught.value).startswith(
             f"oscillation still 1.000e+00 after {applies} iterations"
-            + (", which repeat with period 2" if max_iter == 3 else ";")
+            + (": the iterates cycle with period 2" if max_iter == 3 else ";")
         )
 
     @pytest.mark.parametrize(
@@ -145,8 +145,9 @@ class TestLimitUpper:
             limit_upper(op, space.indicator(["a"]))
         assert len(calls) == applies
         assert str(caught.value) == (
-            f"oscillation still 1.000e+00 after {applies} iterations, which repeat "
-            f"with period {period} - try detect_cycle"
+            f"oscillation still 1.000e+00 after {applies} iterations: the iterates "
+            f"cycle with period {period} and have no limit (the library function "
+            "credalmc.detect_cycle finds the cycle)"
         )
 
 

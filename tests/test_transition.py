@@ -9,14 +9,18 @@ from credalmc import (
     StateSpace,
     UpperTransitionOperator,
 )
-from credalmc.credal import _step
+from credalmc import credal
+from credalmc.cli import load_bundled
+from credalmc.credal import CHUNK_CELLS, _step
 from helpers import (
     FAMILIES,
     ROW_KINDS,
     random_any_model,
     random_gamble,
+    random_prob_interval,
     random_row,
     run_kernel,
+    six_family_chain,
 )
 
 AB = StateSpace(["a", "b"])
@@ -181,3 +185,85 @@ def test_row_block_plan_equals_the_scatter(family, s):
             assert np.array_equal(_step(op._plan, H), want), k
             assert np.array_equal(op.apply_many(H), want), k
         assert np.array_equal(op.apply(Gamble(space, H[:, 0])).values, want[:, 0])
+
+
+def _chained(op, H, n):
+    """[H, T H, ..., T^(n-1) H] side by side, from n - 1 chained
+    `apply_many` calls."""
+    blocks = [H]
+    for _ in range(n - 1):
+        blocks.append(op.apply_many(blocks[-1]))
+    return np.concatenate(blocks, axis=1)
+
+
+def _iterates_cases():
+    rng = np.random.default_rng(311)
+    mixed = six_family_chain(5, 2, s=8).transitions
+    single = load_bundled("example_5_4").transitions
+    s = 200
+    space = StateSpace([f"x{i}" for i in range(s)])
+    wide = UpperTransitionOperator(space, [random_prob_interval(rng, space) for _ in range(s)])
+    return [
+        pytest.param(mixed, rng.uniform(-1, 1, size=(8, 5)), 30, id="six-family"),
+        pytest.param(single, rng.uniform(-1, 1, size=(3, 4)), 30, id="single-family"),
+        pytest.param(mixed, rng.uniform(-1, 1, size=(8, 1)), 30, id="k=1"),
+        pytest.param(wide, rng.uniform(-1, 1, size=(s, 400)), 3, id="chunked"),
+    ]
+
+
+@pytest.mark.parametrize("op, H, n", _iterates_cases())
+def test_iterates_equal_chained_apply_many(op, H, n, monkeypatch):
+    # The six-family rows are out of family order, so the plan has an
+    # inverse permutation; the 400 columns on 200 states exceed the
+    # chunk width, so each step writes 16 chunks into its block.
+    blocks, inverse, _ = op._plan
+    s, k = H.shape
+    families = {type(row) for row in op.rows}
+    assert (inverse is None) == (len(families) == 1)
+    assert len(blocks) == len(families) in (1, 6)
+    chunks = [26] * 15 + [10] if s == 200 else []
+    assert (k > CHUNK_CELLS // s**2) == bool(chunks)
+    widths = []
+    inner = credal._step
+
+    def chunk(plan, H, out=None):  # `_step` calls itself once per chunk
+        widths.append(H.shape[1])
+        return inner(plan, H, out)
+
+    with monkeypatch.context() as m:
+        m.setattr(credal, "_step", chunk)
+        got = op.iterates(H, n)
+    assert widths == chunks * (n - 1)
+    assert got.shape == (s, n * k)
+    assert np.array_equal(got, _chained(op, H, n))
+
+
+_STATIONARY = [
+    "example_5_1",
+    "example_5_2",
+    "example_5_3",
+    "example_5_3_n2",
+    "example_5_3_precise",
+    "example_5_4",
+    "stationary_mixed8",
+]
+
+
+@pytest.mark.parametrize("name", _STATIONARY)
+def test_iterates_equal_chained_apply_many_on_the_bundled_tables(name):
+    # The batches `evolve --event a` and `credal-approx` sweep: each
+    # indicator and its negation, at horizon 2,000.
+    op = load_bundled(name).transitions
+    assert isinstance(op, UpperTransitionOperator)
+    first, *_ = singletons = [op.space.indicator([x]) for x in op.space]
+    for indicators in ([first], singletons):
+        H = np.stack([v for ind in indicators for v in (-ind.values, ind.values)], axis=1)
+        assert np.array_equal(op.iterates(H, 2000), _chained(op, H, 2000))
+
+
+def test_iterates_check_their_arguments(ex54_op):
+    assert np.array_equal(ex54_op.iterates(np.eye(3), 1), np.eye(3))
+    with pytest.raises(DimensionMismatch):
+        ex54_op.iterates(np.zeros((2, 4)), 3)
+    with pytest.raises(ValueError, match="n >= 1"):
+        ex54_op.iterates(np.eye(3), 0)
