@@ -18,20 +18,21 @@ is the one step loop: it runs one step through a plan into an output
 the caller gives (or a fresh one), sharing two views of H that it computes
 once: `hmax`, the column maximum `H.max(axis=0)`, for the families that
 read it (`reads_max`: Vacuous, Contamination and BeliefFunction; the
-others get None), and for k > 1 `Ht`, a C-contiguous (k, s) copy of
-`H.T`, which the families with a matrix product and ProbInterval read
-(None at k = 1).
+others get None), and `Ht`, `H.T` as a C-contiguous (k, s) array, which
+every family with a matrix product reads (ProbInterval also sorts it);
+it is a view, not a copy, when H is one contiguous column.
 
 Every kernel is column-exact: column j of its block has the same bits,
 except the sign of a zero, whatever the other columns and the batch
 width k, so a batched query prints what one fold per gamble prints (the
-CLI prints every zero unsigned).  Matrix products go through `_gemv`:
-`np.matvec` over the rows of `Ht` makes one BLAS gemv per column (a
-plain `W @ H` over k > 1 columns is one gemm, whose blocking reorders
-the sums; a row's bits also change with the shape of W, so no two
-families, nor padded rows, share one product), and one column keeps
-`np.matmul` on a contiguous copy, since one row times a strided column
-is a strided dot product, with other bits.  `ProbInterval` sums its
+CLI prints every zero unsigned).  Every matrix product is
+`np.matvec(W, Ht, out=out.T)`: one BLAS gemv per contiguous row j of
+`Ht`, k = 1 included, written into column j of `out` through the
+strided view `out.T`, so a column's bits depend neither on the batch
+nor on its stride in H (a plain `W @ H` over k > 1 columns is one
+gemm, whose blocking reorders the sums; a row's bits also change with
+the shape of W, so no two families, nor padded rows, share one
+product).  `ProbInterval` sums its
 gains along the state axis of an (m, k, s) array that keeps the row axis
 innermost in memory: with one row (a model's own `upper`, or an interval
 initial model) that axis is contiguous and numpy sums it pairwise, with
@@ -76,6 +77,7 @@ from .states import (
     MassFunction,
     StateSpace,
     _as_columns,
+    _check_numbers,
     _check_space,
     _freeze,
     _normalized,
@@ -121,7 +123,7 @@ class CredalModel:
         each of the m stacked models into the (m, k) array `out`.
 
         `hmax` is `H.max(axis=0)` if the family `reads_max`, else None;
-        `Ht` is `np.ascontiguousarray(H.T)` if k > 1, else None."""
+        `Ht` is always `np.ascontiguousarray(H.T)`, the (k, s) transpose."""
         raise NotImplementedError
 
     @functools.cached_property
@@ -192,7 +194,7 @@ def _step(plan, H: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     or into a fresh one if None, and returned; `rows` is where the last
     block's slice stops (1 for a model's one-row plan).  Each (kernel,
     params, rows) block writes its rows, `hmax` is computed once if
-    `reads_max`, and for k > 1 one contiguous `H.T` is shared.  Unless
+    `reads_max`, and one contiguous `H.T` is shared.  Unless
     `inverse` is None, the blocks fill a scratch array and one `take`
     writes it to `out` in state order.  Batches wider than
     CHUNK_CELLS // s**2 columns step in chunks of that width, each into
@@ -208,28 +210,13 @@ def _step(plan, H: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return out
     stacked = out if inverse is None else np.empty(out.shape)
     hmax = np.maximum.reduce(H, axis=0) if reads_max else None
-    Ht = np.ascontiguousarray(H.T) if k > 1 else None
+    Ht = np.ascontiguousarray(H.T)
     for kernel, params, rows in blocks:
         kernel(params, H, stacked[rows], hmax, Ht)
     if inverse is not None:
         # mode="raise" would buffer `out` in one more copy.
         stacked.take(inverse, axis=0, out=out, mode="clip")
     return out
-
-
-def _gemv(W: np.ndarray, H: np.ndarray, Ht: np.ndarray | None, out: np.ndarray) -> None:
-    """out = W @ H as one matrix-vector product per column of H.
-
-    `np.matvec` over the rows of the contiguous transpose Ht loops BLAS
-    gemv in C, so each column gets the bits of the k = 1 product
-    `W @ h`; it writes column j of `out` through the strided view out.T.
-    A single column keeps `np.matmul` on a contiguous copy: the product
-    of one row with a strided column is a strided dot product, which
-    sums in another order from s = 4 on."""
-    if H.shape[1] == 1:
-        np.matmul(W, np.ascontiguousarray(H), out)
-    else:
-        np.matvec(W, Ht, out=out.T)
 
 
 def _starts(sizes: Sequence[int]) -> np.ndarray:
@@ -292,7 +279,7 @@ class Linear(CredalModel):
 
     @staticmethod
     def kernel(W, H, out, hmax, Ht):
-        _gemv(W, H, Ht, out)
+        np.matvec(W, Ht, out=out.T)
 
     def vertices(self) -> list[MassFunction]:
         return [self.mass]
@@ -352,7 +339,7 @@ class VertexSet(CredalModel):
         P, starts, width = params
         k = H.shape[1]
         products = np.empty((len(P), k))
-        _gemv(P, H, Ht, products)
+        np.matvec(P, Ht, out=products.T)
         if k > 1 and width is not None:
             np.maximum.reduce(products.reshape(len(out), width, k), axis=1, out=out)
         else:
@@ -375,6 +362,7 @@ class Contamination(CredalModel):
     reads_max = True
 
     def __init__(self, base: MassFunction, epsilon: float):
+        _check_numbers(epsilon, "contamination epsilon must be a number")
         epsilon = float(epsilon)
         if not 0.0 < epsilon < 1.0:
             raise CredalValidationError(
@@ -395,7 +383,7 @@ class Contamination(CredalModel):
     @staticmethod
     def kernel(params, H, out, hmax, Ht):
         B, keep, eps = params
-        _gemv(B, H, Ht, out)
+        np.matvec(B, Ht, out=out.T)
         out *= keep
         out += eps * hmax
 
@@ -423,6 +411,8 @@ class BeliefFunction(CredalModel):
     reads_max = True
 
     def __init__(self, space: StateSpace, focal: Sequence[tuple[Event, float]]):
+        focal = tuple(focal)
+        _check_numbers([w for _, w in focal], "focal masses must be numbers")
         focal = tuple((ev, float(w)) for ev, w in focal)
         if not focal:
             raise CredalValidationError(
@@ -526,6 +516,7 @@ class ProbInterval(CredalModel):
     upper_mass: np.ndarray
 
     def __init__(self, space: StateSpace, lower_mass, upper_mass):
+        _check_numbers([lower_mass, upper_mass], "interval bounds must be numbers")
         lo = _freeze(lower_mass)
         up = _freeze(upper_mass)
         n = len(space)
@@ -588,15 +579,13 @@ class ProbInterval(CredalModel):
         # in memory, so the state axis is contiguous, and each sum
         # pairwise, only for m = 1; with m >= 2 rows each sum runs left
         # to right.  Neither order depends on k or the other columns.
-        if Ht is None:  # one column: H.T is a (1, s) row
-            Ht = H.T
         order = (-Ht).argsort(axis=1)
         gain = D[:, order].cumsum(axis=2)
         np.minimum(gain, slack, out=gain)
         steps = Ht[np.arange(len(Ht))[:, None], order]
         steps[:, :-1] -= steps[:, 1:]
         gain *= steps
-        _gemv(L, H, Ht, out)
+        np.matvec(L, Ht, out=out.T)
         out += np.add.reduce(gain, axis=2)
 
     def vertices(self) -> list[MassFunction]:

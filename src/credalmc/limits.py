@@ -207,9 +207,13 @@ def detect_cycle(
     Stops at the first iterate within tol of Brent's checkpoint r, held
     for 2, 4, 8, ... steps.  One lag check suffices: T is non-expansive
     in the supremum norm, so ||T^p r - r|| <= tol makes every later
-    iterate p-periodic within tol.  p is r's first return, so minimal for
-    r; `iterations` is r's index, which need not be the first on the
-    cycle.  A flat iterate has period 1 and its oscillation as residual.
+    iterate p-periodic within tol.  p is r's first return within tol:
+    the period of the tolerance cycle at r, minimal for r, which can
+    exceed the period of the limit when the iterates of a regular
+    operator alternate while they converge (a lag-2 return within tol
+    can come before any iterate is flat).  `iterations` is r's index,
+    which need not be the first on the cycle.  A flat iterate has
+    period 1 and its oscillation as residual.
     No period bound is known for upper operators: max_iter bounds the search.
     """
     return _iterate(op, h, tol, tol, max_iter)[0]

@@ -104,6 +104,27 @@ def frozen(cls):
     return cls
 
 
+#: Element types of a plain list of numbers, which `_check_numbers`
+#: accepts without looking at each element.
+_PLAIN = frozenset({float, int})
+
+
+def _check_numbers(values, what: str) -> None:
+    """Raise TypeError("<what>, got <value>") at the first string or bool
+    in `values`, a number or a nest of lists, tuples and arrays, which
+    `float()` and `np.array(..., dtype=float)` would read as a number:
+    "0.5" as 0.5, True as 1.0, and [True, 0.5] as [1.0, 0.5]."""
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind in "fiu":
+            return
+        values = values.tolist()
+    if isinstance(values, (str, bool, np.bool_)):
+        raise TypeError(f"{what}, got {values!r}")
+    if isinstance(values, (list, tuple)) and not _PLAIN.issuperset(map(type, values)):
+        for v in values:
+            _check_numbers(v, what)
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.setflags(write=False)
@@ -224,14 +245,16 @@ class Event:
 class MassFunction:
     """A probability mass function on the state space.
 
-    Weights must be nonnegative and sum to one within MASS_TOL; they are
-    clipped and, unless they sum to one up to rounding, renormalized.
+    Weights must be numbers (not strings or bools), nonnegative and sum
+    to one within MASS_TOL; they are clipped and, unless they sum to one
+    up to rounding, renormalized.
     """
 
     space: StateSpace
     weights: np.ndarray
 
     def __init__(self, space: StateSpace, weights):
+        _check_numbers(weights, "weights must be numbers")
         weights = np.array(weights, dtype=float)
         if weights.shape != (len(space),):
             raise DimensionMismatch(

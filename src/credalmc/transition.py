@@ -11,12 +11,12 @@ writes its rows as one contiguous block, in one call per family present
 `iterates`, the stationary sweep, allocates one (n, s, k) table and
 writes each step straight into its next block.  The column maximum of
 the gambles is computed once per step, and only if a family present
-reads it.  A step on more than one column also makes one contiguous
-transposed copy of the gambles, which the families with a matrix
-product share.  One `take` writes the rows to the output in state
-order; it is skipped, and the families write the output directly, when
-the blocks already are in state order, as on every single-family
-operator.
+reads it.  Every step also hands the families one C-contiguous
+transpose of the gambles, whose rows the matrix products read, one gemv
+per row; it is a copy unless the gambles are one contiguous column, as
+in `apply`.  One `take` writes the rows to the output in state order;
+it is skipped, and the families write the output directly, when the
+blocks already are in state order, as on every single-family operator.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .credal import Contamination, CredalModel, Linear, ProbInterval, _plan, _step
 from .states import DimensionMismatch, Gamble, MassFunction, StateSpace
-from .states import _as_columns, _check_space, frozen
+from .states import _as_columns, _check_numbers, _check_space, frozen
 
 
 @frozen
@@ -67,6 +67,7 @@ class UpperTransitionOperator:
         cls, space: StateSpace, lower, upper
     ) -> "UpperTransitionOperator":
         """Probability-interval rows from lower/upper Markov matrices."""
+        _check_numbers([lower, upper], "interval bounds must be numbers")
         lower = np.asarray(lower, dtype=float)
         upper = np.asarray(upper, dtype=float)
         if lower.shape != upper.shape:

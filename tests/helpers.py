@@ -20,6 +20,7 @@ from credalmc import (
     Vacuous,
     VertexSet,
     count_assignments,
+    credal,
 )
 
 FAMILIES = ("linear", "vacuous", "vertices", "contamination", "belief", "interval")
@@ -140,14 +141,12 @@ def random_model(rng: np.random.Generator, space: StateSpace, family: str):
 
 
 def run_kernel(cls, params, H: np.ndarray, m: int) -> np.ndarray:
-    """`cls.kernel` on m stacked models, written into a fresh (m, k) block.
+    """`cls.kernel` on m stacked models, run through `credal._step` as a
+    one-block plan and written into a fresh (m, k) block.
 
     The block starts as NaN, so a cell the kernel leaves unwritten shows."""
-    out = np.full((m, H.shape[1]), np.nan)
-    hmax = H.max(axis=0) if cls.reads_max else None
-    Ht = np.ascontiguousarray(H.T) if H.shape[1] > 1 else None
-    cls.kernel(params, H, out, hmax, Ht)
-    return out
+    plan = ((cls.kernel, params, slice(0, m)),), None, cls.reads_max
+    return credal._step(plan, H, np.full((m, H.shape[1]), np.nan))
 
 
 def random_any_model(rng: np.random.Generator, space: StateSpace):

@@ -872,6 +872,42 @@ _ROWS_ABC_OK = {"type": "rows", "rows": [_linear([0.2, 0.3, 0.5])] * 3}
             {"transition": {"type": "matrix", "matrix": [[0.5, 0.5]] * 3}},
             "error:schema-error: transition: need one row model per state: 3 != 2\n",
         ),
+        # A string or a bool where a number is stored is refused, not
+        # parsed ("0.5" -> 0.5) or coerced (True -> 1.0).
+        (
+            {"transition": {"type": "contamination", "matrix": [[0.5, 0.5]] * 2, "epsilon": "0.1"}},
+            "error:schema-error: transition: contamination epsilon must be a number, got '0.1'\n",
+        ),
+        (
+            {"transition": {"type": "rows", "rows": [_linear([0.5, 0.5]), _contamination([0.5, 0.5], True)]}},
+            "error:schema-error: transition.rows[1]: contamination epsilon must be a number, "
+            "got True\n",
+        ),
+        (
+            {"initial": {"type": "belief", "focal": [{"members": ["a"], "mass": "0.5"},
+                                                     {"members": ["b"], "mass": 0.5}]}},
+            "error:schema-error: initial: focal masses must be numbers, got '0.5'\n",
+        ),
+        (
+            {"initial": {"type": "prob_interval", "lower": ["0.6", "0.1"], "upper": [0.9, 0.4]}},
+            "error:schema-error: initial: interval bounds must be numbers, got '0.6'\n",
+        ),
+        (
+            {"transition": {"type": "interval", "lower": [[0.4, 0.4]] * 2, "upper": [[0.6, 0.6], [0.6, "0.6"]]}},
+            "error:schema-error: transition: interval bounds must be numbers, got '0.6'\n",
+        ),
+        (
+            {"transition": {"type": "matrix", "matrix": [[0.5, 0.5], ["0.5", "0.5"]]}},
+            "error:schema-error: transition: weights must be numbers, got '0.5'\n",
+        ),
+        (
+            {"initial": _linear([True, False])},
+            "error:schema-error: initial: weights must be numbers, got True\n",
+        ),
+        (
+            {"transition": {"type": "rows", "rows": [_linear([0.5, 0.5]), _vertices([0.5, 0.5], [True, 0.0])]}},
+            "error:schema-error: transition.rows[1]: weights must be numbers, got True\n",
+        ),
     ],
     ids=["linear-sum", "linear-width", "vertices-nan", "linear-missing-mass",
          "contamination-epsilon", "vertices-empty", "matrix-row", "per-step-row",
@@ -879,7 +915,9 @@ _ROWS_ABC_OK = {"type": "rows", "rows": [_linear([0.2, 0.3, 0.5])] * 3}
          "rows-too-few", "contamination-operator-epsilon",
          "contamination-operator-base-first", "contamination-operator-row",
          "contamination-operator-epsilon-list",
-         "matrix-scalar", "matrix-vector", "matrix-empty", "matrix-too-long"],
+         "matrix-scalar", "matrix-vector", "matrix-empty", "matrix-too-long",
+         "epsilon-string", "epsilon-bool", "focal-mass-string", "interval-bound-string",
+         "interval-operator-string", "matrix-row-strings", "mass-bools", "vertex-mixed-bool"],
 )
 def test_malformed_row_prints_the_row_by_row_error(capsys, tmp_path, patch, err):
     p = tmp_path / "bad.json"

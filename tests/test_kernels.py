@@ -23,6 +23,7 @@ from credalmc import (
     Event,
     Gamble,
     ImpreciseMarkovChain,
+    Linear,
     PathGamble,
     ProbInterval,
     StateSpace,
@@ -415,21 +416,64 @@ def test_kernels_are_column_exact(family, s):
 
 @pytest.mark.parametrize("m", [1, 5])
 def test_gemv_is_one_contiguous_product_per_column(m):
-    # `_gemv` writes into a row slice of a larger array, as a kernel block
-    # does, and each column has the bits of the product with that column
-    # alone, whether H is a batch or a strided single column.
+    # A one-block `Linear` plan writes rows 1 .. m of a larger array, as
+    # an operator's block does, and each column has the bits of the
+    # product with that column alone, whether H is a batch or a strided
+    # single column.
     rng = np.random.default_rng(61 + m)
     for s in (1, 2, 3, 4, 9, 24, 48, 64):
         W = rng.uniform(0.0, 1.0, size=(m, s))
+        plan = ((Linear.kernel, W, slice(1, m + 1)),), None, False
         wide = rng.uniform(-1.0, 1.0, size=(s, 130))
         for H in (wide[:, :2], wide[:, :65], wide, wide[:, 7:8], wide[:, [7]]):
             k = H.shape[1]
-            Ht = np.ascontiguousarray(H.T) if k > 1 else None
             block = np.zeros((m + 3, k))
-            credal._gemv(W, H, Ht, block[1 : m + 1])
+            credal._step(plan, H, block)
             want = np.hstack([W @ np.ascontiguousarray(H[:, [j]]) for j in range(k)])
             assert block[1 : m + 1].tobytes() == want.tobytes(), (s, k)
             assert not block[0].any() and not block[m + 1 :].any()
+
+
+def test_step_hands_every_kernel_the_contiguous_transpose():
+    # Whatever the width and layout of H, and however the batch is
+    # chunked, every kernel gets `Ht` as the C-contiguous (k, s) array
+    # H.T of the columns it is given; for one contiguous column, or a
+    # Fortran-ordered batch, that is a view of H, not a copy.
+    rng = np.random.default_rng(263)
+    s = 48
+    space = StateSpace([f"x{i}" for i in range(s)])
+    rows = [random_model(rng, space, ("linear", "interval")[i % 2]) for i in range(s)]
+    seen = []
+
+    def spy(kernel):
+        def checked(params, H, out, hmax, Ht):
+            assert Ht.flags.c_contiguous and Ht.shape == H.shape[::-1]
+            assert Ht.tobytes() == np.ascontiguousarray(H.T).tobytes()
+            seen.append((H.shape[1], np.shares_memory(Ht, H)))
+            kernel(params, H, out, hmax, Ht)
+
+        return checked
+
+    def spied(plan):
+        blocks, inverse, reads_max = plan
+        return tuple((spy(f), params, out) for f, params, out in blocks), inverse, reads_max
+
+    two_families = credal._plan(rows)
+    assert len(two_families[0]) == 2 and two_families[1] is not None
+    wide_k = credal.CHUNK_CELLS // s**2 + 1  # k * s**2 > CHUNK_CELLS
+    wide = rng.uniform(-1.0, 1.0, size=(s, wide_k))
+    cases = [
+        (wide[:, 0].copy()[:, None], [(1, True)]),
+        (wide[:, 7:8], [(1, False)]),
+        (wide[:, :5], [(5, False)]),
+        (np.asfortranarray(wide[:, :5]), [(5, True)]),
+        (wide, [(wide_k - 1, False), (1, False)]),
+    ]
+    for plan in (two_families, rows[1]._plan):
+        for H, calls in cases:
+            seen.clear()
+            assert credal._step(spied(plan), H).tobytes() == credal._step(plan, H).tobytes()
+            assert seen == [call for call in calls for _ in plan[0]]
 
 
 def _same_but_zero_signs(a, b) -> bool:

@@ -378,6 +378,23 @@ class TestDetectCycle:
             back = cycle_op.apply(back)
         assert np.abs(back.values - rep.representative.values).max() <= 1e-12
 
+    def test_period_of_the_tolerance_cycle(self):
+        # example_5_1 is regular, but its iterates of I_a alternate while
+        # they converge: iterate 256 is back within tol of checkpoint 254
+        # while every iterate still oscillates by more than tol, so the
+        # cycle at the checkpoint has period 2 where the limit has 1.
+        op = load_bundled("example_5_1").transitions
+        h, tol = op.space.indicator(["a"]), 1e-12
+        assert op.is_regular() is not None
+        rep = detect_cycle(op, h, tol=tol)
+        assert (rep.period, rep.iterations) == (2, 254)
+        assert rep.residual == pytest.approx(4.5e-13, rel=0.01)
+        assert np.ptp(rep.representative.values) > tol
+        back = op.apply(op.apply(rep.representative))
+        assert np.abs(back.values - rep.representative.values).max() <= tol
+        limit = limit_upper(op, h, tol=tol)
+        assert limit.iterations == 263 and limit.residual <= tol
+
     def test_max_iter_reached_raises(self, cycle_op, ab):
         # Iterate 2 comes back to iterate 0, the first checkpoint, so
         # max_iter=1 stops first and max_iter=2 finds the 2-cycle.

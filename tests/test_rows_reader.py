@@ -16,9 +16,12 @@ import numpy as np
 import pytest
 
 from credalmc import (
+    BeliefFunction,
     Contamination,
+    Event,
     Linear,
     MassFunction,
+    ProbInterval,
     StateSpace,
     UpperTransitionOperator,
     VertexSet,
@@ -124,6 +127,10 @@ _ROW_CONSTRUCTORS = {
     "linear": lambda sp, o: Linear(MassFunction(sp, o["mass"])),
     "vertices": lambda sp, o: VertexSet(sp, [MassFunction(sp, p) for p in o["points"]]),
     "contamination": lambda sp, o: Contamination(MassFunction(sp, o["base"]), o["epsilon"]),
+    "belief": lambda sp, o: BeliefFunction(
+        sp, [(Event(sp, f["members"]), f["mass"]) for f in o["focal"]]
+    ),
+    "prob_interval": lambda sp, o: ProbInterval(sp, o["lower"], o["upper"]),
 }
 
 _MALFORMED = [
@@ -148,6 +155,19 @@ _MALFORMED = [
     {"type": "contamination", "base": [0.7, 0.7], "epsilon": 1.5},
     {"type": "contamination", "base": [0.5, 0.5], "epsilon": [0.1]},
     {"type": "contamination", "base": [0.5, 0.5]},
+    # Strings and bools where numbers are stored.
+    {"type": "linear", "mass": [True, False]},
+    {"type": "linear", "mass": [True, 0.5]},
+    {"type": "linear", "mass": ["0.5", "0.5"]},
+    {"type": "linear", "mass": "0.5"},
+    {"type": "vertices", "points": [[0.5, 0.5], [False, True]]},
+    {"type": "contamination", "base": [0.5, 0.5], "epsilon": "0.1"},
+    {"type": "contamination", "base": [0.5, 0.5], "epsilon": False},
+    {"type": "contamination", "base": [0.5, "0.5"], "epsilon": 0.1},
+    {"type": "belief", "focal": [{"members": ["a"], "mass": "0.5"}, {"members": ["b"], "mass": 0.5}]},
+    {"type": "belief", "focal": [{"members": ["a", "b"], "mass": True}]},
+    {"type": "prob_interval", "lower": ["0.6", "0.1"], "upper": [0.9, 0.4]},
+    {"type": "prob_interval", "lower": [0.0, 0.0], "upper": [True, True]},
 ]
 
 
@@ -188,3 +208,14 @@ def test_array_constructors_raise_what_the_row_loop_raises(matrix):
         with pytest.raises(type(want.value)) as got:
             build(space, matrix)
         assert str(got.value) == str(want.value), name
+
+
+def test_interval_matrices_refuse_what_the_row_constructor_refuses():
+    # np.asarray(..., dtype=float) would turn the mixed row into floats.
+    space = StateSpace(["a", "b"])
+    lower, upper = [[0.4, 0.4], [True, 0.4]], [[0.6, 0.6]] * 2
+    with pytest.raises(TypeError) as want:
+        ProbInterval(space, lower[1], upper[1])
+    with pytest.raises(TypeError) as got:
+        UpperTransitionOperator.from_interval_matrices(space, lower, upper)
+    assert str(got.value) == str(want.value) == "interval bounds must be numbers, got True"

@@ -150,6 +150,33 @@ def test_mass_function_boundaries():
     MassFunction(AB, [0.5, 0.5 + 0.9 * t])
 
 
+@pytest.mark.parametrize(
+    ("weights", "bad"),
+    [
+        ([True, False], "True"),
+        ([0.5, True], "True"),
+        ([np.True_, 0.0], "np.True_"),
+        (np.array([True, False]), "True"),
+        (["0.5", "0.5"], "'0.5'"),
+        ((0.5, "0.5"), "'0.5'"),
+        (np.array(["1", "0"]), "'1'"),
+        (np.array([0.5, "0.5"], dtype=object), "'0.5'"),
+    ],
+)
+def test_mass_function_refuses_strings_and_bools(weights, bad):
+    # np.array(..., dtype=float) would read each as numbers.
+    with pytest.raises(TypeError, match=f"^weights must be numbers, got {bad}$"):
+        MassFunction(AB, weights)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [[1, 0], np.array([1, 0]), np.array([0.5, 0.5], dtype=np.float32), [np.int64(1), np.float64(0.0)]],
+)
+def test_mass_function_takes_ints_and_numpy_numbers(weights):
+    assert np.array_equal(MassFunction(AB, weights).weights, np.asarray(weights, dtype=float))
+
+
 def test_event_membership_checked():
     with pytest.raises(KeyError, match=r"\['y', 'z'\]"):
         Event(AB, ["z", "a", "y"])
