@@ -1,11 +1,12 @@
 """Backwards recursion for imprecise Markov chains.
 
-Every expectation query runs one recursion, `ImpreciseMarkovChain._fold`,
-on a stack of raw arrays: marginal and conditional queries fold a gamble
-on X, so their cost is linear in the number of time steps, and joint
-queries fold the dense table over X^N one time axis per step, for
-desk-scale horizons.  `joint_upper_many` folds several path gambles in
-one stack, one `apply_many` call per step for all of them.
+`marginal_upper_table` bounds a batch of gambles at every time in
+horizon - 1 steps.  Every other expectation query runs one recursion,
+`_fold`, on a stack of raw arrays: marginal and conditional queries
+fold a gamble on X, so their cost is linear in the number of time
+steps, and joint queries fold the dense table over X^N one time axis
+per step, for desk-scale horizons.  `joint_upper_many` folds several
+path gambles in one stack, one `apply_many` call per step for all.
 Path masses need no fold: `path_mass_bounds` broadcasts the initial
 model's singleton bounds against each step operator's cached one-step
 lower and upper probability tables, giving every path of a length at
@@ -22,12 +23,21 @@ from typing import Sequence
 
 import numpy as np
 
-from .credal import CredalModel, SizeGuardError
-from .states import DimensionMismatch, Gamble, StateSpace, _check_space, frozen
+from .credal import CredalModel, SizeGuardError, _step
+from .states import DimensionMismatch, Gamble, StateSpace, frozen
+from .states import _as_columns, _check_numbers, _check_space
 from .transition import UpperTransitionOperator
 
 #: Refuse to tabulate more initial paths than this in `path_mass_bounds`.
 PATH_GUARD = 2**12
+
+
+def _check_horizon(horizon) -> int:
+    """`horizon` as an int if it is a positive int or numpy integer;
+    a bool, a float (even 3.0) or anything below 1 raises ValueError."""
+    if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)) or horizon < 1:
+        raise ValueError(f"horizon must be a positive integer, got {horizon!r}")
+    return int(horizon)
 
 
 @frozen
@@ -44,9 +54,8 @@ class PathGamble:
     values: np.ndarray
 
     def __init__(self, space: StateSpace, horizon: int, values):
-        horizon = int(horizon)
-        if horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        horizon = _check_horizon(horizon)
+        _check_numbers(values, "path gamble values must be numbers")
         values = np.array(values, dtype=float)
         expect = (len(space),) * horizon
         if values.shape != expect:
@@ -104,9 +113,7 @@ class ImpreciseMarkovChain:
         transitions,
         horizon: int,
     ):
-        horizon = int(horizon)
-        if horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        horizon = _check_horizon(horizon)
         space = initial.space
         if isinstance(transitions, UpperTransitionOperator):
             ops = (transitions,)
@@ -151,6 +158,7 @@ class ImpreciseMarkovChain:
         return tables
 
     def _path_table(self, f: PathGamble) -> np.ndarray:
+        _check_space(self, f)
         if f.horizon != self.horizon:
             raise DimensionMismatch(
                 f"path gamble horizon {f.horizon} != chain horizon {self.horizon}"
@@ -170,6 +178,29 @@ class ImpreciseMarkovChain:
 
     def marginal_lower(self, n: int, h: Gamble) -> float:
         return -self.marginal_upper(n, -h)
+
+    def marginal_upper_table(self, H) -> np.ndarray:
+        """The (horizon, k) upper expectations of the k columns of a raw
+        (s, k) array H at X(1), ..., X(horizon); row n - 1 has the bits of
+        `marginal_upper(n, .)`.  A stationary chain steps H forward in
+        place through one (horizon, s, k) table; a per-step chain sweeps
+        back from the horizon, the columns for time k + 1 joining the
+        batch at step k, one `apply_many` per step.  One `upper_many` on
+        the initial model closes every column."""
+        H = _as_columns(self.space, H)
+        if self.stationary:
+            table = np.empty((self.horizon, *H.shape))
+            table[0] = H
+            plan = self.transitions._plan
+            for block, following in zip(table, table[1:]):
+                _step(plan, block, following)
+            table = table.transpose(1, 0, 2).reshape(len(H), -1)
+        else:
+            swept = H[:, :0]
+            for op in reversed(self.transitions):
+                swept = op.apply_many(np.concatenate([H, swept], axis=1))
+            table = np.concatenate([H, swept], axis=1)
+        return self.initial.upper_many(table).reshape(self.horizon, -1)
 
     def conditional_upper(self, ell: int, x_ell: str, n: int, h: Gamble) -> float:
         """Upper expectation of h(X(n)) given X(ell) = x_ell, ell < n."""

@@ -33,6 +33,9 @@ on one object.  A `rows` operator is read one row at a time through
 those readers, so an error names its row, as in
 ``transition[1].rows[2]: ...``.
 
+`evolve` and `credal-approx` print the chain's `marginal_upper_table`;
+only `_single_operator` and `scenario_to_json` read its transitions.
+
 All commands print CSV with a header row on stdout; numbers carry 12
 significant digits, making output byte-stable across runs.  A command
 returns its table as columns, and `_emit` writes a block of rows with
@@ -189,9 +192,6 @@ def _read_scenario(doc: dict) -> ImpreciseMarkovChain:
         # `_path_labels` joins labels with '>'; it must stay a separator.
         raise ValueError(f"state labels must not contain '>', got {list(space.labels)!r}")
     initial = model_from_json(space, doc["initial"], "initial")
-    horizon = doc["horizon"]
-    if type(horizon) is not int or horizon < 1:
-        raise ValueError(f"horizon must be a positive integer, got {horizon!r}")
     trans_doc = doc["transition"]
     if isinstance(trans_doc, list):
         transitions = [
@@ -202,7 +202,7 @@ def _read_scenario(doc: dict) -> ImpreciseMarkovChain:
         transitions = operator_from_json(space, trans_doc, "transition")
     if "queries" in doc:
         _list(doc, "queries")  # checked for shape; nothing reads it
-    return ImpreciseMarkovChain(initial, transitions, horizon)
+    return ImpreciseMarkovChain(initial, transitions, doc["horizon"])
 
 
 def scenario_from_json(doc: dict) -> ImpreciseMarkovChain:
@@ -350,26 +350,11 @@ def parse_gamble(space: StateSpace, text: str) -> Gamble:
 def _marginal_columns(chain: ImpreciseMarkovChain, indicators: list[Gamble]):
     """Columns n, lower, upper for n = 1..horizon and each indicator, n-major.
 
-    Each indicator h and its negation -h are columns of one batch, taken
-    back to time 1 and closed with the initial model in one call; lower
-    is minus the upper expectation of -h.  A stationary chain sweeps the
-    batch forward with `iterates`: the columns for time n are T applied
-    to those for n - 1, H - 1 steps written in place into one table.  A
-    per-step chain sweeps back from the horizon: at step k the columns
-    for time k + 1 join the batch, and one `apply_many` call applies the
-    step operator to every live column, H - 1 calls in all.  The kernels
-    are column-exact, so every cell has the bits of the `marginal_upper`
-    fold at its n.
+    Each indicator h and its negation -h are columns of one
+    `marginal_upper_table`; lower is minus the upper expectation of -h.
     """
     base = np.stack([v for ind in indicators for v in (-ind.values, ind.values)], axis=1)
-    if chain.stationary:
-        table = chain.transitions.iterates(base, chain.horizon)
-    else:
-        swept = base[:, :0]
-        for k in reversed(range(1, chain.horizon)):
-            swept = chain.operator_at(k).apply_many(np.concatenate([base, swept], axis=1))
-        table = np.concatenate([base, swept], axis=1)
-    ups = chain.initial.upper_many(table).reshape(-1, 2)
+    ups = chain.marginal_upper_table(base).reshape(-1, 2)
     times = np.repeat(np.arange(1, chain.horizon + 1), len(indicators))
     return [times, -ups[:, 0], ups[:, 1]]
 

@@ -557,6 +557,7 @@ class ProbInterval(CredalModel):
         """Upper probability of an event: min of the two interval cuts."""
         if not isinstance(members, Event):
             members = Event(self.space, members)
+        _check_space(self, members)
         mask = members.mask()
         return float(
             min(self.upper_mass[mask].sum(), 1.0 - self.lower_mass[~mask].sum())

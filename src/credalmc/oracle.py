@@ -36,7 +36,7 @@ import numpy as np
 
 from .chain import ImpreciseMarkovChain, PathGamble
 from .credal import SizeGuardError
-from .states import MassFunction, frozen
+from .states import MassFunction, _check_space, frozen
 
 #: Refuse enumerations with more assignments than this; in blocks, a
 #: guard-sized enumeration (839,808 trees on two states at horizon 4, three
@@ -180,6 +180,8 @@ def envelope(
     """
     if not fs:
         raise ValueError("envelope needs at least one path gamble")
+    for f in fs:
+        _check_space(chain, f)
     horizon = fs[0].horizon
     if any(f.horizon != horizon for f in fs):
         raise ValueError("all path gambles must share one horizon")

@@ -190,12 +190,15 @@ def _as_columns(space: StateSpace, H) -> np.ndarray:
 
 @frozen
 class Gamble:
-    """A real-valued map on the state space, stored positionally."""
+    """A real-valued map on the state space, stored positionally.
+
+    Values must be finite numbers (not strings or bools)."""
 
     space: StateSpace
     values: np.ndarray
 
     def __init__(self, space: StateSpace, values):
+        _check_numbers(values, "gamble values must be numbers")
         values = _freeze(values)
         if values.shape != (len(space),):
             raise DimensionMismatch(
@@ -233,7 +236,7 @@ class Event:
         vars(self).update(space=space, members=members, positions=positions)
 
     def indicator(self) -> Gamble:
-        return Gamble(self.space, self.mask())
+        return Gamble(self.space, self.mask().astype(float))
 
     def mask(self) -> np.ndarray:
         mask = np.zeros(len(self.space), dtype=bool)

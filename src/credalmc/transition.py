@@ -7,16 +7,16 @@ step on an (s, k) gamble array is then one `credal._step` through the
 plan.  It fills an (s, k) output the caller gives, in which each family
 writes its rows as one contiguous block, in one call per family present
 (and per column chunk, which `_step` makes when k exceeds
-`credal.CHUNK_CELLS // s**2`).  `apply_many` steps into a fresh output;
-`iterates`, the stationary sweep, allocates one (n, s, k) table and
-writes each step straight into its next block.  The column maximum of
-the gambles is computed once per step, and only if a family present
-reads it.  Every step also hands the families one C-contiguous
-transpose of the gambles, whose rows the matrix products read, one gemv
-per row; it is a copy unless the gambles are one contiguous column, as
-in `apply`.  One `take` writes the rows to the output in state order;
-it is skipped, and the families write the output directly, when the
-blocks already are in state order, as on every single-family operator.
+`credal.CHUNK_CELLS // s**2`).  `apply_many` steps into a fresh output,
+`ImpreciseMarkovChain.marginal_upper_table` into its sweep's table.  The
+column maximum of the gambles is computed once per step, and only if a
+family present reads it.  Every step also hands the families one
+C-contiguous transpose of the gambles, whose rows the matrix products
+read, one gemv per row; it is a copy unless the gambles are one
+contiguous column, as in `apply`.  One `take` writes the rows to the
+output in state order; it is skipped, and the families write the output
+directly, when the blocks already are in state order, as on every
+single-family operator.
 """
 
 from __future__ import annotations
@@ -90,23 +90,6 @@ class UpperTransitionOperator:
     def apply_many(self, H) -> np.ndarray:
         """Apply the operator to each column of a raw (s, k) array."""
         return _step(self._plan, _as_columns(self.space, H))
-
-    def iterates(self, H, n: int) -> np.ndarray:
-        """The (s, n * k) table [H, T H, ..., T^(n-1) H] of a raw (s, k)
-        array H, for n >= 1: columns i * k ... (i + 1) * k - 1 hold T^i H.
-
-        The steps run through n contiguous (s, k) blocks of one (n, s, k)
-        array, each step written straight into the next block; one copy
-        at the end lays the blocks side by side."""
-        H = _as_columns(self.space, H)
-        if n < 1:
-            raise ValueError(f"need n >= 1 iterates, got {n}")
-        table = np.empty((n, *H.shape))
-        table[0] = H
-        plan = self._plan
-        for block, following in zip(table, table[1:]):
-            _step(plan, block, following)
-        return table.transpose(1, 0, 2).reshape(len(H), -1)
 
     def apply(self, h: Gamble) -> Gamble:
         _check_space(self, h)

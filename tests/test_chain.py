@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from credalmc import (
+    DimensionMismatch,
     Gamble,
     ImpreciseMarkovChain,
     Linear,
@@ -14,7 +15,7 @@ from credalmc import (
     UpperTransitionOperator,
     envelope,
 )
-from helpers import random_gamble, random_small_chain
+from helpers import random_gamble, random_small_chain, six_family_chain
 
 AB = StateSpace(["a", "b"])
 
@@ -47,6 +48,29 @@ class TestMarginal:
             assert ex53_chain.marginal_lower(n, h) <= ex53_chain.marginal_upper(
                 n, h
             ) + 1e-14
+
+
+@pytest.mark.parametrize("stationary", [True, False], ids=["stationary", "per-step"])
+@pytest.mark.parametrize("horizon", [1, 2, 9])
+def test_marginal_upper_table_rows_are_marginal_upper(stationary, horizon):
+    # Row n - 1 has the bits of `marginal_upper(n, .)` for every column,
+    # on both sweeps: forward in place and backward with a growing batch.
+    chain = six_family_chain(7, horizon, stationary)
+    rng = np.random.default_rng(horizon)
+    H = np.column_stack([rng.uniform(-1, 1, size=(6, 3)), np.eye(6)[:, 2]])
+    table = chain.marginal_upper_table(H)
+    assert table.shape == (horizon, 4)
+    for n in range(1, horizon + 1):
+        for j in range(4):
+            assert table[n - 1, j] == chain.marginal_upper(n, Gamble(chain.space, H[:, j]))
+
+
+@pytest.mark.parametrize("stationary", [True, False], ids=["stationary", "per-step"])
+def test_marginal_upper_table_checks_the_shape(stationary):
+    chain = six_family_chain(7, 3, stationary)
+    for bad in (np.zeros((5, 2)), np.zeros(6), np.zeros((6, 2, 1))):
+        with pytest.raises(DimensionMismatch):
+            chain.marginal_upper_table(bad)
 
 
 class TestConditional:
@@ -101,6 +125,27 @@ class TestPathGamble:
         with pytest.raises(ValueError, match="finite"):
             PathGamble(ab, 2, [[bad, 0.0], [0.0, 0.0]])
 
+    @pytest.mark.parametrize(
+        ("values", "bad"),
+        [
+            ([["0.5", 0.0], [0.0, 0.0]], "'0.5'"),
+            ([[True, 0.0], [0.0, 0.0]], "True"),
+            (np.array([[True, False], [False, True]]), "True"),
+        ],
+    )
+    def test_strings_and_bools_refused(self, ab, values, bad):
+        with pytest.raises(TypeError, match=f"^path gamble values must be numbers, got {bad}$"):
+            PathGamble(ab, 2, values)
+
+    @pytest.mark.parametrize("horizon", [True, False, 1.9, 2.0, 0, -1, "2", None])
+    def test_horizon_must_be_a_positive_integer(self, ab, horizon):
+        with pytest.raises(ValueError, match="^horizon must be a positive integer, got "):
+            PathGamble(ab, horizon, np.zeros((2, 2)))
+
+    def test_numpy_integer_horizon_accepted(self, ab):
+        f = PathGamble(ab, np.int64(2), np.zeros((2, 2)))
+        assert f.horizon == 2 and type(f.horizon) is int
+
     def test_from_gamble_round_trip(self, ab):
         h = Gamble(ab, [2.0, -1.0])
         f = PathGamble.from_gamble(h, 2, 3)
@@ -139,6 +184,23 @@ class TestJoint:
         (lo,), (up,), _, _ = envelope(chain, [f])
         assert lo == pytest.approx(up, abs=1e-12)
         assert chain.joint_upper(f) == pytest.approx(up, abs=1e-12)
+
+    @pytest.mark.parametrize("labels", [["x", "y"], ["a", "b", "c"]], ids=["xy", "abc"])
+    def test_path_gamble_on_another_space_refused(self, ex53_initial, ex53_op, labels):
+        # An unchecked ['x', 'y'] table would fold as if it were on the
+        # chain's space, and a 3-state one would fail inside numpy.
+        chain = ImpreciseMarkovChain(ex53_initial, ex53_op, 3)
+        other = StateSpace(labels)
+        f = PathGamble(other, 3, np.arange(len(other) ** 3).reshape((len(other),) * 3) / 8.0)
+        for query in (
+            lambda: chain.joint_upper(f),
+            lambda: chain.joint_lower(f),
+            lambda: chain.joint_upper_many([PathGamble.path_indicator(chain.space, 3, "aab"), f]),
+            lambda: chain.joint_upper_given(["a"], f),
+            lambda: chain.markov_invariance_gap(1, f),
+        ):
+            with pytest.raises(DimensionMismatch, match="state spaces differ"):
+                query()
 
     def test_horizon_mismatch(self, ex53_chain, ab):
         f = PathGamble.path_indicator(ab, 2, ["a", "a"])
@@ -290,6 +352,18 @@ def test_non_stationary_chain_accepts_per_step_operators(ab):
     assert chain.marginal_upper(3, ind) == pytest.approx(0.0)
     with pytest.raises(ValueError):
         ImpreciseMarkovChain(Linear(MassFunction(ab, [1.0, 0.0])), [op1], 3)
+
+
+@pytest.mark.parametrize("horizon", [True, False, 2.9, 3.0, 0, -2, "3", None])
+def test_chain_horizon_must_be_a_positive_integer(ex53_initial, ex53_op, horizon):
+    # No value is truncated or read as a number: 2.9 is not 2, True not 1.
+    with pytest.raises(ValueError, match="^horizon must be a positive integer, got "):
+        ImpreciseMarkovChain(ex53_initial, ex53_op, horizon)
+
+
+def test_chain_horizon_takes_numpy_integers(ex53_initial, ex53_op):
+    chain = ImpreciseMarkovChain(ex53_initial, ex53_op, np.int32(4))
+    assert chain.horizon == 4 and type(chain.horizon) is int
 
 
 def test_gamble_count_does_not_grow_with_n(ex53_initial, ex53_op, ab, monkeypatch):

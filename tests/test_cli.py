@@ -18,7 +18,7 @@ from credalmc import (
     UpperTransitionOperator,
     oracle,
 )
-from credalmc import transition
+from credalmc import chain as chain_module
 from credalmc.cli import (
     EMIT_BLOCK,
     ScenarioError,
@@ -1038,13 +1038,13 @@ def test_stationary_marginals_apply_the_operator_once_per_column_and_step(
     chain = ImpreciseMarkovChain(ex54.initial, ex54.transitions, horizon)
     calls = _count_apply_many(monkeypatch)
     steps = []
-    inner = transition._step
+    inner = chain_module._step
 
     def counted(plan, H, out=None):
         steps.append((H.shape, None if out is None else out.shape))
         return inner(plan, H, out)
 
-    monkeypatch.setattr(transition, "_step", counted)
+    monkeypatch.setattr(chain_module, "_step", counted)
     cmd_evolve(chain, argparse.Namespace(event="a"))
     assert steps == [((3, 2), (3, 2))] * (horizon - 1)
     steps.clear()

@@ -7,6 +7,7 @@ from credalmc import (
     BeliefFunction,
     Contamination,
     CredalValidationError,
+    DimensionMismatch,
     Event,
     Gamble,
     Linear,
@@ -214,6 +215,17 @@ class TestEventUpper:
         for members in ({"zz"}, {"a", "zz"}):
             with pytest.raises(KeyError, match="zz"):
                 ROW_A.event_upper(members)
+
+    @pytest.mark.parametrize(
+        "labels", [["x", "y"], ["a", "b", "c"], ["x", "y", "z"]], ids=["xy", "abc", "xyz"]
+    )
+    def test_event_on_another_space_refused(self, labels):
+        # An unchecked event would be read by position: ['x', 'y'] as
+        # ['a', 'b'], and a 3-state mask would fail inside numpy.
+        interval = ProbInterval(StateSpace(["a", "b"]), [0.3, 0.2], [0.8, 0.7])
+        event = Event(StateSpace(labels), labels[1:])
+        with pytest.raises(DimensionMismatch, match="state spaces differ"):
+            interval.event_upper(event)
 
 
 class TestIntervalUpper:

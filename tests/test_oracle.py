@@ -6,6 +6,7 @@ import pytest
 
 from credalmc import (
     CredalModel,
+    DimensionMismatch,
     ImpreciseMarkovChain,
     Linear,
     MassFunction,
@@ -485,3 +486,16 @@ def test_repeated_envelopes_enumerate_each_model_once(monkeypatch):
     for m in models:
         assert not m._vertex_array.flags.writeable
         assert np.array_equal(m._vertex_array, [v.weights for v in m.vertices()])
+
+
+@pytest.mark.parametrize("labels", [["x", "y"], ["a", "b", "c"]], ids=["xy", "abc"])
+def test_envelope_refuses_a_path_gamble_on_another_space(ex53_initial, ex53_op, labels):
+    # An unchecked ['x', 'y'] table would be enumerated as if it were on
+    # the chain's space, and a 3-state one would fail inside numpy.
+    chain = ImpreciseMarkovChain(ex53_initial, ex53_op, 3)
+    other = StateSpace(labels)
+    f = PathGamble(other, 3, np.arange(len(other) ** 3).reshape((len(other),) * 3) / 8.0)
+    ok = PathGamble(AB, 3, np.zeros((2, 2, 2)))
+    for fs in ([f], [ok, f]):
+        with pytest.raises(DimensionMismatch, match="state spaces differ"):
+            envelope(chain, fs)

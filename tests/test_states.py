@@ -177,6 +177,28 @@ def test_mass_function_takes_ints_and_numpy_numbers(weights):
     assert np.array_equal(MassFunction(AB, weights).weights, np.asarray(weights, dtype=float))
 
 
+@pytest.mark.parametrize(
+    ("values", "bad"),
+    [
+        (["0.5", True], "'0.5'"),
+        ([0.5, True], "True"),
+        ([np.True_, 0.0], "np.True_"),
+        (np.array([True, False]), "True"),
+        (np.array(["1", "0"]), "'1'"),
+    ],
+)
+def test_gamble_refuses_strings_and_bools(values, bad):
+    with pytest.raises(TypeError, match=f"^gamble values must be numbers, got {bad}$"):
+        Gamble(AB, values)
+
+
+@pytest.mark.parametrize(
+    "values", [[1, 0], np.array([1, 0]), np.array([0.5, -2.0], dtype=np.float32), [np.int64(1), 0.5]]
+)
+def test_gamble_takes_ints_and_numpy_numbers(values):
+    assert np.array_equal(Gamble(AB, values).values, np.asarray(values, dtype=float))
+
+
 def test_event_membership_checked():
     with pytest.raises(KeyError, match=r"\['y', 'z'\]"):
         Event(AB, ["z", "a", "y"])

@@ -4,6 +4,7 @@ import pytest
 from credalmc import (
     DimensionMismatch,
     Gamble,
+    ImpreciseMarkovChain,
     Linear,
     MassFunction,
     StateSpace,
@@ -196,32 +197,47 @@ def _chained(op, H, n):
     return np.concatenate(blocks, axis=1)
 
 
-def _iterates_cases():
+def _closed(chain, H):
+    """The initial model's `upper_many` of the chained table, as
+    (horizon, k): the reference for `marginal_upper_table`."""
+    table = _chained(chain.transitions, H, chain.horizon)
+    return chain.initial.upper_many(table).reshape(chain.horizon, -1)
+
+
+def _sweep_cases():
     rng = np.random.default_rng(311)
-    mixed = six_family_chain(5, 2, s=8).transitions
-    single = load_bundled("example_5_4").transitions
+    mixed = six_family_chain(5, 30, s=8)
+    ex54 = load_bundled("example_5_4")
+    single = ImpreciseMarkovChain(ex54.initial, ex54.transitions, 30)
     s = 200
     space = StateSpace([f"x{i}" for i in range(s)])
-    wide = UpperTransitionOperator(space, [random_prob_interval(rng, space) for _ in range(s)])
+    op = UpperTransitionOperator(space, [random_prob_interval(rng, space) for _ in range(s)])
+    wide = ImpreciseMarkovChain(random_prob_interval(rng, space), op, 3)
     return [
-        pytest.param(mixed, rng.uniform(-1, 1, size=(8, 5)), 30, id="six-family"),
-        pytest.param(single, rng.uniform(-1, 1, size=(3, 4)), 30, id="single-family"),
-        pytest.param(mixed, rng.uniform(-1, 1, size=(8, 1)), 30, id="k=1"),
-        pytest.param(wide, rng.uniform(-1, 1, size=(s, 400)), 3, id="chunked"),
+        pytest.param(mixed, rng.uniform(-1, 1, size=(8, 5)), id="six-family"),
+        pytest.param(single, rng.uniform(-1, 1, size=(3, 4)), id="single-family"),
+        pytest.param(mixed, rng.uniform(-1, 1, size=(8, 1)), id="k=1"),
+        pytest.param(wide, rng.uniform(-1, 1, size=(s, 400)), id="chunked"),
     ]
 
 
-@pytest.mark.parametrize("op, H, n", _iterates_cases())
-def test_iterates_equal_chained_apply_many(op, H, n, monkeypatch):
+# The stationary marginal sweep, `ImpreciseMarkovChain.marginal_upper_table`,
+# steps through this operator's plan; its table is pinned here against
+# chained `apply_many` calls closed with the initial model.
+@pytest.mark.parametrize("chain, H", _sweep_cases())
+def test_iterates_equal_chained_apply_many(chain, H, monkeypatch):
     # The six-family rows are out of family order, so the plan has an
     # inverse permutation; the 400 columns on 200 states exceed the
-    # chunk width, so each step writes 16 chunks into its block.
+    # chunk width, so each step writes 16 chunks into its block, and the
+    # close, one `upper_many` on all 1,200 columns, steps in 47 chunks.
+    op, n = chain.transitions, chain.horizon
     blocks, inverse, _ = op._plan
     s, k = H.shape
     families = {type(row) for row in op.rows}
     assert (inverse is None) == (len(families) == 1)
     assert len(blocks) == len(families) in (1, 6)
     chunks = [26] * 15 + [10] if s == 200 else []
+    close = [26] * 46 + [4] if s == 200 else []
     assert (k > CHUNK_CELLS // s**2) == bool(chunks)
     widths = []
     inner = credal._step
@@ -232,10 +248,12 @@ def test_iterates_equal_chained_apply_many(op, H, n, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(credal, "_step", chunk)
-        got = op.iterates(H, n)
-    assert widths == chunks * (n - 1)
-    assert got.shape == (s, n * k)
-    assert np.array_equal(got, _chained(op, H, n))
+        got = chain.marginal_upper_table(H)
+    # The steps call `_step` through the chain module, so only their
+    # chunks are recorded; the close calls it through `upper_many`.
+    assert widths == chunks * (n - 1) + [n * k] + close
+    assert got.shape == (n, k)
+    assert np.array_equal(got, _closed(chain, H))
 
 
 _STATIONARY = [
@@ -253,17 +271,19 @@ _STATIONARY = [
 def test_iterates_equal_chained_apply_many_on_the_bundled_tables(name):
     # The batches `evolve --event a` and `credal-approx` sweep: each
     # indicator and its negation, at horizon 2,000.
-    op = load_bundled(name).transitions
-    assert isinstance(op, UpperTransitionOperator)
-    first, *_ = singletons = [op.space.indicator([x]) for x in op.space]
+    bundled = load_bundled(name)
+    assert isinstance(bundled.transitions, UpperTransitionOperator)
+    chain = ImpreciseMarkovChain(bundled.initial, bundled.transitions, 2000)
+    first, *_ = singletons = [chain.space.indicator([x]) for x in chain.space]
     for indicators in ([first], singletons):
         H = np.stack([v for ind in indicators for v in (-ind.values, ind.values)], axis=1)
-        assert np.array_equal(op.iterates(H, 2000), _chained(op, H, 2000))
+        assert np.array_equal(chain.marginal_upper_table(H), _closed(chain, H))
 
 
 def test_iterates_check_their_arguments(ex54_op):
-    assert np.array_equal(ex54_op.iterates(np.eye(3), 1), np.eye(3))
+    ex54 = load_bundled("example_5_4")
+    at_one = ImpreciseMarkovChain(ex54.initial, ex54_op, 1)
+    want = ex54.initial.upper_many(np.eye(3))[None]
+    assert np.array_equal(at_one.marginal_upper_table(np.eye(3)), want)
     with pytest.raises(DimensionMismatch):
-        ex54_op.iterates(np.zeros((2, 4)), 3)
-    with pytest.raises(ValueError, match="n >= 1"):
-        ex54_op.iterates(np.eye(3), 0)
+        ImpreciseMarkovChain(ex54.initial, ex54_op, 3).marginal_upper_table(np.zeros((2, 4)))
