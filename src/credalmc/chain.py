@@ -14,7 +14,8 @@ once, and refuses more than PATH_GUARD paths.
 `Gamble` and `PathGamble` are built and checked only at the boundary.
 
 Time indices are 1-based: X(1) is the initial state and a chain with
-horizon N has N - 1 transition steps.
+horizon N has N - 1 transition steps.  Like the horizon, they must be
+ints or numpy integers: a bool or a float, even 3.0, is refused.
 """
 
 from __future__ import annotations
@@ -32,10 +33,23 @@ from .transition import UpperTransitionOperator
 PATH_GUARD = 2**12
 
 
+def _is_integer(value) -> bool:
+    """True for an int or numpy integer; False for a bool or a float,
+    even 3.0, which no time index or horizon is read as."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
+
+
+def _check_integer(value, name: str) -> int:
+    """`value` as an int if `_is_integer`, else ValueError naming `name`."""
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_horizon(horizon) -> int:
     """`horizon` as an int if it is a positive int or numpy integer;
     a bool, a float (even 3.0) or anything below 1 raises ValueError."""
-    if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)) or horizon < 1:
+    if not _is_integer(horizon) or horizon < 1:
         raise ValueError(f"horizon must be a positive integer, got {horizon!r}")
     return int(horizon)
 
@@ -70,6 +84,7 @@ class PathGamble:
     @classmethod
     def from_gamble(cls, h: Gamble, time: int, horizon: int) -> "PathGamble":
         """Lift a gamble on X to a path gamble depending only on `time`."""
+        horizon, time = _check_horizon(horizon), _check_integer(time, "time")
         if not 1 <= time <= horizon:
             raise ValueError("time out of range")
         shape = [1] * horizon
@@ -136,6 +151,7 @@ class ImpreciseMarkovChain:
 
     def operator_at(self, k: int) -> UpperTransitionOperator:
         """The operator governing the step from time k to k + 1."""
+        k = _check_integer(k, "step index")
         if not 1 <= k <= self.horizon - 1:
             raise ValueError(f"step index {k} out of range")
         return self.transitions if self.stationary else self.transitions[k - 1]
@@ -171,6 +187,7 @@ class ImpreciseMarkovChain:
     def marginal_upper(self, n: int, h: Gamble) -> float:
         """Upper expectation of h(X(n)): fold h back to time 1, then close
         with the initial model."""
+        n = _check_integer(n, "time")
         if not 1 <= n <= self.horizon:
             raise ValueError(f"time {n} out of range [1, {self.horizon}]")
         _check_space(self, h)
@@ -204,6 +221,7 @@ class ImpreciseMarkovChain:
 
     def conditional_upper(self, ell: int, x_ell: str, n: int, h: Gamble) -> float:
         """Upper expectation of h(X(n)) given X(ell) = x_ell, ell < n."""
+        ell, n = _check_integer(ell, "time"), _check_integer(n, "time")
         if not 1 <= ell < n <= self.horizon:
             raise ValueError(f"need 1 <= {ell} < {n} <= {self.horizon}")
         _check_space(self, h)
@@ -252,6 +270,7 @@ class ImpreciseMarkovChain:
         the history; returns the max over x_n of the spread across all
         histories (0.0 when n == 1).
         """
+        n = _check_integer(n, "time")
         if not 1 <= n <= self.horizon:
             raise ValueError(f"time {n} out of range [1, {self.horizon}]")
         table = self._path_table(f)
@@ -273,13 +292,14 @@ class ImpreciseMarkovChain:
         one-step upper table; the lower table uses the lower ones.
         Refuses more than PATH_GUARD paths.
         """
-        s = len(self.space)
+        s, length = len(self.space), _check_integer(length, "path length")
         if not 1 <= length <= self.horizon:
             raise ValueError("path length out of range")
         if s**length > PATH_GUARD:
             raise SizeGuardError(f"{s}^{length} paths exceed the guard of {PATH_GUARD}")
         eye = np.eye(s)
-        lo, up = -self.initial.upper_many(-eye), self.initial.upper_many(eye)
+        singletons = self.initial.upper_many(np.concatenate([-eye, eye], axis=1))
+        lo, up = -singletons[:s], singletons[s:]
         for k in range(1, length):
             lower, upper = self.operator_at(k)._mass_bounds
             lo, up = lo[..., None] * lower, up[..., None] * upper

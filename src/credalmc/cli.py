@@ -51,7 +51,6 @@ import csv
 import io
 import itertools
 import json
-import re
 import sys
 from importlib import resources
 from typing import Sequence
@@ -271,11 +270,6 @@ Table = tuple[list[str], list[Sequence]]
 #: Rows written per %-format call.
 EMIT_BLOCK = 1024
 
-#: Characters that can make `csv.writer` quote a field.  Which of them do
-#: varies across Python versions, so cells holding any are left to csv.
-_CSV_SPECIAL = re.compile('[,"\n\r]')
-
-
 def _csv_field(text: str) -> str:
     """`text` as `csv.writer` writes it as one of several fields of a row."""
     buf = io.StringIO()
@@ -295,7 +289,10 @@ def _column(cells) -> tuple[str, list]:
     elif len(cells) and all(type(c) is int for c in cells):  # no bool: it prints True
         return "%d", cells
     cells = list(map(str, cells))
-    if _CSV_SPECIAL.search("".join(cells)):
+    # `csv.writer` may quote a field holding any of these; which of them it
+    # quotes varies across Python versions, so such cells are left to csv.
+    text = "".join(cells)
+    if any(c in text for c in ',"\n\r'):
         cells = list(map(_csv_field, cells))
     return "%s", cells
 

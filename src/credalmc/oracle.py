@@ -10,9 +10,10 @@ are numbered by mixed-radix indices, one digit per situation with two
 or more vertices: the initial
 vertex is the most significant digit and the last situation the fastest,
 which is `itertools.product` order.  `envelope` walks those numbers in
-blocks: one fancy index per time gathers a block's weights, and one
-sum-product, `_sum_product`, multiplies them left to right into every
-tree's probability of every path (optionally conditional on a history).
+blocks: one `np.unravel_index` gives a block's digits, one `take` per
+time gathers its weights, and one sum-product, `_sum_product`,
+multiplies them left to right into every tree's probability of every
+path (optionally conditional on a history).
 Those tensors are contracted with any number of path gambles, and their
 entries, the path masses, are bounded with no indicator table.
 `path_probabilities` is the same sum-product for one `TreeAssignment`.
@@ -29,12 +30,13 @@ request so any gap is observable.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Sequence
 
 import numpy as np
 
-from .chain import ImpreciseMarkovChain, PathGamble
+from .chain import ImpreciseMarkovChain, PathGamble, _check_integer
 from .credal import SizeGuardError
 from .states import MassFunction, _check_space, frozen
 
@@ -72,6 +74,7 @@ def _vertex_weights(chain: ImpreciseMarkovChain, horizon: int):
     row model, so the count is per (time, state): |V(k, x)| to that
     power, capped at a power that takes any two-vertex row past the guard.
     """
+    horizon = _check_integer(horizon, "horizon")
     if not 1 <= horizon <= chain.horizon:
         raise ValueError("horizon out of range")
     cap = ASSIGNMENT_GUARD.bit_length()
@@ -141,26 +144,30 @@ def _numbering(levels, s: int, prefix: tuple[int, ...], markov_only: bool):
     in that stack and the digit that picks its vertex (-1, a zero digit,
     for a single vertex).  Situations off the prefix never change a path
     probability, so they take no digit.  markov_only=True gives one digit
-    per (time, last state) instead of one per situation.
+    per (time, last state) instead of one per situation.  Vertex counts
+    are per state, so everything but the stacked weights is built from
+    Python lists.
     """
     n, radices, gathers = len(prefix), [], []
     for k in range(n, len(levels)):
-        counts = np.array([len(w) for w in levels[k]])
+        counts = [len(w) for w in levels[k]]
         if k == 0:
-            last = np.zeros(1, dtype=np.intp)  # the root: the initial model
+            last = [0]  # the root: the initial model
         elif k == n:
-            last = np.array([prefix[-1]])
+            last = [prefix[-1]]
         else:
-            last = np.tile(np.arange(s), s ** (k - n - 1))
-        owners = np.unique(last) if markov_only else last
-        digit = np.full(len(owners), -1)
-        free = counts[owners] > 1
-        digit[free] = len(radices) + np.arange(free.sum())
-        radices += counts[owners][free].tolist()
-        if markov_only:
-            digit = digit[np.searchsorted(owners, last)]
-        offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        gathers.append((np.concatenate(levels[k]), offsets[last], digit))
+            last = list(range(s)) * s ** (k - n - 1)
+        digit, owner = [], {}
+        for i, x in enumerate(last):
+            key = x if markov_only else i
+            if key not in owner:
+                owner[key] = len(radices) if counts[x] > 1 else -1
+                if counts[x] > 1:
+                    radices.append(counts[x])
+            digit.append(owner[key])
+        offsets = list(itertools.accumulate(counts, initial=0))
+        rows = np.array([offsets[x] for x in last])
+        gathers.append((np.concatenate(levels[k]), rows, np.array(digit)))
     return radices, gathers
 
 
@@ -195,15 +202,13 @@ def envelope(
     lo = np.full(m + tails.shape[1], np.inf)
     up = -lo
     total = math.prod(radices)
-    places = [math.prod(radices[j + 1 :]) for j in range(len(radices))]
-    places, radices = np.array(places, dtype=np.int64), np.array(radices, dtype=np.int64)
     block = max(1, BLOCK_CELLS // ((m + 1) * tails.shape[1]))
     for first in range(0, total, block):
-        trees = np.arange(first, min(first + block, total), dtype=np.int64)
-        # The last column stays 0: digit -1 of single-vertex situations.
-        digits = np.zeros((len(trees), len(radices) + 1), dtype=np.intp)
-        digits[:, :-1] = trees[:, None] // places % radices
-        steps = [stack[rows + digits[:, digit]] for stack, rows, digit in gathers]
+        trees = np.arange(first, min(first + block, total))
+        # The trailing radix-1 digit is always 0: digit -1 of single-vertex
+        # situations reads it.
+        digits = np.stack(np.unravel_index(trees, radices + [1]))
+        steps = [stack.take(rows + digits[digit].T, axis=0) for stack, rows, digit in gathers]
         probs = _sum_product(np.ones(len(trees)), steps).reshape(len(trees), -1)
         v = np.concatenate([(probs[:, None, :] * tails).sum(axis=2), probs], axis=1)
         np.minimum(lo, v.min(axis=0), out=lo)

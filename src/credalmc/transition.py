@@ -84,8 +84,10 @@ class UpperTransitionOperator:
     @functools.cached_property
     def _mass_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """(lower, upper) one-step tables: entry [x, y] bounds P(x -> y)."""
-        eye = np.eye(len(self.space))
-        return -self.apply_many(-eye), self.apply_many(eye)
+        s = len(self.space)
+        eye = np.eye(s)
+        both = self.apply_many(np.concatenate([-eye, eye], axis=1))
+        return -both[:, :s], both[:, s:]
 
     def apply_many(self, H) -> np.ndarray:
         """Apply the operator to each column of a raw (s, k) array."""

@@ -13,6 +13,7 @@ from credalmc import (
     SizeGuardError,
     StateSpace,
     UpperTransitionOperator,
+    count_assignments,
     envelope,
 )
 from helpers import random_gamble, random_small_chain, six_family_chain
@@ -364,6 +365,38 @@ def test_chain_horizon_must_be_a_positive_integer(ex53_initial, ex53_op, horizon
 def test_chain_horizon_takes_numpy_integers(ex53_initial, ex53_op):
     chain = ImpreciseMarkovChain(ex53_initial, ex53_op, np.int32(4))
     assert chain.horizon == 4 and type(chain.horizon) is int
+
+
+_TIME_QUERIES = {
+    "operator_at": lambda chain, h, t: chain.operator_at(t),
+    "marginal_upper": lambda chain, h, t: chain.marginal_upper(t, h),
+    "conditional_upper_ell": lambda chain, h, t: chain.conditional_upper(t, "a", 3, h),
+    "conditional_upper_n": lambda chain, h, t: chain.conditional_upper(1, "a", t, h),
+    "markov_invariance_gap": lambda chain, h, t: chain.markov_invariance_gap(
+        t, PathGamble(AB, 3, np.broadcast_to(np.arange(4.0).reshape(1, 2, 2), (2, 2, 2)))
+    ),
+    "path_mass_bounds": lambda chain, h, t: chain.path_mass_bounds(t),
+    "from_gamble": lambda chain, h, t: PathGamble.from_gamble(h, t, 3).values,
+    "count_assignments": lambda chain, h, t: count_assignments(chain, t),
+}
+
+
+@pytest.mark.parametrize("query", _TIME_QUERIES.values(), ids=_TIME_QUERIES.keys())
+@pytest.mark.parametrize("t", [True, 2.5, 3.0, np.int64(2)], ids=repr)
+def test_time_indices_follow_the_horizon_rule(ex53_initial, ex53_op, ab, query, t):
+    # No time is truncated or read as a number: True is not 1, 3.0 not 3;
+    # a numpy integer answers as the int it holds.
+    chain = ImpreciseMarkovChain(ex53_initial, ex53_op, 3)
+    h = Gamble(ab, [0.3, -1.2])
+    if not isinstance(t, np.integer):
+        with pytest.raises(ValueError, match=" must be an integer, got "):
+            query(chain, h, t)
+        return
+    got, want = query(chain, h, t), query(chain, h, 2)
+    if isinstance(want, tuple):
+        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+    else:
+        assert got is want or np.array_equal(got, want)
 
 
 def test_gamble_count_does_not_grow_with_n(ex53_initial, ex53_op, ab, monkeypatch):

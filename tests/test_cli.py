@@ -405,12 +405,12 @@ def test_verify_folds_only_the_random_gambles(capsys, monkeypatch, tmp_path):
         code, _, _ = _run(capsys, "verify", str(path))
         assert code == 0
         # Path rows read the tables `joint` prints, built in one call from
-        # the operator's one-step tables (one call per bound on the s = 2
-        # indicators).  The three random gambles and their negations fold
-        # in one batch: H - 1 calls, the first on all 6 * 2^(H - 1)
-        # (gamble, history) slices.
+        # the operator's one-step tables (one call on the s = 2 indicators
+        # and their negations).  The three random gambles and their
+        # negations fold in one batch: H - 1 calls, the first on all
+        # 6 * 2^(H - 1) (gamble, history) slices.
         folds = [(2, 6 * 2**k) for k in range(horizon - 1, 0, -1)]
-        assert shapes == [(2, 2), (2, 2)] + folds
+        assert shapes == [(2, 4)] + folds
         assert lengths == [horizon]
         shapes.clear()
         lengths.clear()
