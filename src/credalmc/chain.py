@@ -25,25 +25,12 @@ from typing import Sequence
 import numpy as np
 
 from .credal import CredalModel, SizeGuardError, _step
-from .states import DimensionMismatch, Gamble, StateSpace, frozen
-from .states import _as_columns, _check_numbers, _check_space
+from .states import DimensionMismatch, Gamble, StateSpace, _is_integer, frozen
+from .states import _as_columns, _check_integer, _check_numbers, _check_space
 from .transition import UpperTransitionOperator
 
 #: Refuse to tabulate more initial paths than this in `path_mass_bounds`.
 PATH_GUARD = 2**12
-
-
-def _is_integer(value) -> bool:
-    """True for an int or numpy integer; False for a bool or a float,
-    even 3.0, which no time index or horizon is read as."""
-    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
-
-
-def _check_integer(value, name: str) -> int:
-    """`value` as an int if `_is_integer`, else ValueError naming `name`."""
-    if not _is_integer(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _check_horizon(horizon) -> int:
@@ -200,10 +187,11 @@ class ImpreciseMarkovChain:
         """The (horizon, k) upper expectations of the k columns of a raw
         (s, k) array H at X(1), ..., X(horizon); row n - 1 has the bits of
         `marginal_upper(n, .)`.  A stationary chain steps H forward in
-        place through one (horizon, s, k) table; a per-step chain sweeps
-        back from the horizon, the columns for time k + 1 joining the
-        batch at step k, one `apply_many` per step.  One `upper_many` on
-        the initial model closes every column."""
+        place through one (horizon, s, k) table; a per-step chain tiles H
+        into one (s, horizon * k) table, block n - 1 for X(n), and sweeps
+        back from the horizon, step n overwriting blocks n to horizon - 1
+        in place, one `apply_many` per step.  One `upper_many` on the
+        initial model closes every column."""
         H = _as_columns(self.space, H)
         if self.stationary:
             table = np.empty((self.horizon, *H.shape))
@@ -213,10 +201,9 @@ class ImpreciseMarkovChain:
                 _step(plan, block, following)
             table = table.transpose(1, 0, 2).reshape(len(H), -1)
         else:
-            swept = H[:, :0]
-            for op in reversed(self.transitions):
-                swept = op.apply_many(np.concatenate([H, swept], axis=1))
-            table = np.concatenate([H, swept], axis=1)
+            table, k = np.tile(H, self.horizon), H.shape[1]
+            for n in range(self.horizon - 1, 0, -1):
+                table[:, n * k :] = self.transitions[n - 1].apply_many(table[:, n * k :])
         return self.initial.upper_many(table).reshape(self.horizon, -1)
 
     def conditional_upper(self, ell: int, x_ell: str, n: int, h: Gamble) -> float:

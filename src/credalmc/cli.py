@@ -38,10 +38,10 @@ only `_single_operator` and `scenario_to_json` read its transitions.
 
 All commands print CSV with a header row on stdout; numbers carry 12
 significant digits, making output byte-stable across runs.  A command
-returns its table as columns, and `_emit` writes a block of rows with
-one %-format call, quoting labels as `csv.writer` does.  Exit code is
-0 on success; failures print ``error:<code>: message`` on stderr and
-exit nonzero.
+returns its table as columns; `_emit` writes each block of EMIT_BLOCK
+rows from its own column slices with one %-format call, quoting labels
+as `csv.writer` does.  Exit code is 0 on success; failures print
+``error:<code>: message`` on stderr and exit nonzero.
 """
 
 from __future__ import annotations
@@ -299,15 +299,13 @@ def _column(cells) -> tuple[str, list]:
 
 def _emit(header: list[str], columns: list[Sequence], out) -> None:
     """Write a table of two or more columns as CSV, byte for byte as
-    `csv.writer` writes the cells formatted by the `Table` rules."""
+    `csv.writer` writes the cells formatted by the `Table` rules, each
+    block of rows from its own column slices; unequal lengths raise ValueError."""
     out.write(",".join(_column(header)[1]) + "\n")
-    specs, cells = zip(*map(_column, columns))
-    line, width = ",".join(specs) + "\n", len(columns)
-    flat = list(itertools.chain.from_iterable(zip(*cells, strict=True)))
-    step = EMIT_BLOCK * width
-    for first in range(0, len(flat), step):
-        block = flat[first : first + step]
-        out.write(line * (len(block) // width) % tuple(block))
+    for first in range(0, max(map(len, columns)), EMIT_BLOCK):
+        specs, cells = zip(*(_column(c[first : first + EMIT_BLOCK]) for c in columns))
+        block = tuple(itertools.chain.from_iterable(zip(*cells, strict=True)))
+        out.write((",".join(specs) + "\n") * (len(block) // len(columns)) % block)
 
 
 def _single_operator(chain: ImpreciseMarkovChain) -> UpperTransitionOperator:

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .states import DEFAULT_TOL, Gamble, MassFunction, _check_space, frozen
+from .states import DEFAULT_TOL, Gamble, MassFunction, _check_integer, _check_space, frozen
 from .transition import UpperTransitionOperator
 
 DEFAULT_MAX_ITER = 10**6
@@ -30,10 +30,12 @@ class NotRegularError(ValueError):
 
 
 def _check_stop(tol: float, max_iter: int) -> None:
-    """Refuse a tol that is not positive (or is NaN) or a negative max_iter."""
+    """Refuse a bool, NaN or non-positive tol and a non-integer or negative max_iter."""
+    if isinstance(tol, (bool, np.bool_)):
+        raise ValueError(f"tol must be a positive number, got {tol!r}")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    if max_iter < 0:
+    if _check_integer(max_iter, "max_iter") < 0:
         raise ValueError("max_iter must be >= 0")
 
 
@@ -158,7 +160,7 @@ def contamination_evolve(
     which holds only for a precise base: `precise` must have all-Linear rows.
     """
     _check_contamination("contamination_evolve", precise, epsilon)
-    if n < 0:
+    if _check_integer(n, "n") < 0:
         raise ValueError("n must be >= 0")
     _check_space(precise, h)
     _check_space(initial, h)

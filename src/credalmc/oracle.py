@@ -36,9 +36,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import ImpreciseMarkovChain, PathGamble, _check_integer
+from .chain import ImpreciseMarkovChain, PathGamble
 from .credal import SizeGuardError
-from .states import MassFunction, _check_space, frozen
+from .states import MassFunction, _check_integer, _check_space, frozen
 
 #: Refuse enumerations with more assignments than this; in blocks, a
 #: guard-sized enumeration (839,808 trees on two states at horizon 4, three

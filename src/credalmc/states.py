@@ -125,6 +125,19 @@ def _check_numbers(values, what: str) -> None:
             _check_numbers(v, what)
 
 
+def _is_integer(value) -> bool:
+    """True for an int or numpy integer; False for a bool or a float,
+    even 3.0, which no time index, horizon or iteration count is read as."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
+
+
+def _check_integer(value, name: str) -> int:
+    """`value` as an int if `_is_integer`, else ValueError naming `name`."""
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.setflags(write=False)

@@ -109,12 +109,12 @@ class UpperTransitionOperator:
     def is_regular(self) -> int | None:
         """Smallest n with min over x of T^n I_{y}(x) > 0 for all y, or
         None if T is not regular.  T^n I_{y}(x) > 0 exactly when entry
-        [x, y] of the n-th boolean power of U = (T I_{y}(x) > 0) is true,
-        as T g(x) > 0 for g >= 0 exactly when g(y) > 0 at some y with
-        T I_{y}(x) > 0: n is decided exactly.  The search stops at
-        `wielandt_bound()`, which no regular operator exceeds, so None
-        proves that T is not regular."""
-        power = U = self.apply_many(np.eye(len(self.space))) > 0
+        [x, y] of the n-th boolean power of U, the support of the cached
+        one-step upper table T I_{y}(x), is true, as T g(x) > 0 for g >= 0
+        exactly when g(y) > 0 at some y with T I_{y}(x) > 0: n is decided
+        exactly.  The search stops at `wielandt_bound()`, which no regular
+        operator exceeds, so None proves that T is not regular."""
+        power = U = self._mass_bounds[1] > 0
         for n in range(1, self.wielandt_bound() + 1):
             if power.all():
                 return n

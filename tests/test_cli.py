@@ -620,13 +620,50 @@ def test_emit_spans_row_blocks():
     rng = np.random.default_rng(257)
     n = 2 * EMIT_BLOCK + 5
     labels = [f"p{i}" if i % 7 else f"p,{i}" for i in range(n)]
+    # Each block decides its own quoting: these columns hold a CSV special
+    # only in the first block and only in the last one.
+    first = [f"f{i}" for i in range(n)]
+    first[3] = 'q"x'
+    last = [f"l{i}" for i in range(n)]
+    last[-1] = "two\nlines"
     values = rng.uniform(-1.0, 1.0, size=n) * 10.0 ** rng.integers(-20, 20, size=n)
     values[::11] = -0.0
-    columns = [labels, np.arange(n), values, -values]
+    header = ["path", "first", "last", "n", "lower", "upper"]
+    columns = [labels, first, last, np.arange(n), values, -values]
     out = io.StringIO()
-    _emit(["path", "n", "lower", "upper"], columns, out)
-    rows = [list(row) for row in zip(labels, range(n), values.tolist(), (-values).tolist())]
-    assert out.getvalue() == _emit_reference(["path", "n", "lower", "upper"], rows)
+    _emit(header, columns, out)
+    floats = values.tolist(), (-values).tolist()
+    rows = [list(row) for row in zip(labels, first, last, range(n), *floats)]
+    assert out.getvalue() == _emit_reference(header, rows)
+
+
+@pytest.mark.parametrize("arrays", [False, True], ids=["lists", "arrays"])
+@pytest.mark.parametrize("lengths", [(1030, 1024), (1024, 1030)])
+def test_emit_refuses_columns_of_unequal_length(arrays, lengths):
+    # The lengths first differ in the second block, after one block is written.
+    columns = [np.arange(m) if arrays else list(range(m)) for m in lengths]
+    with pytest.raises(ValueError):
+        _emit(["a", "b"], columns, io.StringIO())
+
+
+def test_emit_holds_one_block_at_a_time():
+    doc = json.loads(bundled_scenario_path("example_5_4").read_text())
+    chain = scenario_from_json({**doc, "horizon": 50_000})
+    header, columns = cmd_credal_approx(chain, argparse.Namespace())
+
+    class Null:
+        def write(self, text):
+            pass
+
+    tracemalloc.start()
+    try:
+        _emit(header, columns, Null())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 150,000 rows of four cells: one list of every cell would hold 4.8 MB
+    # of pointers alone.
+    assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize("command", ["joint", "credal-approx", "verify"])

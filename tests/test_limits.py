@@ -15,6 +15,7 @@ from credalmc import (
     ProbInterval,
     StateSpace,
     UpperTransitionOperator,
+    Vacuous,
     contamination_evolve,
     contamination_limit,
     detect_cycle,
@@ -276,6 +277,18 @@ def test_series_refuse_an_imprecise_base(ex53_initial, ex53_op, ab):
         lambda op, h: contamination_limit(op, 0.1, h, max_iter=-1),
         lambda op, h: detect_cycle(op, h, max_iter=-1),
         lambda op, h: precise_stationary(op, max_iter=-1),
+        # A bool is not a number and a float is not an iteration count.
+        lambda op, h: limit_upper(op, h, tol=True),
+        lambda op, h: limit_upper(op, h, tol=np.True_),
+        lambda op, h: contamination_limit(op, 0.1, h, tol=True),
+        lambda op, h: limit_upper(op, h, max_iter=True),
+        lambda op, h: limit_upper(op, h, max_iter=2.5),
+        lambda op, h: limit_upper(op, h, max_iter=50.0),
+        lambda op, h: contamination_limit(op, 0.1, h, max_iter=2.5),
+        lambda op, h: detect_cycle(op, h, max_iter=2.5),
+        lambda op, h: precise_stationary(op, max_iter=2.5),
+        lambda op, h: contamination_evolve(Vacuous(AB), op, 0.1, h, True),
+        lambda op, h: contamination_evolve(Vacuous(AB), op, 0.1, h, 2.5),
     ],
     ids=[
         "limit-tol-nan",
@@ -286,11 +299,32 @@ def test_series_refuse_an_imprecise_base(ex53_initial, ex53_op, ab):
         "contamination-max-iter-negative",
         "cycle-max-iter-negative",
         "stationary-max-iter-negative",
+        "limit-tol-bool",
+        "limit-tol-numpy-bool",
+        "contamination-tol-bool",
+        "limit-max-iter-bool",
+        "limit-max-iter-float",
+        "limit-max-iter-integral-float",
+        "contamination-max-iter-float",
+        "cycle-max-iter-float",
+        "stationary-max-iter-float",
+        "evolve-n-bool",
+        "evolve-n-float",
     ],
 )
 def test_iteration_parameters_are_refused(call, ex53_precise_op, ab):
     with pytest.raises(ValueError):
         call(ex53_precise_op, ab.indicator(["a"]))
+
+
+def test_iteration_parameters_accept_numpy_integers(ex53_initial, ex53_precise_op, ab):
+    h = ab.indicator(["a"])
+    assert limit_upper(ex53_precise_op, h, max_iter=np.int64(200)) == limit_upper(
+        ex53_precise_op, h, max_iter=200
+    )
+    assert contamination_evolve(
+        ex53_initial, ex53_precise_op, 0.1, h, np.int64(3)
+    ) == contamination_evolve(ex53_initial, ex53_precise_op, 0.1, h, 3)
 
 
 def test_six_state_series_are_pinned():
