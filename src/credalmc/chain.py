@@ -14,8 +14,9 @@ once, and refuses more than PATH_GUARD paths.
 `Gamble` and `PathGamble` are built and checked only at the boundary.
 
 Time indices are 1-based: X(1) is the initial state and a chain with
-horizon N has N - 1 transition steps.  Like the horizon, they must be
-ints or numpy integers: a bool or a float, even 3.0, is refused.
+horizon N has N - 1 transition steps.  Times, like the horizon, follow
+`states._check_integer`: an int or numpy integer in the query's range;
+a bool or a float, even 3.0, is refused.
 """
 
 from __future__ import annotations
@@ -25,20 +26,12 @@ from typing import Sequence
 import numpy as np
 
 from .credal import CredalModel, SizeGuardError, _step
-from .states import DimensionMismatch, Gamble, StateSpace, _is_integer, frozen
+from .states import DimensionMismatch, Gamble, StateSpace, frozen
 from .states import _as_columns, _check_integer, _check_numbers, _check_space
 from .transition import UpperTransitionOperator
 
 #: Refuse to tabulate more initial paths than this in `path_mass_bounds`.
 PATH_GUARD = 2**12
-
-
-def _check_horizon(horizon) -> int:
-    """`horizon` as an int if it is a positive int or numpy integer;
-    a bool, a float (even 3.0) or anything below 1 raises ValueError."""
-    if not _is_integer(horizon) or horizon < 1:
-        raise ValueError(f"horizon must be a positive integer, got {horizon!r}")
-    return int(horizon)
 
 
 @frozen
@@ -55,7 +48,7 @@ class PathGamble:
     values: np.ndarray
 
     def __init__(self, space: StateSpace, horizon: int, values):
-        horizon = _check_horizon(horizon)
+        horizon = _check_integer(horizon, "horizon", 1)
         _check_numbers(values, "path gamble values must be numbers")
         values = np.array(values, dtype=float)
         expect = (len(space),) * horizon
@@ -71,9 +64,8 @@ class PathGamble:
     @classmethod
     def from_gamble(cls, h: Gamble, time: int, horizon: int) -> "PathGamble":
         """Lift a gamble on X to a path gamble depending only on `time`."""
-        horizon, time = _check_horizon(horizon), _check_integer(time, "time")
-        if not 1 <= time <= horizon:
-            raise ValueError("time out of range")
+        horizon = _check_integer(horizon, "horizon", 1)
+        time = _check_integer(time, "time", 1, horizon)
         shape = [1] * horizon
         shape[time - 1] = len(h.space)
         table = np.broadcast_to(
@@ -86,6 +78,7 @@ class PathGamble:
         cls, space: StateSpace, horizon: int, path: Sequence[str]
     ) -> "PathGamble":
         """Indicator of a single length-N path."""
+        horizon = _check_integer(horizon, "horizon", 1)
         if len(path) != horizon:
             raise ValueError("path length must equal the horizon")
         table = np.zeros((len(space),) * horizon)
@@ -115,7 +108,7 @@ class ImpreciseMarkovChain:
         transitions,
         horizon: int,
     ):
-        horizon = _check_horizon(horizon)
+        horizon = _check_integer(horizon, "horizon", 1)
         space = initial.space
         if isinstance(transitions, UpperTransitionOperator):
             ops = (transitions,)
@@ -138,9 +131,7 @@ class ImpreciseMarkovChain:
 
     def operator_at(self, k: int) -> UpperTransitionOperator:
         """The operator governing the step from time k to k + 1."""
-        k = _check_integer(k, "step index")
-        if not 1 <= k <= self.horizon - 1:
-            raise ValueError(f"step index {k} out of range")
+        k = _check_integer(k, "step index", 1, self.horizon - 1)
         return self.transitions if self.stationary else self.transitions[k - 1]
 
     def _fold(self, tables: np.ndarray, top: int, down_to: int) -> np.ndarray:
@@ -174,9 +165,7 @@ class ImpreciseMarkovChain:
     def marginal_upper(self, n: int, h: Gamble) -> float:
         """Upper expectation of h(X(n)): fold h back to time 1, then close
         with the initial model."""
-        n = _check_integer(n, "time")
-        if not 1 <= n <= self.horizon:
-            raise ValueError(f"time {n} out of range [1, {self.horizon}]")
+        n = _check_integer(n, "time", 1, self.horizon)
         _check_space(self, h)
         return float(self.initial.upper_many(self._fold(h.values[None], n, 1).T)[0])
 
@@ -208,9 +197,8 @@ class ImpreciseMarkovChain:
 
     def conditional_upper(self, ell: int, x_ell: str, n: int, h: Gamble) -> float:
         """Upper expectation of h(X(n)) given X(ell) = x_ell, ell < n."""
-        ell, n = _check_integer(ell, "time"), _check_integer(n, "time")
-        if not 1 <= ell < n <= self.horizon:
-            raise ValueError(f"need 1 <= {ell} < {n} <= {self.horizon}")
+        n = _check_integer(n, "time", 2, self.horizon)
+        ell = _check_integer(ell, "time", 1, n - 1)
         _check_space(self, h)
         return float(self._fold(h.values[None], n, ell)[0, self.space.index(x_ell)])
 
@@ -257,9 +245,7 @@ class ImpreciseMarkovChain:
         the history; returns the max over x_n of the spread across all
         histories (0.0 when n == 1).
         """
-        n = _check_integer(n, "time")
-        if not 1 <= n <= self.horizon:
-            raise ValueError(f"time {n} out of range [1, {self.horizon}]")
+        n = _check_integer(n, "time", 1, self.horizon)
         table = self._path_table(f)
         for k in range(1, n):
             if np.ptp(table, axis=k - 1).max() > 0:
@@ -279,9 +265,7 @@ class ImpreciseMarkovChain:
         one-step upper table; the lower table uses the lower ones.
         Refuses more than PATH_GUARD paths.
         """
-        s, length = len(self.space), _check_integer(length, "path length")
-        if not 1 <= length <= self.horizon:
-            raise ValueError("path length out of range")
+        s, length = len(self.space), _check_integer(length, "path length", 1, self.horizon)
         if s**length > PATH_GUARD:
             raise SizeGuardError(f"{s}^{length} paths exceed the guard of {PATH_GUARD}")
         eye = np.eye(s)

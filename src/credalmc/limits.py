@@ -11,6 +11,7 @@ Both are views of one driver, which steps through `apply`.
 from __future__ import annotations
 
 import math
+from numbers import Real
 
 import numpy as np
 
@@ -30,13 +31,10 @@ class NotRegularError(ValueError):
 
 
 def _check_stop(tol: float, max_iter: int) -> None:
-    """Refuse a bool, NaN or non-positive tol and a non-integer or negative max_iter."""
-    if isinstance(tol, (bool, np.bool_)):
+    """Refuse a tol that is not a positive number and a max_iter not an integer >= 0."""
+    if not isinstance(tol, Real) or isinstance(tol, bool) or not tol > 0:
         raise ValueError(f"tol must be a positive number, got {tol!r}")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    if _check_integer(max_iter, "max_iter") < 0:
-        raise ValueError("max_iter must be >= 0")
+    _check_integer(max_iter, "max_iter", 0)
 
 
 @frozen
@@ -107,10 +105,10 @@ def limit_upper(
 
 
 def _check_contamination(name: str, precise: UpperTransitionOperator, epsilon: float):
-    """Refuse a base operator that is not precise, or epsilon outside (0, 1)."""
+    """Refuse a base operator that is not precise, or epsilon not a number in (0, 1)."""
     if not precise.is_precise():
         raise ValueError(f"{name} needs all-Linear rows")
-    if not 0.0 < epsilon < 1.0:
+    if not isinstance(epsilon, Real) or not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
 
 
@@ -160,8 +158,7 @@ def contamination_evolve(
     which holds only for a precise base: `precise` must have all-Linear rows.
     """
     _check_contamination("contamination_evolve", precise, epsilon)
-    if _check_integer(n, "n") < 0:
-        raise ValueError("n must be >= 0")
+    n = _check_integer(n, "n", 0)
     _check_space(precise, h)
     _check_space(initial, h)
     total = 0.0

@@ -74,9 +74,7 @@ def _vertex_weights(chain: ImpreciseMarkovChain, horizon: int):
     row model, so the count is per (time, state): |V(k, x)| to that
     power, capped at a power that takes any two-vertex row past the guard.
     """
-    horizon = _check_integer(horizon, "horizon")
-    if not 1 <= horizon <= chain.horizon:
-        raise ValueError("horizon out of range")
+    horizon = _check_integer(horizon, "horizon", 1, chain.horizon)
     cap = ASSIGNMENT_GUARD.bit_length()
     levels = [[chain.initial._vertex_array]]
     total = len(levels[0][0])
@@ -124,6 +122,7 @@ def path_probabilities(
     the 0-d tensor 1.
     """
     s, n = len(chain.space), len(prefix)
+    horizon = _check_integer(horizon, "horizon", max(n, 1), chain.horizon)
     choices = {(): assignment.initial_choice, **assignment.situation_choices}
     try:
         steps = [

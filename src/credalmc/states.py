@@ -3,7 +3,8 @@
 Everything in this module is immutable after construction; arrays are
 frozen so values can be shared freely between threads.  The types
 validate input; the engine computes on their positional arrays.  The
-package's numeric tolerances are all defined here.
+package's numeric tolerances are all defined here, and so is its one
+rule for integer arguments in a range, `_check_integer`.
 
 The package's value types are declared with `frozen`, a class decorator
 that installs the same already-compiled methods on every class instead
@@ -125,16 +126,14 @@ def _check_numbers(values, what: str) -> None:
             _check_numbers(v, what)
 
 
-def _is_integer(value) -> bool:
-    """True for an int or numpy integer; False for a bool or a float,
-    even 3.0, which no time index, horizon or iteration count is read as."""
-    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
-
-
-def _check_integer(value, name: str) -> int:
-    """`value` as an int if `_is_integer`, else ValueError naming `name`."""
-    if not _is_integer(value):
+def _check_integer(value, name: str, low, high=math.inf) -> int:
+    """`value` as an int if it is an int or numpy integer in [low, high];
+    a bool, a float (even 3.0) or a non-number, and an int out of range,
+    raise ValueError naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not low <= value <= high:
+        raise ValueError(f"{name} {value} out of range [{low}, {high}]")
     return int(value)
 
 
@@ -193,6 +192,7 @@ def _check_space(a, b) -> None:
 
 def _as_columns(space: StateSpace, H) -> np.ndarray:
     """H as a float array of k gamble columns, shape (|space|, k), or raise."""
+    _check_numbers(H, "gamble values must be numbers")
     H = np.asarray(H, dtype=float)
     if H.ndim != 2 or H.shape[0] != len(space):
         raise DimensionMismatch(

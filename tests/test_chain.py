@@ -1,3 +1,4 @@
+import re
 import time
 
 import numpy as np
@@ -19,6 +20,13 @@ from credalmc import (
 from helpers import random_gamble, random_small_chain, six_family_chain
 
 AB = StateSpace(["a", "b"])
+
+
+def _horizon_refusal(horizon) -> str:
+    """The anchored message of the horizon rule for a refused value."""
+    if isinstance(horizon, int) and not isinstance(horizon, bool):
+        return f"^{re.escape(f'horizon {horizon} out of range [1, inf]')}$"
+    return f"^{re.escape(f'horizon must be an integer, got {horizon!r}')}$"
 
 
 class TestMarginal:
@@ -72,6 +80,27 @@ def test_marginal_upper_table_checks_the_shape(stationary):
     for bad in (np.zeros((5, 2)), np.zeros(6), np.zeros((6, 2, 1))):
         with pytest.raises(DimensionMismatch):
             chain.marginal_upper_table(bad)
+
+
+@pytest.mark.parametrize(
+    "H",
+    [[["0.5"], ["1"]], [[True], [False]], np.array([[True], [False]])],
+    ids=["strings", "bools", "bool-array"],
+)
+def test_raw_array_entry_points_refuse_strings_and_bools(ex53_initial, ex53_op, H):
+    # Read as numbers, [["0.5"], ["1"]] would step to [[0.9325], [0.6175]].
+    chain = ImpreciseMarkovChain(ex53_initial, ex53_op, 3)
+    bad = re.escape(repr(np.asarray(H).flat[0].item()))
+    for entry in (ex53_op.apply_many, ex53_initial.upper_many, chain.marginal_upper_table):
+        with pytest.raises(TypeError, match=f"^gamble values must be numbers, got {bad}$"):
+            entry(H)
+
+
+def test_raw_array_entry_points_take_numeric_nested_lists(ex53_initial, ex53_op):
+    chain = ImpreciseMarkovChain(ex53_initial, ex53_op, 3)
+    H = [[0.5, 1], [1, -2.0]]
+    for entry in (ex53_op.apply_many, ex53_initial.upper_many, chain.marginal_upper_table):
+        assert np.array_equal(entry(H), entry(np.array(H, dtype=float)))
 
 
 class TestConditional:
@@ -140,8 +169,12 @@ class TestPathGamble:
 
     @pytest.mark.parametrize("horizon", [True, False, 1.9, 2.0, 0, -1, "2", None])
     def test_horizon_must_be_a_positive_integer(self, ab, horizon):
-        with pytest.raises(ValueError, match="^horizon must be a positive integer, got "):
+        with pytest.raises(ValueError, match=_horizon_refusal(horizon)):
             PathGamble(ab, horizon, np.zeros((2, 2)))
+
+    def test_path_indicator_checks_the_horizon_first(self, ab):
+        with pytest.raises(ValueError, match=_horizon_refusal(2.0)):
+            PathGamble.path_indicator(ab, 2.0, ["a", "b"])
 
     def test_numpy_integer_horizon_accepted(self, ab):
         f = PathGamble(ab, np.int64(2), np.zeros((2, 2)))
@@ -358,7 +391,7 @@ def test_non_stationary_chain_accepts_per_step_operators(ab):
 @pytest.mark.parametrize("horizon", [True, False, 2.9, 3.0, 0, -2, "3", None])
 def test_chain_horizon_must_be_a_positive_integer(ex53_initial, ex53_op, horizon):
     # No value is truncated or read as a number: 2.9 is not 2, True not 1.
-    with pytest.raises(ValueError, match="^horizon must be a positive integer, got "):
+    with pytest.raises(ValueError, match=_horizon_refusal(horizon)):
         ImpreciseMarkovChain(ex53_initial, ex53_op, horizon)
 
 
@@ -367,36 +400,57 @@ def test_chain_horizon_takes_numpy_integers(ex53_initial, ex53_op):
     assert chain.horizon == 4 and type(chain.horizon) is int
 
 
+# Each query on a horizon-3 chain, with the name and range of its index.
 _TIME_QUERIES = {
-    "operator_at": lambda chain, h, t: chain.operator_at(t),
-    "marginal_upper": lambda chain, h, t: chain.marginal_upper(t, h),
-    "conditional_upper_ell": lambda chain, h, t: chain.conditional_upper(t, "a", 3, h),
-    "conditional_upper_n": lambda chain, h, t: chain.conditional_upper(1, "a", t, h),
-    "markov_invariance_gap": lambda chain, h, t: chain.markov_invariance_gap(
-        t, PathGamble(AB, 3, np.broadcast_to(np.arange(4.0).reshape(1, 2, 2), (2, 2, 2)))
+    "operator_at": (lambda chain, h, t: chain.operator_at(t), "step index", 1, 2),
+    "marginal_upper": (lambda chain, h, t: chain.marginal_upper(t, h), "time", 1, 3),
+    "conditional_upper_ell": (
+        lambda chain, h, t: chain.conditional_upper(t, "a", 3, h), "time", 1, 2
     ),
-    "path_mass_bounds": lambda chain, h, t: chain.path_mass_bounds(t),
-    "from_gamble": lambda chain, h, t: PathGamble.from_gamble(h, t, 3).values,
-    "count_assignments": lambda chain, h, t: count_assignments(chain, t),
+    "conditional_upper_n": (
+        lambda chain, h, t: chain.conditional_upper(1, "a", t, h), "time", 2, 3
+    ),
+    "markov_invariance_gap": (
+        lambda chain, h, t: chain.markov_invariance_gap(
+            t, PathGamble(AB, 3, np.broadcast_to(np.arange(4.0).reshape(1, 2, 2), (2, 2, 2)))
+        ),
+        "time",
+        1,
+        3,
+    ),
+    "path_mass_bounds": (lambda chain, h, t: chain.path_mass_bounds(t), "path length", 1, 3),
+    "from_gamble": (lambda chain, h, t: PathGamble.from_gamble(h, t, 3).values, "time", 1, 3),
+    "count_assignments": (lambda chain, h, t: count_assignments(chain, t), "horizon", 1, 3),
 }
 
 
 @pytest.mark.parametrize("query", _TIME_QUERIES.values(), ids=_TIME_QUERIES.keys())
-@pytest.mark.parametrize("t", [True, 2.5, 3.0, np.int64(2)], ids=repr)
+@pytest.mark.parametrize(
+    "t",
+    [True, 2.5, 3.0, np.int64(2), *(pytest.param(side, id=side) for side in ("below", "above"))],
+    ids=repr,
+)
 def test_time_indices_follow_the_horizon_rule(ex53_initial, ex53_op, ab, query, t):
     # No time is truncated or read as a number: True is not 1, 3.0 not 3;
-    # a numpy integer answers as the int it holds.
+    # a numpy integer answers as the int it holds; the ints just below and
+    # just above the query's range are refused with the range named.
+    query, name, low, high = query
     chain = ImpreciseMarkovChain(ex53_initial, ex53_op, 3)
     h = Gamble(ab, [0.3, -1.2])
-    if not isinstance(t, np.integer):
-        with pytest.raises(ValueError, match=" must be an integer, got "):
-            query(chain, h, t)
+    if isinstance(t, np.integer):
+        got, want = query(chain, h, t), query(chain, h, 2)
+        if isinstance(want, tuple):
+            assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+        else:
+            assert got is want or np.array_equal(got, want)
         return
-    got, want = query(chain, h, t), query(chain, h, 2)
-    if isinstance(want, tuple):
-        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+    if isinstance(t, str):
+        t = low - 1 if t == "below" else high + 1
+        message = f"{name} {t} out of range [{low}, {high}]"
     else:
-        assert got is want or np.array_equal(got, want)
+        message = f"{name} must be an integer, got {t!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        query(chain, h, t)
 
 
 def test_gamble_count_does_not_grow_with_n(ex53_initial, ex53_op, ab, monkeypatch):

@@ -289,6 +289,11 @@ def test_series_refuse_an_imprecise_base(ex53_initial, ex53_op, ab):
         lambda op, h: precise_stationary(op, max_iter=2.5),
         lambda op, h: contamination_evolve(Vacuous(AB), op, 0.1, h, True),
         lambda op, h: contamination_evolve(Vacuous(AB), op, 0.1, h, 2.5),
+        # Nor is a string or None a tol or an epsilon.
+        lambda op, h: limit_upper(op, h, tol="0.1"),
+        lambda op, h: limit_upper(op, h, tol=None),
+        lambda op, h: contamination_limit(op, "0.1", h),
+        lambda op, h: contamination_evolve(Vacuous(AB), op, "0.1", h, 2),
     ],
     ids=[
         "limit-tol-nan",
@@ -310,6 +315,10 @@ def test_series_refuse_an_imprecise_base(ex53_initial, ex53_op, ab):
         "stationary-max-iter-float",
         "evolve-n-bool",
         "evolve-n-float",
+        "limit-tol-string",
+        "limit-tol-none",
+        "contamination-epsilon-string",
+        "evolve-epsilon-string",
     ],
 )
 def test_iteration_parameters_are_refused(call, ex53_precise_op, ab):
@@ -324,6 +333,17 @@ def test_iteration_parameters_accept_numpy_integers(ex53_initial, ex53_precise_o
     )
     assert contamination_evolve(
         ex53_initial, ex53_precise_op, 0.1, h, np.int64(3)
+    ) == contamination_evolve(ex53_initial, ex53_precise_op, 0.1, h, 3)
+
+
+def test_iteration_parameters_accept_numpy_floats(ex53_initial, ex53_precise_op, ab):
+    h, tol, eps = ab.indicator(["a"]), np.float64(1e-10), np.float64(0.1)
+    assert limit_upper(ex53_precise_op, h, tol=tol) == limit_upper(ex53_precise_op, h)
+    assert contamination_limit(ex53_precise_op, eps, h, tol=tol) == contamination_limit(
+        ex53_precise_op, 0.1, h
+    )
+    assert contamination_evolve(
+        ex53_initial, ex53_precise_op, eps, h, 3
     ) == contamination_evolve(ex53_initial, ex53_precise_op, 0.1, h, 3)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 import time
 
 import numpy as np
@@ -194,6 +195,25 @@ class TestTreeExpectation:
         joint = path_probabilities(chain, assignment, 3)
         np.testing.assert_allclose(joint[1] / 0.1, given_b, rtol=0, atol=1e-15)
         assert path_probabilities(chain, assignment, 3, prefix=(1, 0, 1)) == 1.0
+
+    @pytest.mark.parametrize(
+        ("horizon", "message"),
+        [
+            (2.5, "horizon must be an integer, got 2.5"),
+            (True, "horizon must be an integer, got True"),
+            (1, "horizon 1 out of range [2, 3]"),
+            (4, "horizon 4 out of range [2, 3]"),
+        ],
+        ids=["float", "bool", "below-prefix", "above-chain"],
+    )
+    def test_horizon_follows_the_integer_rule(self, ex53_initial, ex53_op, ab, horizon, message):
+        # A horizon shorter than the prefix or longer than the chain's has
+        # no law to give; the range runs from the prefix's length up.
+        chain = _chain_with_two_vertices(3, ex53_initial, ex53_op)
+        q = {idx: MassFunction(ab, [0.5, 0.5]) for k in (1, 2) for idx in np.ndindex(*(2,) * k)}
+        assignment = TreeAssignment(MassFunction(ab, [0.9, 0.1]), q)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            path_probabilities(chain, assignment, horizon, prefix=(1, 0))
 
 
 class TestEnvelope:
