@@ -32,15 +32,16 @@ strided view `out.T`, so a column's bits depend neither on the batch
 nor on its stride in H (a plain `W @ H` over k > 1 columns is one
 gemm, whose blocking reorders the sums; a row's bits also change with
 the shape of W, so no two families, nor padded rows, share one
-product).  `ProbInterval` sums its
-gains along the state axis of an (m, k, s) array that keeps the row axis
-innermost in memory: with one row (a model's own `upper`, or an interval
-initial model) that axis is contiguous and numpy sums it pairwise, with
-m >= 2 stacked rows it is strided and the sum runs left to right.
-Either order holds for every k.  `np.add.reduceat` sums a segment a0,
-a1, ..., an as a0 + (a1 + ... + an), in every column and for every k,
-the parenthesis being numpy's sum of a contiguous 1-D array: left to
-right for a segment of fewer than nine rows, pairwise from nine on.
+product).  `ProbInterval` gathers the gains of its m rows as a
+C-contiguous (k, s, m) array, the row axis innermost, and sums them
+along the state axis: with one row (a model's own `upper`, or an
+interval initial model) that axis is contiguous and numpy sums it
+pairwise, with m >= 2 stacked rows it is strided and the sum runs left
+to right.  Either order holds for every k.  `np.add.reduceat` sums a
+segment a0, a1, ..., an as a0 + (a1 + ... + an), in every column and
+for every k, the parenthesis being numpy's sum of a contiguous 1-D
+array: left to right for a segment of fewer than nine rows, pairwise
+from nine on.
 Maxima are exact in any order but for the sign of a zero: of 0.0 and
 -0.0, a maximum keeps the one its reduction meets last, and `hmax`, a
 padded table and `reduceat` meet them in orders that depend on the
@@ -80,6 +81,7 @@ from .states import (
     _check_numbers,
     _check_space,
     _freeze,
+    _is_real,
     _normalized,
     frozen,
 )
@@ -88,7 +90,7 @@ from .states import (
 VERTEX_GUARD = 2**16
 
 #: A kernel call on s states sees at most CHUNK_CELLS // s**2 columns, so
-#: an (m, k, s) intermediate of m <= s rows stays under 8 MB of floats.
+#: a (k, s, m) intermediate of m <= s rows stays under 8 MB of floats.
 CHUNK_CELLS = 2**20
 
 
@@ -362,7 +364,8 @@ class Contamination(CredalModel):
     reads_max = True
 
     def __init__(self, base: MassFunction, epsilon: float):
-        _check_numbers(epsilon, "contamination epsilon must be a number")
+        if not _is_real(epsilon):
+            raise TypeError(f"contamination epsilon must be a number, got {epsilon!r}")
         epsilon = float(epsilon)
         if not 0.0 < epsilon < 1.0:
             raise CredalValidationError(
@@ -566,28 +569,31 @@ class ProbInterval(CredalModel):
     @classmethod
     def stack(cls, rows):
         L = np.array([r.lower_mass for r in rows])
-        D = np.array([r.upper_mass for r in rows]) - L
-        return L, D, (1.0 - L.sum(axis=1))[:, None, None]
+        Dt = (np.array([r.upper_mass for r in rows]) - L).T.copy()
+        slack = 1.0 - L.sum(axis=1)
+        return L, Dt, slack
 
     @staticmethod
     def kernel(params, H, out, hmax, Ht):
-        L, D, slack = params
+        L, Dt, slack = params
         # Sort each column once, by decreasing h; every row hands out its
         # slack along that order.  The j best states together receive
         # F_j = min(sum of their upper - lower, slack), so summing by
         # parts the gain over L @ H is sum_j F_j * (h_(j) - h_(j+1)),
-        # with h_(s+1) = 0.  `D[:, order]` keeps the row axis innermost
-        # in memory, so the state axis is contiguous, and each sum
+        # with h_(s+1) = 0.  The (k, s, m) gains, gathered from the
+        # (s, m) widths `Dt` and summed in place, keep the row axis
+        # innermost, so the state axis is contiguous, and each sum
         # pairwise, only for m = 1; with m >= 2 rows each sum runs left
         # to right.  Neither order depends on k or the other columns.
         order = (-Ht).argsort(axis=1)
-        gain = D[:, order].cumsum(axis=2)
+        gain = Dt.take(order, axis=0)
+        np.add.accumulate(gain, axis=1, out=gain)
         np.minimum(gain, slack, out=gain)
         steps = Ht[np.arange(len(Ht))[:, None], order]
         steps[:, :-1] -= steps[:, 1:]
-        gain *= steps
+        gain *= steps[:, :, None]
         np.matvec(L, Ht, out=out.T)
-        out += np.add.reduce(gain, axis=2)
+        out += np.add.reduce(gain, axis=1).T
 
     def vertices(self) -> list[MassFunction]:
         # Every vertex of an interval polytope on the simplex has at most

@@ -11,11 +11,18 @@ Both are views of one driver, which steps through `apply`.
 from __future__ import annotations
 
 import math
-from numbers import Real
 
 import numpy as np
 
-from .states import DEFAULT_TOL, Gamble, MassFunction, _check_integer, _check_space, frozen
+from .states import (
+    DEFAULT_TOL,
+    Gamble,
+    MassFunction,
+    _check_integer,
+    _check_space,
+    _is_real,
+    frozen,
+)
 from .transition import UpperTransitionOperator
 
 DEFAULT_MAX_ITER = 10**6
@@ -32,7 +39,7 @@ class NotRegularError(ValueError):
 
 def _check_stop(tol: float, max_iter: int) -> None:
     """Refuse a tol that is not a positive number and a max_iter not an integer >= 0."""
-    if not isinstance(tol, Real) or isinstance(tol, bool) or not tol > 0:
+    if not _is_real(tol) or not tol > 0:
         raise ValueError(f"tol must be a positive number, got {tol!r}")
     _check_integer(max_iter, "max_iter", 0)
 
@@ -108,7 +115,7 @@ def _check_contamination(name: str, precise: UpperTransitionOperator, epsilon: f
     """Refuse a base operator that is not precise, or epsilon not a number in (0, 1)."""
     if not precise.is_precise():
         raise ValueError(f"{name} needs all-Linear rows")
-    if not isinstance(epsilon, Real) or not 0.0 < epsilon < 1.0:
+    if not _is_real(epsilon) or not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
 
 

@@ -3,8 +3,9 @@
 Everything in this module is immutable after construction; arrays are
 frozen so values can be shared freely between threads.  The types
 validate input; the engine computes on their positional arrays.  The
-package's numeric tolerances are all defined here, and so is its one
-rule for integer arguments in a range, `_check_integer`.
+package's numeric tolerances are all defined here, and so are its one
+rule for integer arguments in a range, `_check_integer`, and its one
+test for a real-number argument, `_is_real`.
 
 The package's value types are declared with `frozen`, a class decorator
 that installs the same already-compiled methods on every class instead
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+from numbers import Real
 from typing import Iterable
 
 import numpy as np
@@ -124,6 +126,11 @@ def _check_numbers(values, what: str) -> None:
     if isinstance(values, (list, tuple)) and not _PLAIN.issuperset(map(type, values)):
         for v in values:
             _check_numbers(v, what)
+
+
+def _is_real(value) -> bool:
+    """Whether `value` is a real number (a numpy float too), not a bool."""
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 def _check_integer(value, name: str, low, high=math.inf) -> int:

@@ -864,8 +864,8 @@ _ROWS_ABC_OK = {"type": "rows", "rows": [_linear([0.2, 0.3, 0.5])] * 3}
         ),
         (
             {"transition": {"type": "rows", "rows": [_contamination([0.5, 0.5], None), _linear([0.5, 0.5])]}},
-            "error:schema-error: transition.rows[0]: float() argument must be a string or a "
-            "real number, not 'NoneType'\n",
+            "error:schema-error: transition.rows[0]: contamination epsilon must be a number, "
+            "got None\n",
         ),
         (
             {"transition": {"type": "rows", "rows": [_linear([0.5, 0.5]), 5]}},
@@ -890,8 +890,7 @@ _ROWS_ABC_OK = {"type": "rows", "rows": [_linear([0.2, 0.3, 0.5])] * 3}
         ),
         (
             {"transition": {"type": "contamination", "matrix": [[0.5, 0.5], [0.7, 0.7]], "epsilon": [0.1]}},
-            "error:schema-error: transition: float() argument must be a string or a real "
-            "number, not 'list'\n",
+            "error:schema-error: transition: contamination epsilon must be a number, got [0.1]\n",
         ),
         (
             {"transition": {"type": "matrix", "matrix": 5}},

@@ -114,6 +114,14 @@ class TestValidation:
                 Contamination(base, eps)
             assert exc.value.code == "epsilon-out-of-range"
 
+    def test_epsilon_must_be_a_real_number(self):
+        base = MassFunction(AB, [0.5, 0.5])
+        for eps in (None, [0.1], "0.1", True, np.bool_(True), np.array(0.1)):
+            with pytest.raises(TypeError, match=r"^contamination epsilon must be a number, got "):
+                Contamination(base, eps)
+        for eps in (np.float64(0.25), np.float32(0.25), 0.25):
+            assert Contamination(base, eps).epsilon == 0.25
+
     def test_empty_vertex_set(self):
         with pytest.raises(CredalValidationError) as exc:
             VertexSet(AB, [])

@@ -3,7 +3,8 @@
 (a) `apply_many` against the per-row vertex envelope at small s, and
     the cached one-step mass tables against per-row indicator calls;
 (b) the interval, belief and vertex-set kernels against a linear
-    program at s = 48 and 100, where vertices cannot be enumerated;
+    program at s = 3 and 4, and at s = 48 and 100, where vertices
+    cannot be enumerated;
 (c) the batched `is_regular`, joint fold and Markov-condition gap
     against unbatched per-row loops;
 (d) the column-exact contract: a column's bits do not depend on the
@@ -166,6 +167,9 @@ def _lp_vertices(m, h):
 
 def _wide_interval(rng, space):
     s = len(space)
+    if s <= 4:
+        # Bounds drawn as below are often unreachable on so few states.
+        return random_prob_interval(rng, space)
     centre = rng.dirichlet(np.ones(s))
     lo = centre * rng.uniform(0.0, 1.0, size=s)
     up = np.minimum(centre + rng.uniform(0.0, 2.0 / s, size=s), 1.0)
@@ -186,7 +190,7 @@ def _wide_vertices(rng, space):
     return VertexSet(space, [random_mass(rng, space) for _ in range(int(rng.integers(2, 8)))])
 
 
-@pytest.mark.parametrize("s", [48, 100])
+@pytest.mark.parametrize("s", [3, 4, 48, 100])
 @pytest.mark.parametrize(
     "make,lp",
     [(_wide_interval, _lp_interval), (_wide_belief, _lp_belief), (_wide_vertices, _lp_vertices)],
@@ -378,7 +382,7 @@ def _plain_kernel(kind, rows, H):
     return L @ H + (filled * steps).sum(axis=1)
 
 
-@pytest.mark.parametrize("s", [2, 3, 8, 24, 48])
+@pytest.mark.parametrize("s", [2, 3, 4, 8, 24, 48])
 @pytest.mark.parametrize("family", ROW_KINDS)
 def test_kernels_are_column_exact(family, s):
     rng = np.random.default_rng([s, ROW_KINDS.index(family)])
@@ -594,10 +598,10 @@ def test_a_models_batch_holds_one_row_of_floats():
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("m", [1, 2, 8])
 def test_interval_kernel_sums_pairwise_only_for_one_row(m, k):
-    # `D[:, order]` puts the row axis innermost in memory, so with m >= 2
-    # stacked rows each gain sum runs left to right along a strided state
-    # axis; with m = 1 that axis is contiguous and numpy sums it pairwise.
-    # Either way the order is the same for every k.
+    # The (k, s, m) gains keep the row axis innermost in memory, so with
+    # m >= 2 stacked rows each gain sum runs left to right along a strided
+    # state axis; with m = 1 that axis is contiguous and numpy sums it
+    # pairwise.  Either way the order is the same for every k.
     rng = np.random.default_rng([241, m, k])
     s = 48
     space = StateSpace([f"x{i}" for i in range(s)])
@@ -605,7 +609,8 @@ def test_interval_kernel_sums_pairwise_only_for_one_row(m, k):
     params = ProbInterval.stack(rows)
     H = rng.uniform(-1.0, 1.0, size=(s, k)) * 10.0 ** rng.integers(-6, 7, size=(s, 1))
     got = run_kernel(ProbInterval, params, H, m)
-    L, D, slack = params
+    L, Dt, slack = params
+    D, slack = Dt.T, slack[:, None, None]
     pairwise, left_to_right = np.empty((m, k)), np.empty((m, k))
     for j in range(k):
         order = np.argsort(-H[:, j])
