@@ -6,12 +6,14 @@ horizon - 1 steps.  Every other expectation query runs one recursion,
 fold a gamble on X, so their cost is linear in the number of time
 steps, and joint queries fold the dense table over X^N one time axis
 per step, for desk-scale horizons.  `joint_upper_many` folds several
-path gambles in one stack, one `apply_many` call per step for all.
+path gambles in one stack, one `credal._step` per step for all.
 Path masses need no fold: `path_mass_bounds` broadcasts the initial
 model's singleton bounds against each step operator's cached one-step
 lower and upper probability tables, giving every path of a length at
 once, and refuses more than PATH_GUARD paths.
-`Gamble` and `PathGamble` are built and checked only at the boundary.
+`Gamble`, `PathGamble` and the raw columns of `marginal_upper_table`
+are checked only at the boundary, by `states._gamble_array`: the folds
+and sweeps step their own arrays through `credal._step`, unchecked.
 
 Time indices are 1-based: X(1) is the initial state and a chain with
 horizon N has N - 1 transition steps.  Times, like the horizon, follow
@@ -27,7 +29,7 @@ import numpy as np
 
 from .credal import CredalModel, SizeGuardError, _step
 from .states import DimensionMismatch, Gamble, StateSpace, frozen
-from .states import _as_columns, _check_integer, _check_numbers, _check_space
+from .states import _check_integer, _check_space, _gamble_array
 from .transition import UpperTransitionOperator
 
 #: Refuse to tabulate more initial paths than this in `path_mass_bounds`.
@@ -49,16 +51,7 @@ class PathGamble:
 
     def __init__(self, space: StateSpace, horizon: int, values):
         horizon = _check_integer(horizon, "horizon", 1)
-        _check_numbers(values, "path gamble values must be numbers")
-        values = np.array(values, dtype=float)
-        expect = (len(space),) * horizon
-        if values.shape != expect:
-            raise DimensionMismatch(
-                f"path gamble table must have shape {expect}, got {values.shape}"
-            )
-        if not np.isfinite(values).all():
-            raise ValueError("path gamble values must be finite")
-        values.setflags(write=False)
+        values = _gamble_array(space, values, horizon, "path gamble values")
         vars(self).update(space=space, horizon=horizon, values=values)
 
     @classmethod
@@ -138,12 +131,12 @@ class ImpreciseMarkovChain:
         """Fold a (b,) + (|X|,) * d stack of raw tables over X(top - d + 1),
         ..., X(top) back to time `down_to`.  A step applies the operator to
         the slice of every (table, history) along the last axis, in one
-        `apply_many` call for the whole stack, and keeps the row of that
+        `_step` on its plan for the whole stack, and keeps the row of that
         history's last state; a table over one time has no history, so the
         step is T h, transposed back to shape (b, |X|)."""
         s = len(self.space)
         for k in range(top - 1, down_to - 1, -1):
-            vals = self.operator_at(k).apply_many(tables.reshape(-1, s).T)
+            vals = _step(self.operator_at(k)._plan, tables.reshape(-1, s).T)
             if tables.ndim == 2:
                 tables = vals.T
             else:
@@ -179,9 +172,9 @@ class ImpreciseMarkovChain:
         place through one (horizon, s, k) table; a per-step chain tiles H
         into one (s, horizon * k) table, block n - 1 for X(n), and sweeps
         back from the horizon, step n overwriting blocks n to horizon - 1
-        in place, one `apply_many` per step.  One `upper_many` on the
-        initial model closes every column."""
-        H = _as_columns(self.space, H)
+        in place, one `_step` per step.  One `upper_many` on the initial
+        model closes every column."""
+        H = _gamble_array(self.space, H, columns=True)
         if self.stationary:
             table = np.empty((self.horizon, *H.shape))
             table[0] = H
@@ -192,7 +185,7 @@ class ImpreciseMarkovChain:
         else:
             table, k = np.tile(H, self.horizon), H.shape[1]
             for n in range(self.horizon - 1, 0, -1):
-                table[:, n * k :] = self.transitions[n - 1].apply_many(table[:, n * k :])
+                table[:, n * k :] = _step(self.transitions[n - 1]._plan, table[:, n * k :])
         return self.initial.upper_many(table).reshape(self.horizon, -1)
 
     def conditional_upper(self, ell: int, x_ell: str, n: int, h: Gamble) -> float:
@@ -211,12 +204,14 @@ class ImpreciseMarkovChain:
     def joint_upper_many(self, fs: Sequence[PathGamble]) -> np.ndarray:
         """Upper expectations of path gambles over all compatible trees.
 
-        The gambles are folded together: each step is one `apply_many`
-        call for all of them, and one `upper_many` call on the initial
-        model closes the fold.  The kernels are column-exact, so entry j
-        has the bits of `joint_upper(fs[j])`."""
-        tables = np.stack([self._path_table(f) for f in fs])
-        return self.initial.upper_many(self._fold(tables, self.horizon, 1).T)
+        The gambles are folded together: each step is one `_step` for
+        all of them, and one `upper_many` call on the initial model
+        closes the fold.  The kernels are column-exact, so entry j has
+        the bits of `joint_upper(fs[j])`."""
+        tables = [self._path_table(f) for f in fs]
+        if not tables:
+            raise ValueError("joint_upper_many needs at least one path gamble")
+        return self.initial.upper_many(self._fold(np.stack(tables), self.horizon, 1).T)
 
     def joint_upper(self, f: PathGamble) -> float:
         """Upper expectation of a path gamble over all compatible trees."""

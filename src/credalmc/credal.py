@@ -77,10 +77,10 @@ from .states import (
     Gamble,
     MassFunction,
     StateSpace,
-    _as_columns,
     _check_numbers,
     _check_space,
     _freeze,
+    _gamble_array,
     _is_real,
     _normalized,
     frozen,
@@ -142,12 +142,12 @@ class CredalModel:
 
     def upper_many(self, H: np.ndarray) -> np.ndarray:
         """Upper expectations of the k columns of a raw (s, k) array."""
-        return _step(self._plan, _as_columns(self.space, H))[0]
+        return _step(self._plan, _gamble_array(self.space, H, columns=True))[0]
 
     def upper(self, h: Gamble) -> float:
         """Maximum linear expectation of h over the credal set."""
         _check_space(self, h)
-        return float(self.upper_many(h.values[:, None])[0])
+        return float(_step(self._plan, h.values[:, None])[0, 0])
 
     def lower(self, h: Gamble) -> float:
         """Conjugate lower expectation: lower(h) = -upper(-h)."""
@@ -351,6 +351,19 @@ class VertexSet(CredalModel):
         return list(self.points)
 
 
+def _check_epsilon(epsilon) -> float:
+    """`epsilon` as a float if it is a real number in (0, 1), the one epsilon
+    rule: TypeError for a non-number (a bool too), else CredalValidationError."""
+    if not _is_real(epsilon):
+        raise TypeError(f"contamination epsilon must be a number, got {epsilon!r}")
+    epsilon = float(epsilon)
+    if not 0.0 < epsilon < 1.0:
+        raise CredalValidationError(
+            "epsilon-out-of-range", f"contamination epsilon must lie in (0, 1), got {epsilon}"
+        )
+    return epsilon
+
+
 @frozen
 class Contamination(CredalModel):
     """Epsilon-contamination of a precise mass function.
@@ -364,15 +377,7 @@ class Contamination(CredalModel):
     reads_max = True
 
     def __init__(self, base: MassFunction, epsilon: float):
-        if not _is_real(epsilon):
-            raise TypeError(f"contamination epsilon must be a number, got {epsilon!r}")
-        epsilon = float(epsilon)
-        if not 0.0 < epsilon < 1.0:
-            raise CredalValidationError(
-                "epsilon-out-of-range",
-                f"contamination epsilon must lie in (0, 1), got {epsilon}",
-            )
-        vars(self).update(base=base, epsilon=epsilon)
+        vars(self).update(base=base, epsilon=_check_epsilon(epsilon))
 
     @property
     def space(self) -> StateSpace:
@@ -415,7 +420,7 @@ class BeliefFunction(CredalModel):
 
     def __init__(self, space: StateSpace, focal: Sequence[tuple[Event, float]]):
         focal = tuple(focal)
-        _check_numbers([w for _, w in focal], "focal masses must be numbers")
+        _check_numbers([w for _, w in focal], "focal masses")
         focal = tuple((ev, float(w)) for ev, w in focal)
         if not focal:
             raise CredalValidationError(
@@ -519,7 +524,7 @@ class ProbInterval(CredalModel):
     upper_mass: np.ndarray
 
     def __init__(self, space: StateSpace, lower_mass, upper_mass):
-        _check_numbers([lower_mass, upper_mass], "interval bounds must be numbers")
+        _check_numbers([lower_mass, upper_mass], "interval bounds")
         lo = _freeze(lower_mass)
         up = _freeze(upper_mass)
         n = len(space)

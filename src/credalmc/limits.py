@@ -14,15 +14,9 @@ import math
 
 import numpy as np
 
-from .states import (
-    DEFAULT_TOL,
-    Gamble,
-    MassFunction,
-    _check_integer,
-    _check_space,
-    _is_real,
-    frozen,
-)
+from .credal import _check_epsilon, _step
+from .states import DEFAULT_TOL, Gamble, MassFunction, frozen
+from .states import _check_integer, _check_space, _is_real
 from .transition import UpperTransitionOperator
 
 DEFAULT_MAX_ITER = 10**6
@@ -112,11 +106,11 @@ def limit_upper(
 
 
 def _check_contamination(name: str, precise: UpperTransitionOperator, epsilon: float):
-    """Refuse a base operator that is not precise, or epsilon not a number in (0, 1)."""
+    """Refuse a base operator that is not precise, or an epsilon that
+    `Contamination` refuses, with its error."""
     if not precise.is_precise():
         raise ValueError(f"{name} needs all-Linear rows")
-    if not _is_real(epsilon) or not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
+    _check_epsilon(epsilon)
 
 
 def contamination_limit(
@@ -151,7 +145,7 @@ def contamination_limit(
     g = h.values[:, None]
     for _ in range(terms):
         total += weight * float(g.max())
-        g = precise.apply_many(g)
+        g = _step(precise._plan, g)
         weight *= 1.0 - epsilon
     return total
 
@@ -172,7 +166,7 @@ def contamination_evolve(
     g = h.values[:, None]
     for k in range(n):
         total += epsilon * (1.0 - epsilon) ** k * float(g.max())
-        g = precise.apply_many(g)
+        g = _step(precise._plan, g)
     return (1.0 - epsilon) ** n * float(initial.upper_many(g)[0]) + total
 
 

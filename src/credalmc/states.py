@@ -3,9 +3,14 @@
 Everything in this module is immutable after construction; arrays are
 frozen so values can be shared freely between threads.  The types
 validate input; the engine computes on their positional arrays.  The
-package's numeric tolerances are all defined here, and so are its one
-rule for integer arguments in a range, `_check_integer`, and its one
-test for a real-number argument, `_is_real`.
+package's numeric tolerances are all defined here, and so are its
+argument rules, each written once: `_gamble_array` for gamble data
+(numbers, a float array, the expected shape, every value finite), which
+`Gamble`, `chain.PathGamble` and the raw (s, k) columns `upper_many`,
+`apply_many` and `marginal_upper_table` take all pass, so a raw column
+holding NaN or inf is refused as a `Gamble` is; `_check_numbers`, which
+refuses strings and bools; `_check_integer`, for integer arguments in a
+range; and `_is_real`, the test for a real number.
 
 The package's value types are declared with `frozen`, a class decorator
 that installs the same already-compiled methods on every class instead
@@ -113,16 +118,16 @@ _PLAIN = frozenset({float, int})
 
 
 def _check_numbers(values, what: str) -> None:
-    """Raise TypeError("<what>, got <value>") at the first string or bool
-    in `values`, a number or a nest of lists, tuples and arrays, which
-    `float()` and `np.array(..., dtype=float)` would read as a number:
-    "0.5" as 0.5, True as 1.0, and [True, 0.5] as [1.0, 0.5]."""
+    """Raise TypeError("<what> must be numbers, got <value>") at the first
+    string or bool in `values`, a number or a nest of lists, tuples and
+    arrays, which `float()` and `np.array(..., dtype=float)` would read
+    as a number: "0.5" as 0.5, True as 1.0, and [True, 0.5] as [1.0, 0.5]."""
     if isinstance(values, np.ndarray):
         if values.dtype.kind in "fiu":
             return
         values = values.tolist()
     if isinstance(values, (str, bool, np.bool_)):
-        raise TypeError(f"{what}, got {values!r}")
+        raise TypeError(f"{what} must be numbers, got {values!r}")
     if isinstance(values, (list, tuple)) and not _PLAIN.issuperset(map(type, values)):
         for v in values:
             _check_numbers(v, what)
@@ -197,15 +202,22 @@ def _check_space(a, b) -> None:
         )
 
 
-def _as_columns(space: StateSpace, H) -> np.ndarray:
-    """H as a float array of k gamble columns, shape (|space|, k), or raise."""
-    _check_numbers(H, "gamble values must be numbers")
-    H = np.asarray(H, dtype=float)
-    if H.ndim != 2 or H.shape[0] != len(space):
-        raise DimensionMismatch(
-            f"need an array of shape ({len(space)}, k), got {H.shape}"
-        )
-    return H
+def _gamble_array(space: StateSpace, values, axes=1, what="gamble values", columns=False):
+    """`values` as gamble data on `space`, or raise: TypeError at a string
+    or bool, DimensionMismatch for a shape other than (|space|,) * axes
+    (plus an axis of k columns if `columns`), ValueError at NaN or inf.
+    Columns are read in place if they are a float array; a value type
+    gets a fresh read-only copy."""
+    _check_numbers(values, what)
+    a = np.array(values, dtype=float, copy=None if columns else True)
+    if a.shape[:axes] != (len(space),) * axes or a.ndim != axes + columns:
+        expect = f"({len(space)}, k)" if columns else (len(space),) * axes
+        raise DimensionMismatch(f"{what} must have shape {expect}, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} must be finite")
+    if not columns:
+        a.setflags(write=False)
+    return a
 
 
 @frozen
@@ -218,15 +230,7 @@ class Gamble:
     values: np.ndarray
 
     def __init__(self, space: StateSpace, values):
-        _check_numbers(values, "gamble values must be numbers")
-        values = _freeze(values)
-        if values.shape != (len(space),):
-            raise DimensionMismatch(
-                f"gamble needs {len(space)} values, got shape {values.shape}"
-            )
-        if not np.isfinite(values).all():
-            raise ValueError("gamble values must be finite")
-        vars(self).update(space=space, values=values)
+        vars(self).update(space=space, values=_gamble_array(space, values))
 
     def __neg__(self) -> "Gamble":
         return Gamble(self.space, -self.values)
@@ -277,7 +281,7 @@ class MassFunction:
     weights: np.ndarray
 
     def __init__(self, space: StateSpace, weights):
-        _check_numbers(weights, "weights must be numbers")
+        _check_numbers(weights, "weights")
         weights = np.array(weights, dtype=float)
         if weights.shape != (len(space),):
             raise DimensionMismatch(

@@ -7,8 +7,9 @@ step on an (s, k) gamble array is then one `credal._step` through the
 plan.  It fills an (s, k) output the caller gives, in which each family
 writes its rows as one contiguous block, in one call per family present
 (and per column chunk, which `_step` makes when k exceeds
-`credal.CHUNK_CELLS // s**2`).  `apply_many` steps into a fresh output,
-`ImpreciseMarkovChain.marginal_upper_table` into its sweep's table.  The
+`credal.CHUNK_CELLS // s**2`).  `apply_many` checks its raw columns by
+`states._gamble_array` and steps into a fresh output; the engine's own
+loops call `_step` on `_plan` directly, unchecked.  The
 column maximum of the gambles is computed once per step, and only if a
 family present reads it.  Every step also hands the families one
 C-contiguous transpose of the gambles, whose rows the matrix products
@@ -28,7 +29,7 @@ import numpy as np
 
 from .credal import Contamination, CredalModel, Linear, ProbInterval, _plan, _step
 from .states import DimensionMismatch, Gamble, MassFunction, StateSpace
-from .states import _as_columns, _check_numbers, _check_space, frozen
+from .states import _check_numbers, _check_space, _gamble_array, frozen
 
 
 @frozen
@@ -67,7 +68,7 @@ class UpperTransitionOperator:
         cls, space: StateSpace, lower, upper
     ) -> "UpperTransitionOperator":
         """Probability-interval rows from lower/upper Markov matrices."""
-        _check_numbers([lower, upper], "interval bounds must be numbers")
+        _check_numbers([lower, upper], "interval bounds")
         lower = np.asarray(lower, dtype=float)
         upper = np.asarray(upper, dtype=float)
         if lower.shape != upper.shape:
@@ -91,11 +92,11 @@ class UpperTransitionOperator:
 
     def apply_many(self, H) -> np.ndarray:
         """Apply the operator to each column of a raw (s, k) array."""
-        return _step(self._plan, _as_columns(self.space, H))
+        return _step(self._plan, _gamble_array(self.space, H, columns=True))
 
     def apply(self, h: Gamble) -> Gamble:
         _check_space(self, h)
-        # The space check fixes the column's shape, so `_as_columns` is skipped.
+        # h passed `_gamble_array` when it was built, so it is not checked again.
         return Gamble(self.space, _step(self._plan, h.values[:, None])[:, 0])
 
     def apply_lower(self, h: Gamble) -> Gamble:

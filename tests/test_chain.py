@@ -103,6 +103,20 @@ def test_raw_array_entry_points_take_numeric_nested_lists(ex53_initial, ex53_op)
         assert np.array_equal(entry(H), entry(np.array(H, dtype=float)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_raw_array_entry_points_refuse_non_finite_values(ex53_initial, ex53_op, ab, bad):
+    # Unchecked, such a column stepped to NaN bounds under a RuntimeWarning.
+    chain = ImpreciseMarkovChain(ex53_initial, ex53_op, 3)
+    with pytest.raises(ValueError) as want:
+        Gamble(ab, [bad, 0.0])
+    for H in ([[bad], [0.0]], np.array([[0.5, 1.0], [bad, 0.0]])):
+        for entry in (ex53_op.apply_many, ex53_initial.upper_many, chain.marginal_upper_table):
+            with pytest.raises(ValueError) as got:
+                entry(H)
+            assert type(got.value) is type(want.value)
+            assert str(got.value) == str(want.value) == "gamble values must be finite"
+
+
 class TestConditional:
     def test_single_step_reduces_to_apply(self, ex53_chain, ex53_op, ab):
         h = Gamble(ab, [0.3, -0.7])
@@ -235,6 +249,10 @@ class TestJoint:
         ):
             with pytest.raises(DimensionMismatch, match="state spaces differ"):
                 query()
+
+    def test_no_path_gamble_is_refused(self, ex53_chain):
+        with pytest.raises(ValueError, match="^joint_upper_many needs at least one path gamble$"):
+            ex53_chain.joint_upper_many([])
 
     def test_horizon_mismatch(self, ex53_chain, ab):
         f = PathGamble.path_indicator(ab, 2, ["a", "a"])

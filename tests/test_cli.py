@@ -383,19 +383,25 @@ def test_verify_enumerates_the_trees_once(capsys, monkeypatch):
 
 
 def test_verify_folds_only_the_random_gambles(capsys, monkeypatch, tmp_path):
-    shapes, lengths = [], []
+    shapes, steps, lengths = [], [], []
     apply_many = UpperTransitionOperator.apply_many
+    step = chain_module._step
     path_mass_bounds = ImpreciseMarkovChain.path_mass_bounds
 
     def counted_apply(self, H):
         shapes.append(H.shape)
         return apply_many(self, H)
 
+    def counted_step(plan, H, out=None):
+        steps.append(H.shape)
+        return step(plan, H, out)
+
     def counted_masses(self, length):
         lengths.append(length)
         return path_mass_bounds(self, length)
 
     monkeypatch.setattr(UpperTransitionOperator, "apply_many", counted_apply)
+    monkeypatch.setattr(chain_module, "_step", counted_step)
     monkeypatch.setattr(ImpreciseMarkovChain, "path_mass_bounds", counted_masses)
     doc = json.loads(bundled_scenario_path("example_5_3").read_text())
     doc["horizon"] = 3
@@ -405,14 +411,15 @@ def test_verify_folds_only_the_random_gambles(capsys, monkeypatch, tmp_path):
         code, _, _ = _run(capsys, "verify", str(path))
         assert code == 0
         # Path rows read the tables `joint` prints, built in one call from
-        # the operator's one-step tables (one call on the s = 2 indicators
-        # and their negations).  The three random gambles and their
-        # negations fold in one batch: H - 1 calls, the first on all
-        # 6 * 2^(H - 1) (gamble, history) slices.
-        folds = [(2, 6 * 2**k) for k in range(horizon - 1, 0, -1)]
-        assert shapes == [(2, 4)] + folds
+        # the operator's one-step tables (one `apply_many` on the s = 2
+        # indicators and their negations).  The three random gambles and
+        # their negations fold in one batch: H - 1 steps, the first on
+        # all 6 * 2^(H - 1) (gamble, history) slices.
+        assert shapes == [(2, 4)]
+        assert steps == [(2, 6 * 2**k) for k in range(horizon - 1, 0, -1)]
         assert lengths == [horizon]
         shapes.clear()
+        steps.clear()
         lengths.clear()
 
 
@@ -1091,11 +1098,21 @@ def test_stationary_marginals_apply_the_operator_once_per_column_and_step(
 
 @pytest.mark.parametrize("horizon", [1, 2, 7])
 def test_per_step_marginals_fold_back_from_every_time(monkeypatch, horizon):
-    # The folds from every time share each step operator: one call per step.
+    # The folds from every time share each step operator: one `_step`
+    # per step, and no `apply_many` call.
     chain = six_family_chain(3, horizon, stationary=False)
     calls = _count_apply_many(monkeypatch)
+    steps = []
+    inner = chain_module._step
+
+    def counted(plan, H, out=None):
+        steps.append(1)
+        return inner(plan, H, out)
+
+    monkeypatch.setattr(chain_module, "_step", counted)
     cmd_evolve(chain, argparse.Namespace(event="a"))
-    assert len(calls) == horizon - 1
-    calls.clear()
+    assert len(steps) == horizon - 1
+    steps.clear()
     cmd_credal_approx(chain, argparse.Namespace())
-    assert len(calls) == horizon - 1
+    assert len(steps) == horizon - 1
+    assert calls == []

@@ -5,6 +5,7 @@ from credalmc import (
     BeliefFunction,
     Contamination,
     ConvergenceError,
+    CredalValidationError,
     DimensionMismatch,
     Event,
     Gamble,
@@ -267,33 +268,34 @@ def test_series_refuse_an_imprecise_base(ex53_initial, ex53_op, ab):
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, error",
     [
-        lambda op, h: limit_upper(op, h, tol=float("nan"), max_iter=50),
-        lambda op, h: limit_upper(op, h, max_iter=-1),
-        lambda op, h: contamination_limit(op, 0.1, h, tol=float("nan"), max_iter=50),
-        lambda op, h: detect_cycle(op, h, tol=float("nan"), max_iter=50),
-        lambda op, h: precise_stationary(op, tol=float("nan"), max_iter=50),
-        lambda op, h: contamination_limit(op, 0.1, h, max_iter=-1),
-        lambda op, h: detect_cycle(op, h, max_iter=-1),
-        lambda op, h: precise_stationary(op, max_iter=-1),
+        (lambda op, h: limit_upper(op, h, tol=float("nan"), max_iter=50), ValueError),
+        (lambda op, h: limit_upper(op, h, max_iter=-1), ValueError),
+        (lambda op, h: contamination_limit(op, 0.1, h, tol=float("nan"), max_iter=50), ValueError),
+        (lambda op, h: detect_cycle(op, h, tol=float("nan"), max_iter=50), ValueError),
+        (lambda op, h: precise_stationary(op, tol=float("nan"), max_iter=50), ValueError),
+        (lambda op, h: contamination_limit(op, 0.1, h, max_iter=-1), ValueError),
+        (lambda op, h: detect_cycle(op, h, max_iter=-1), ValueError),
+        (lambda op, h: precise_stationary(op, max_iter=-1), ValueError),
         # A bool is not a number and a float is not an iteration count.
-        lambda op, h: limit_upper(op, h, tol=True),
-        lambda op, h: limit_upper(op, h, tol=np.True_),
-        lambda op, h: contamination_limit(op, 0.1, h, tol=True),
-        lambda op, h: limit_upper(op, h, max_iter=True),
-        lambda op, h: limit_upper(op, h, max_iter=2.5),
-        lambda op, h: limit_upper(op, h, max_iter=50.0),
-        lambda op, h: contamination_limit(op, 0.1, h, max_iter=2.5),
-        lambda op, h: detect_cycle(op, h, max_iter=2.5),
-        lambda op, h: precise_stationary(op, max_iter=2.5),
-        lambda op, h: contamination_evolve(Vacuous(AB), op, 0.1, h, True),
-        lambda op, h: contamination_evolve(Vacuous(AB), op, 0.1, h, 2.5),
-        # Nor is a string or None a tol or an epsilon.
-        lambda op, h: limit_upper(op, h, tol="0.1"),
-        lambda op, h: limit_upper(op, h, tol=None),
-        lambda op, h: contamination_limit(op, "0.1", h),
-        lambda op, h: contamination_evolve(Vacuous(AB), op, "0.1", h, 2),
+        (lambda op, h: limit_upper(op, h, tol=True), ValueError),
+        (lambda op, h: limit_upper(op, h, tol=np.True_), ValueError),
+        (lambda op, h: contamination_limit(op, 0.1, h, tol=True), ValueError),
+        (lambda op, h: limit_upper(op, h, max_iter=True), ValueError),
+        (lambda op, h: limit_upper(op, h, max_iter=2.5), ValueError),
+        (lambda op, h: limit_upper(op, h, max_iter=50.0), ValueError),
+        (lambda op, h: contamination_limit(op, 0.1, h, max_iter=2.5), ValueError),
+        (lambda op, h: detect_cycle(op, h, max_iter=2.5), ValueError),
+        (lambda op, h: precise_stationary(op, max_iter=2.5), ValueError),
+        (lambda op, h: contamination_evolve(Vacuous(AB), op, 0.1, h, True), ValueError),
+        (lambda op, h: contamination_evolve(Vacuous(AB), op, 0.1, h, 2.5), ValueError),
+        # Nor is a string or None a tol or an epsilon; a string epsilon is
+        # refused as `Contamination` refuses it.
+        (lambda op, h: limit_upper(op, h, tol="0.1"), ValueError),
+        (lambda op, h: limit_upper(op, h, tol=None), ValueError),
+        (lambda op, h: contamination_limit(op, "0.1", h), TypeError),
+        (lambda op, h: contamination_evolve(Vacuous(AB), op, "0.1", h, 2), TypeError),
     ],
     ids=[
         "limit-tol-nan",
@@ -321,9 +323,39 @@ def test_series_refuse_an_imprecise_base(ex53_initial, ex53_op, ab):
         "evolve-epsilon-string",
     ],
 )
-def test_iteration_parameters_are_refused(call, ex53_precise_op, ab):
-    with pytest.raises(ValueError):
+def test_iteration_parameters_are_refused(call, error, ex53_precise_op, ab):
+    with pytest.raises(error) as exc:
         call(ex53_precise_op, ab.indicator(["a"]))
+    assert type(exc.value) is error
+
+
+@pytest.mark.parametrize(
+    "epsilon, error",
+    [
+        (None, TypeError),
+        ("0.1", TypeError),
+        ([0.1], TypeError),
+        (True, TypeError),
+        (0, CredalValidationError),
+        (1, CredalValidationError),
+        (1.5, CredalValidationError),
+        (float("nan"), CredalValidationError),
+    ],
+    ids=["none", "string", "list", "bool", "zero", "one", "above-one", "nan"],
+)
+def test_one_epsilon_rule(epsilon, error, ex53_initial, ex53_precise_op, ab):
+    # The closed forms refuse an epsilon as `Contamination` does.
+    h = ab.indicator(["a"])
+    with pytest.raises(error) as want:
+        Contamination(MassFunction(ab, [0.5, 0.5]), epsilon)
+    assert type(want.value) is error
+    for call in (
+        lambda: contamination_limit(ex53_precise_op, epsilon, h),
+        lambda: contamination_evolve(ex53_initial, ex53_precise_op, epsilon, h, 2),
+    ):
+        with pytest.raises(error) as got:
+            call()
+        assert type(got.value) is error and str(got.value) == str(want.value)
 
 
 def test_iteration_parameters_accept_numpy_integers(ex53_initial, ex53_precise_op, ab):
