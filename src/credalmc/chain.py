@@ -222,9 +222,7 @@ class ImpreciseMarkovChain:
 
     def joint_upper_given(self, prefix: Sequence[str], f: PathGamble) -> float:
         """Upper expectation of f conditional on the history X(1:n) = prefix."""
-        n = len(prefix)
-        if not 1 <= n <= self.horizon:
-            raise ValueError("prefix length out of range")
+        n = _check_integer(len(prefix), "prefix length", 1, self.horizon)
         idx = tuple(self.space.index(x) for x in prefix)
         return float(self._fold(self._path_table(f)[None], self.horizon, n)[(0, *idx)])
 

@@ -32,7 +32,11 @@ strided view `out.T`, so a column's bits depend neither on the batch
 nor on its stride in H (a plain `W @ H` over k > 1 columns is one
 gemm, whose blocking reorders the sums; a row's bits also change with
 the shape of W, so no two families, nor padded rows, share one
-product).  `ProbInterval` gathers the gains of its m rows as a
+product).  `ProbInterval` sorts each column once: -H fills the first s
+columns of a zeroed (k, s + 1) array, whose argsort is the order of the
+states and whose in-place sort gives every step h_(j) - h_(j+1) as a
+difference of neighbours, with the bits of gathering H along that
+order up to the sign of a zero.  It gathers the gains of its m rows as a
 C-contiguous (k, s, m) array, the row axis innermost, and sums them
 along the state axis: with one row (a model's own `upper`, or an
 interval initial model) that axis is contiguous and numpy sums it
@@ -585,18 +589,22 @@ class ProbInterval(CredalModel):
         # slack along that order.  The j best states together receive
         # F_j = min(sum of their upper - lower, slack), so summing by
         # parts the gain over L @ H is sum_j F_j * (h_(j) - h_(j+1)),
-        # with h_(s+1) = 0.  The (k, s, m) gains, gathered from the
+        # with h_(s+1) = 0: in -h, sorted in place ahead of a zero
+        # column, the difference (-h_(j+1)) - (-h_(j)), which rounds as
+        # h_(j) - h_(j+1) does.  The (k, s, m) gains, gathered from the
         # (s, m) widths `Dt` and summed in place, keep the row axis
         # innermost, so the state axis is contiguous, and each sum
         # pairwise, only for m = 1; with m >= 2 rows each sum runs left
         # to right.  Neither order depends on k or the other columns.
-        order = (-Ht).argsort(axis=1)
+        k, s = Ht.shape
+        padded = np.zeros((k, s + 1))
+        neg = np.negative(Ht, out=padded[:, :s])
+        order = neg.argsort(axis=1)
+        neg.sort(axis=1)
         gain = Dt.take(order, axis=0)
         np.add.accumulate(gain, axis=1, out=gain)
         np.minimum(gain, slack, out=gain)
-        steps = Ht[np.arange(len(Ht))[:, None], order]
-        steps[:, :-1] -= steps[:, 1:]
-        gain *= steps[:, :, None]
+        gain *= (padded[:, 1:] - padded[:, :-1])[:, :, None]
         np.matvec(L, Ht, out=out.T)
         out += np.add.reduce(gain, axis=1).T
 

@@ -191,8 +191,7 @@ def envelope(
     horizon = fs[0].horizon
     if any(f.horizon != horizon for f in fs):
         raise ValueError("all path gambles must share one horizon")
-    if len(prefix) > horizon:
-        raise ValueError("prefix length out of range")
+    _check_integer(len(prefix), "prefix length", 0, horizon)
     idx = tuple(chain.space.index(x) for x in prefix)
     levels, _ = _vertex_weights(chain, horizon)  # size guard
     radices, gathers = _numbering(levels, len(chain.space), idx, markov_only)

@@ -8,7 +8,9 @@ argument rules, each written once: `_gamble_array` for gamble data
 (numbers, a float array, the expected shape, every value finite), which
 `Gamble`, `chain.PathGamble` and the raw (s, k) columns `upper_many`,
 `apply_many` and `marginal_upper_table` take all pass, so a raw column
-holding NaN or inf is refused as a `Gamble` is; `_check_numbers`, which
+holding NaN or inf is refused as a `Gamble` is (a gamble the engine
+computes from checked ones, `-h` or `apply`'s T h, is built by
+`Gamble._computed` and skips it); `_check_numbers`, which
 refuses strings and bools; `_check_integer`, for integer arguments in a
 range; and `_is_real`, the test for a real number.
 
@@ -232,8 +234,18 @@ class Gamble:
     def __init__(self, space: StateSpace, values):
         vars(self).update(space=space, values=_gamble_array(space, values))
 
+    @classmethod
+    def _computed(cls, space: StateSpace, values: np.ndarray) -> "Gamble":
+        """A gamble on a float array of shape (|space|,) that the engine
+        computed from checked gambles, so finite: marked read-only, not
+        checked again."""
+        values.setflags(write=False)
+        self = object.__new__(cls)
+        vars(self).update(space=space, values=values)
+        return self
+
     def __neg__(self) -> "Gamble":
-        return Gamble(self.space, -self.values)
+        return Gamble._computed(self.space, -self.values)
 
 
 @frozen

@@ -9,7 +9,10 @@ writes its rows as one contiguous block, in one call per family present
 (and per column chunk, which `_step` makes when k exceeds
 `credal.CHUNK_CELLS // s**2`).  `apply_many` checks its raw columns by
 `states._gamble_array` and steps into a fresh output; the engine's own
-loops call `_step` on `_plan` directly, unchecked.  The
+loops call `_step` on `_plan` directly, unchecked.  `apply` steps a
+`Gamble`, checked when it was built, and wraps T h with
+`Gamble._computed`, unchecked too, so the long-run loops of `limits`,
+one `apply` per iteration, check nothing after their entry.  The
 column maximum of the gambles is computed once per step, and only if a
 family present reads it.  Every step also hands the families one
 C-contiguous transpose of the gambles, whose rows the matrix products
@@ -96,8 +99,9 @@ class UpperTransitionOperator:
 
     def apply(self, h: Gamble) -> Gamble:
         _check_space(self, h)
-        # h passed `_gamble_array` when it was built, so it is not checked again.
-        return Gamble(self.space, _step(self._plan, h.values[:, None])[:, 0])
+        # h passed `_gamble_array` when it was built, so neither it nor T h
+        # is checked again.
+        return Gamble._computed(self.space, _step(self._plan, h.values[:, None])[:, 0])
 
     def apply_lower(self, h: Gamble) -> Gamble:
         return -self.apply(-h)

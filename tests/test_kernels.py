@@ -624,6 +624,52 @@ def test_interval_kernel_sums_pairwise_only_for_one_row(m, k):
     assert np.array_equal(got, pairwise if m == 1 else left_to_right)
 
 
+def _tied_columns(rng, s, k, first):
+    """k columns with ties and signed zeros, cycling from kind `first`:
+    values from {-1, -0.0, 0.0, 0.5, 1}, an indicator, a negated
+    indicator and normals rounded to one decimal."""
+    cols = []
+    for j in range(k):
+        kind = (first + j) % 4
+        if kind == 0:
+            cols.append(rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0], size=s))
+        elif kind == 3:
+            cols.append(np.round(rng.normal(size=s), 1))
+        else:
+            indicator = (rng.random(s) < 0.4).astype(float)
+            cols.append(indicator if kind == 1 else -indicator)
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 7])
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("s", [3, 48])
+def test_interval_kernel_steps_follow_its_order_on_ties(s, m, k):
+    # The kernel sorts -h in place for its steps and takes the order of
+    # the gains from an argsort of the same values.  On ties the two must
+    # agree with the gather of h along that order, up to the sign of a zero.
+    rng = np.random.default_rng([263, s, m, k])
+    space = StateSpace([f"x{i}" for i in range(s)])
+    params = ProbInterval.stack([random_prob_interval(rng, space) for _ in range(m)])
+    L, Dt, slack = params
+    D, slack = Dt.T, slack[:, None, None]
+    for first in range(8):
+        H = _tied_columns(rng, s, k, first)
+        got = run_kernel(ProbInterval, params, H, m)
+        want = np.empty((m, k))
+        for j in range(k):
+            order = np.argsort(-H[:, j])
+            steps = H[order, j]
+            steps[:-1] -= steps[1:]
+            terms = np.minimum(D[:, order].cumsum(axis=1), slack[:, :, 0]) * steps
+            base = (L @ H[:, [j]])[:, 0]
+            if m == 1:
+                want[:, j] = base + [np.ascontiguousarray(row).sum() for row in terms]
+            else:
+                want[:, j] = base + [functools.reduce(operator.add, row.tolist()) for row in terms]
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("stationary", [True, False], ids=["stationary", "per-step"])
 @pytest.mark.parametrize("horizon", [1, 2, 4])
 def test_batched_joint_query_equals_per_gamble_folds(horizon, stationary):

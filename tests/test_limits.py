@@ -24,8 +24,9 @@ from credalmc import (
     limit_upper,
     precise_stationary,
 )
+from credalmc import chain, credal, states, transition
 from credalmc.cli import load_bundled, parse_gamble
-from helpers import random_any_model, random_gamble
+from helpers import random_any_model, random_gamble, six_family_chain
 
 AB = StateSpace(["a", "b"])
 
@@ -587,3 +588,51 @@ def test_detect_cycle_matches_per_gamble_loop():
         late |= got.period > 1 and got.iterations >= 14  # a later checkpoint
     assert {1, 2, 3} <= periods
     assert late
+
+
+def _limit_loop_cases():
+    ex54 = load_bundled("example_5_4").transitions
+    mixed = six_family_chain(263, 2).transitions
+    return [
+        (ex54, parse_gamble(ex54.space, "a:1,b:0")),
+        (mixed, random_gamble(np.random.default_rng(263), mixed.space)),
+    ]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["example_5_4", "six_families"])
+@pytest.mark.parametrize("run", [limit_upper, detect_cycle], ids=["limit", "cycle"])
+def test_limit_loop_checks_no_gamble_and_applies_once_per_iteration(case, run, monkeypatch):
+    # T h comes from checked data, so the loop runs no gamble check after
+    # its entry, and it steps through exactly one `apply` per iteration.
+    op, h = _limit_loop_cases()[case]
+    checks = []
+    gamble_array = states._gamble_array
+
+    def counted(*args, **kwargs):
+        checks.append(args)
+        return gamble_array(*args, **kwargs)
+
+    for module in (states, credal, transition, chain):
+        monkeypatch.setattr(module, "_gamble_array", counted)
+    steps = []
+    apply = UpperTransitionOperator.apply
+
+    def traced(self, g):
+        steps.append((g, apply(self, g)))
+        return steps[-1][1]
+
+    monkeypatch.setattr(UpperTransitionOperator, "apply", traced)
+    report = run(op, h)
+    assert checks == []
+    # The applies form one chain h, T h, T^2 h, ...; a flat stop keeps the
+    # last iterate, a lag stop the checkpoint `period` applies before it.
+    assert all(g is prev for (g, _), prev in zip(steps, [h] + [Th for _, Th in steps]))
+    if run is limit_upper:
+        assert len(steps) == report.iterations > 0
+    else:
+        flat = report.representative is steps[-1][1]
+        assert len(steps) == report.iterations + (0 if flat else report.period) > 0
+    monkeypatch.undo()
+    for g, Th in steps:
+        assert not Th.values.flags.writeable
+        assert Th.values.tobytes() == op.apply_many(g.values[:, None])[:, 0].tobytes()

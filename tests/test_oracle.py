@@ -265,7 +265,7 @@ class TestEnvelope:
     def test_prefix_longer_than_the_horizon_rejected(self, ex53_initial, ex53_op, ab):
         chain = _chain_with_two_vertices(3, ex53_initial, ex53_op)
         f = PathGamble.path_indicator(ab, 2, ["a", "a"])
-        with pytest.raises(ValueError, match="prefix length out of range"):
+        with pytest.raises(ValueError, match=r"^prefix length 3 out of range \[0, 2\]$"):
             envelope(chain, [f], prefix=("a", "b", "a"))
 
     def test_empty_gamble_list_rejected(self, ex53_initial, ex53_op):

@@ -53,13 +53,13 @@ REFUSALS = {
         lambda: CHAIN.joint_upper_given([], PathGamble.path_indicator(AB, 2, "ab")),
         ValueError,
         None,
-        "prefix length out of range",
+        "prefix length 0 out of range [1, 2]",
     ),
     "joint-given-long-prefix": (
         lambda: CHAIN.joint_upper_given("aba", PathGamble.path_indicator(AB, 2, "ab")),
         ValueError,
         None,
-        "prefix length out of range",
+        "prefix length 3 out of range [1, 2]",
     ),
     "vertex-space": (
         lambda: VertexSet(AB, [MassFunction(AB, [1.0, 0.0]), MassFunction(XY, [0.5, 0.5])]),
