@@ -79,7 +79,11 @@ class PathGamble:
         return cls(space, horizon, table)
 
     def __neg__(self) -> "PathGamble":
-        return PathGamble(self.space, self.horizon, -self.values)
+        # -f of checked values is finite: marked read-only, not checked.
+        neg = object.__new__(PathGamble)
+        vars(neg).update(space=self.space, horizon=self.horizon, values=-self.values)
+        neg.values.setflags(write=False)
+        return neg
 
 
 @frozen

@@ -30,8 +30,8 @@ Transition operators::
 
 Each model tag has one reader, which calls the family's row constructor
 on one object.  A `rows` operator is read one row at a time through
-those readers, so an error names its row, as in
-``transition[1].rows[2]: ...``.
+those readers.  Every error names its path and keeps its code, as in
+``error:empty-credal-set: transition[1].rows[2]: ...``.
 
 `evolve` and `credal-approx` print the chain's `marginal_upper_table`;
 only `_single_operator` and `scenario_to_json` read its transitions.
@@ -88,12 +88,12 @@ class ScenarioError(CredalValidationError):
 
 
 def _parse(where: str, obj, read):
-    """`read(obj)` for a JSON object, with malformed input as schema-error.
+    """`read(obj)` for a JSON object, with every error prefixed by `where`.
 
-    A missing field or unknown tag (KeyError), a bad value (ValueError) or
-    a wrong shape (TypeError) becomes ``ScenarioError("schema-error")``
-    prefixed with `where`.  Credal validation errors raised further down,
-    scenario errors among them, carry their own path and pass through.
+    A credal validation error keeps its code; a missing field or unknown
+    tag (KeyError), a bad value (ValueError) or a wrong type (TypeError)
+    is a ``schema-error``.  A scenario error, which an inner reader has
+    prefixed already, passes through.
     """
     if not isinstance(obj, dict):
         raise ScenarioError(
@@ -101,8 +101,10 @@ def _parse(where: str, obj, read):
         )
     try:
         return read(obj)
-    except CredalValidationError:
+    except ScenarioError:
         raise
+    except CredalValidationError as exc:
+        raise ScenarioError(exc.code, f"{where}: {exc}") from exc
     except KeyError as exc:
         message = f"{where}: missing or unknown {exc}"
         raise ScenarioError("schema-error", message) from exc

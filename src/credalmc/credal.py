@@ -414,7 +414,8 @@ class BeliefFunction(CredalModel):
     is nonempty.  The masses m(F_j) must each be at least -BOUND_SLACK
     and sum to one within MASS_TOL; they are stored as `MassFunction`
     stores weights on the same space: clipped at zero and, unless they
-    then sum to one up to rounding, renormalized.
+    then sum to one up to rounding, renormalized.  Indexed by focal
+    element, not by state, they keep their own checks.
     """
 
     space: StateSpace
@@ -518,9 +519,9 @@ class ProbInterval(CredalModel):
     The upper expectation is the greedy allocation of de Campos, Huete
     and Moral (1994): start from the lower bounds and hand the slack
     1 - sum(lower) to the states in decreasing order of h, each up to
-    its upper bound.  Bounds outside [0, 1] by at most BOUND_SLACK are
-    accepted and stored clipped to [0, 1]; validation reads them as
-    given.
+    its upper bound.  Bounds pass the gamble rule; those outside [0, 1]
+    by at most BOUND_SLACK are accepted and stored clipped to [0, 1];
+    validation reads them as given.
     """
 
     space: StateSpace
@@ -528,18 +529,8 @@ class ProbInterval(CredalModel):
     upper_mass: np.ndarray
 
     def __init__(self, space: StateSpace, lower_mass, upper_mass):
-        _check_numbers([lower_mass, upper_mass], "interval bounds")
-        lo = _freeze(lower_mass)
-        up = _freeze(upper_mass)
-        n = len(space)
-        if lo.shape != (n,) or up.shape != (n,):
-            raise CredalValidationError(
-                "space-mismatch", "bound arrays must have one entry per state"
-            )
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(up))):
-            raise CredalValidationError(
-                "non-finite", "interval bounds must be finite"
-            )
+        lo = _gamble_array(space, lower_mass, what="interval bounds")
+        up = _gamble_array(space, upper_mass, what="interval bounds")
         if np.max([-lo, up - 1.0, lo - up]) > BOUND_SLACK:
             raise CredalValidationError(
                 "empty-credal-set",

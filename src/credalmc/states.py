@@ -4,15 +4,15 @@ Everything in this module is immutable after construction; arrays are
 frozen so values can be shared freely between threads.  The types
 validate input; the engine computes on their positional arrays.  The
 package's numeric tolerances are all defined here, and so are its
-argument rules, each written once: `_gamble_array` for gamble data
-(numbers, a float array, the expected shape, every value finite), which
-`Gamble`, `chain.PathGamble` and the raw (s, k) columns `upper_many`,
-`apply_many` and `marginal_upper_table` take all pass, so a raw column
-holding NaN or inf is refused as a `Gamble` is (a gamble the engine
-computes from checked ones, `-h` or `apply`'s T h, is built by
-`Gamble._computed` and skips it); `_check_numbers`, which
-refuses strings and bools; `_check_integer`, for integer arguments in a
-range; and `_is_real`, the test for a real number.
+argument rules, each written once: `_state_array` for numbers on the
+states (numbers by `_check_numbers`, which refuses strings and bools, a
+float array, the expected shape), which mass weights and interval
+matrices pass; `_gamble_array`, the gamble rule, which adds that every
+value is finite and which `Gamble`, `chain.PathGamble`, interval bounds
+and the raw (s, k) columns of `upper_many`, `apply_many` and
+`marginal_upper_table` pass (a gamble the engine computes from checked
+ones, `-h`, `-f` or `apply`'s T h, skips it); `_check_integer`, for
+integer arguments in a range; and `_is_real`, the test for a real number.
 
 The package's value types are declared with `frozen`, a class decorator
 that installs the same already-compiled methods on every class instead
@@ -204,17 +204,23 @@ def _check_space(a, b) -> None:
         )
 
 
-def _gamble_array(space: StateSpace, values, axes=1, what="gamble values", columns=False):
-    """`values` as gamble data on `space`, or raise: TypeError at a string
-    or bool, DimensionMismatch for a shape other than (|space|,) * axes
-    (plus an axis of k columns if `columns`), ValueError at NaN or inf.
-    Columns are read in place if they are a float array; a value type
-    gets a fresh read-only copy."""
+def _state_array(space: StateSpace, values, axes=1, what="gamble values", columns=False):
+    """`values` as a float array of shape (|space|,) * axes (plus an axis
+    of k columns if `columns`), or raise: TypeError at a string or bool,
+    DimensionMismatch for any other shape.  Columns are read in place if
+    they are a float array; anything else is a fresh copy."""
     _check_numbers(values, what)
     a = np.array(values, dtype=float, copy=None if columns else True)
     if a.shape[:axes] != (len(space),) * axes or a.ndim != axes + columns:
         expect = f"({len(space)}, k)" if columns else (len(space),) * axes
         raise DimensionMismatch(f"{what} must have shape {expect}, got {a.shape}")
+    return a
+
+
+def _gamble_array(space: StateSpace, values, axes=1, what="gamble values", columns=False):
+    """`_state_array`, then ValueError at NaN or inf; a value type's copy
+    is marked read-only."""
+    a = _state_array(space, values, axes, what, columns)
     if not np.isfinite(a).all():
         raise ValueError(f"{what} must be finite")
     if not columns:
@@ -284,26 +290,20 @@ class Event:
 class MassFunction:
     """A probability mass function on the state space.
 
-    Weights must be numbers (not strings or bools), nonnegative and sum
-    to one within MASS_TOL; they are clipped and, unless they sum to one
-    up to rounding, renormalized.
+    Weights pass `_state_array`, must lie in [0, 1] and sum to one
+    within MASS_TOL; they are clipped and, unless they sum to one up to
+    rounding, renormalized.
     """
 
     space: StateSpace
     weights: np.ndarray
 
     def __init__(self, space: StateSpace, weights):
-        _check_numbers(weights, "weights")
-        weights = np.array(weights, dtype=float)
-        if weights.shape != (len(space),):
-            raise DimensionMismatch(
-                f"mass function needs {len(space)} weights, got {weights.shape}"
-            )
-        # A NaN weight makes both NaN, an infinite one makes one infinite.
+        weights = _state_array(space, weights, what="weights")
+        # A NaN weight makes both NaN, an infinite one makes one infinite,
+        # and either fails the range test.
         lo, hi = weights.min(), weights.max()
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError(f"weights must be finite: {weights}")
-        if lo < -MASS_TOL or hi > 1 + MASS_TOL:
+        if not -MASS_TOL <= lo <= hi <= 1 + MASS_TOL:
             raise ValueError(f"weights outside [0, 1]: {weights}")
         total = weights.sum()
         if abs(total - 1.0) > MASS_TOL:

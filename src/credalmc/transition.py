@@ -7,7 +7,9 @@ step on an (s, k) gamble array is then one `credal._step` through the
 plan.  It fills an (s, k) output the caller gives, in which each family
 writes its rows as one contiguous block, in one call per family present
 (and per column chunk, which `_step` makes when k exceeds
-`credal.CHUNK_CELLS // s**2`).  `apply_many` checks its raw columns by
+`credal.CHUNK_CELLS // s**2`).  `from_interval_matrices` reads its two
+matrices as (s, s) arrays by `states._state_array`, then row by row.
+`apply_many` checks its raw columns by
 `states._gamble_array` and steps into a fresh output; the engine's own
 loops call `_step` on `_plan` directly, unchecked.  `apply` steps a
 `Gamble`, checked when it was built, and wraps T h with
@@ -32,7 +34,7 @@ import numpy as np
 
 from .credal import Contamination, CredalModel, Linear, ProbInterval, _plan, _step
 from .states import DimensionMismatch, Gamble, MassFunction, StateSpace
-from .states import _check_numbers, _check_space, _gamble_array, frozen
+from .states import _check_space, _gamble_array, _state_array, frozen
 
 
 @frozen
@@ -70,14 +72,10 @@ class UpperTransitionOperator:
     def from_interval_matrices(
         cls, space: StateSpace, lower, upper
     ) -> "UpperTransitionOperator":
-        """Probability-interval rows from lower/upper Markov matrices."""
-        _check_numbers([lower, upper], "interval bounds")
-        lower = np.asarray(lower, dtype=float)
-        upper = np.asarray(upper, dtype=float)
-        if lower.shape != upper.shape:
-            raise DimensionMismatch(
-                f"interval lower {lower.shape} and upper {upper.shape} differ in shape"
-            )
+        """Probability-interval rows from lower/upper Markov matrices, each
+        read as an (s, s) array (so `zip` drops no row), then row by row."""
+        lower = _state_array(space, lower, 2, "interval bounds")
+        upper = _state_array(space, upper, 2, "interval bounds")
         return cls(
             space, [ProbInterval(space, lo, up) for lo, up in zip(lower, upper)]
         )

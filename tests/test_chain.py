@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from credalmc import chain as chain_module
 from credalmc import (
     DimensionMismatch,
     Gamble,
@@ -193,6 +194,22 @@ class TestPathGamble:
     def test_numpy_integer_horizon_accepted(self, ab):
         f = PathGamble(ab, np.int64(2), np.zeros((2, 2)))
         assert f.horizon == 2 and type(f.horizon) is int
+
+    def test_negation_is_not_checked_again(self, ab, monkeypatch):
+        f = PathGamble(ab, 2, [[0.5, -0.0], [2.0, -1.5]])
+        calls = []
+        real = chain_module._gamble_array
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(chain_module, "_gamble_array", counted)
+        neg = -f
+        assert calls == []
+        assert neg.values.tobytes() == (-f.values).tobytes()
+        assert (neg.space, neg.horizon) == (f.space, f.horizon)
+        assert not neg.values.flags.writeable
 
     def test_from_gamble_round_trip(self, ab):
         h = Gamble(ab, [2.0, -1.0])

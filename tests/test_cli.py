@@ -828,11 +828,11 @@ _ROWS_ABC_OK = {"type": "rows", "rows": [_linear([0.2, 0.3, 0.5])] * 3}
         ),
         (
             {"transition": {"type": "rows", "rows": [_linear([0.5, 0.5]), _linear([0.2, 0.3, 0.5])]}},
-            "error:schema-error: transition.rows[1]: mass function needs 2 weights, got (3,)\n",
+            "error:schema-error: transition.rows[1]: weights must have shape (2,), got (3,)\n",
         ),
         (
             {"transition": {"type": "rows", "rows": [_vertices([0.5, 0.5]), _vertices([0.5, 0.5], [float("nan"), 0.5])]}},
-            "error:schema-error: transition.rows[1]: weights must be finite: [nan 0.5]\n",
+            "error:schema-error: transition.rows[1]: weights outside [0, 1]: [nan 0.5]\n",
         ),
         (
             {"transition": {"type": "rows", "rows": [_linear([0.5, 0.5]), {"type": "linear", "base": [0.5, 0.5]}]}},
@@ -840,11 +840,12 @@ _ROWS_ABC_OK = {"type": "rows", "rows": [_linear([0.2, 0.3, 0.5])] * 3}
         ),
         (
             {"transition": {"type": "rows", "rows": [_contamination([0.5, 0.5], 0.1), _contamination([0.5, 0.5], 1.5)]}},
-            "error:epsilon-out-of-range: contamination epsilon must lie in (0, 1), got 1.5\n",
+            "error:epsilon-out-of-range: transition.rows[1]: contamination epsilon must lie in (0, 1), "
+            "got 1.5\n",
         ),
         (
             {"transition": {"type": "rows", "rows": [_vertices([0.5, 0.5]), _vertices()]}},
-            "error:empty-credal-set: vertex list must be nonempty\n",
+            "error:empty-credal-set: transition.rows[1]: vertex list must be nonempty\n",
         ),
         (
             {"transition": {"type": "matrix", "matrix": [[0.5, 0.5], [0.7, 0.7]]}},
@@ -867,7 +868,7 @@ _ROWS_ABC_OK = {"type": "rows", "rows": [_linear([0.2, 0.3, 0.5])] * 3}
         ),
         (
             {"transition": {"type": "rows", "rows": [_vertices([[0.5], [0.5]]), _linear([0.5, 0.5])]}},
-            "error:schema-error: transition.rows[0]: mass function needs 2 weights, got (2, 1)\n",
+            "error:schema-error: transition.rows[0]: weights must have shape (2,), got (2, 1)\n",
         ),
         (
             {"transition": {"type": "rows", "rows": [_contamination([0.5, 0.5], None), _linear([0.5, 0.5])]}},
@@ -885,7 +886,7 @@ _ROWS_ABC_OK = {"type": "rows", "rows": [_linear([0.2, 0.3, 0.5])] * 3}
         # A contamination operator checks row 0's base before its epsilon.
         (
             {"transition": {"type": "contamination", "matrix": [[0.5, 0.5], [0.7, 0.7]], "epsilon": 1.5}},
-            "error:epsilon-out-of-range: contamination epsilon must lie in (0, 1), got 1.5\n",
+            "error:epsilon-out-of-range: transition: contamination epsilon must lie in (0, 1), got 1.5\n",
         ),
         (
             {"transition": {"type": "contamination", "matrix": [[0.7, 0.7], [0.5, 0.5]], "epsilon": None}},
@@ -905,7 +906,7 @@ _ROWS_ABC_OK = {"type": "rows", "rows": [_linear([0.2, 0.3, 0.5])] * 3}
         ),
         (
             {"transition": {"type": "matrix", "matrix": [0.5, 0.5]}},
-            "error:schema-error: transition: mass function needs 2 weights, got ()\n",
+            "error:schema-error: transition: weights must have shape (2,), got ()\n",
         ),
         (
             {"transition": {"type": "matrix", "matrix": []}},
@@ -966,6 +967,47 @@ def test_malformed_row_prints_the_row_by_row_error(capsys, tmp_path, patch, err)
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({**_VALID_DOC, **patch}))
     assert _run(capsys, "evolve", str(p), "--event", "a") == (2, "", err)
+
+
+#: One malformed number array each: json.dumps writes NaN and inf as the
+#: literals NaN and Infinity, which json.load reads back.
+_BAD_NUMBERS = {
+    "length": [0.5, 0.5, 0.0],
+    "nan": [float("nan"), 0.5],
+    "infinity": [float("inf"), 0.5],
+    "string": ["0.5", 0.5],
+}
+
+_BAD_MODELS = {
+    "linear": _linear,
+    "vertices": lambda bad: _vertices([0.5, 0.5], bad),
+    "contamination": lambda bad: _contamination(bad, 0.1),
+    "interval-lower": lambda bad: {"type": "prob_interval", "lower": bad, "upper": [0.9, 0.9]},
+    "interval-upper": lambda bad: {"type": "prob_interval", "lower": [0.1, 0.1], "upper": bad},
+}
+
+
+def _bad_number_cases():
+    for kind, bad in _BAD_NUMBERS.items():
+        for name, model in _BAD_MODELS.items():
+            rows = {"type": "rows", "rows": [_linear([0.5, 0.5]), model(bad)]}
+            yield pytest.param({"transition": rows}, "transition.rows[1]", id=f"{name}-row-{kind}")
+            yield pytest.param({"initial": model(bad)}, "initial", id=f"{name}-initial-{kind}")
+        for side, other in (("lower", "upper"), ("upper", "lower")):
+            op = {"type": "interval", side: [bad, bad], other: [[0.4, 0.6]] * 2}
+            yield pytest.param({"transition": op}, "transition", id=f"interval-{side}-matrix-{kind}")
+
+
+@pytest.mark.parametrize(("patch", "where"), list(_bad_number_cases()))
+def test_malformed_numbers_are_schema_errors_at_their_path(capsys, tmp_path, patch, where):
+    # One rule reads every number array on the states: a wrong length, a
+    # NaN or Infinity literal and a string all exit 2 as schema errors
+    # that name the array's path.
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({**_VALID_DOC, **patch}))
+    code, out, err = _run(capsys, "evolve", str(p), "--event", "a")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error:schema-error: {where}: "), err
 
 
 def test_verify_refuses_a_negative_seed(capsys):

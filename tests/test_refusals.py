@@ -81,9 +81,9 @@ REFUSALS = {
     ),
     "interval-bound-length": (
         lambda: ProbInterval(AB, [0.1, 0.2, 0.3], [0.5, 0.6, 0.7]),
-        CredalValidationError,
-        "space-mismatch",
-        "bound arrays must have one entry per state",
+        DimensionMismatch,
+        None,
+        "interval bounds must have shape (2,), got (3,)",
     ),
     "operator-row-space": (
         lambda: UpperTransitionOperator(AB, [Vacuous(AB), Vacuous(XY)]),
