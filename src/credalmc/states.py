@@ -207,12 +207,16 @@ def _check_space(a, b) -> None:
 def _state_array(space: StateSpace, values, axes=1, what="gamble values", columns=False):
     """`values` as a float array of shape (|space|,) * axes (plus an axis
     of k columns if `columns`), or raise: TypeError at a string or bool,
-    DimensionMismatch for any other shape.  Columns are read in place if
-    they are a float array; anything else is a fresh copy."""
+    DimensionMismatch for any other shape, a ragged nest of lists too.
+    Columns are read in place if they are a float array; anything else is
+    a fresh copy."""
     _check_numbers(values, what)
-    a = np.array(values, dtype=float, copy=None if columns else True)
+    expect = f"({len(space)}, k)" if columns else (len(space),) * axes
+    try:
+        a = np.array(values, dtype=float, copy=None if columns else True)
+    except ValueError:  # numpy's "inhomogeneous shape": numbers are checked
+        raise DimensionMismatch(f"{what} must have shape {expect}, got a ragged array") from None
     if a.shape[:axes] != (len(space),) * axes or a.ndim != axes + columns:
-        expect = f"({len(space)}, k)" if columns else (len(space),) * axes
         raise DimensionMismatch(f"{what} must have shape {expect}, got {a.shape}")
     return a
 

@@ -2,7 +2,11 @@
 
 The constructor builds the operator's row-block plan with
 `credal._plan`: the rows grouped by credal family, in order of each
-family's first row, and each family's parameters packed once.  Every
+family's first row, and each family's parameters packed once.  On at
+most `credal.GREEDY_STATES` = 4 states the interval rows (those whose
+lower bounds sum to at most one) form one block of their greedy
+allocations instead, which steps as a vertex set, so `T h` at such a
+row may differ in the last bits from its model's `upper(h)`.  Every
 step on an (s, k) gamble array is then one `credal._step` through the
 plan.  It fills an (s, k) output the caller gives, in which each family
 writes its rows as one contiguous block, in one call per family present
@@ -112,12 +116,14 @@ class UpperTransitionOperator:
     def is_regular(self) -> int | None:
         """Smallest n with min over x of T^n I_{y}(x) > 0 for all y, or
         None if T is not regular.  T^n I_{y}(x) > 0 exactly when entry
-        [x, y] of the n-th boolean power of U, the support of the cached
-        one-step upper table T I_{y}(x), is true, as T g(x) > 0 for g >= 0
-        exactly when g(y) > 0 at some y with T I_{y}(x) > 0: n is decided
-        exactly.  The search stops at `wielandt_bound()`, which no regular
-        operator exceeds, so None proves that T is not regular."""
-        power = U = self._mass_bounds[1] > 0
+        [x, y] of the n-th boolean power of U, the support of the one-step
+        upper table T I_{y}(x), is true, as T g(x) > 0 for g >= 0 exactly
+        when g(y) > 0 at some y with T I_{y}(x) > 0: n is decided exactly.
+        U takes one step on the s indicators, which by column-exactness
+        has the bits of the upper half of `_mass_bounds`.  The search
+        stops at `wielandt_bound()`, which no regular operator exceeds, so
+        None proves that T is not regular."""
+        power = U = self.apply_many(np.eye(len(self.space))) > 0
         for n in range(1, self.wielandt_bound() + 1):
             if power.all():
                 return n

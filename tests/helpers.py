@@ -149,6 +149,20 @@ def run_kernel(cls, params, H: np.ndarray, m: int) -> np.ndarray:
     return credal._step(plan, H, np.full((m, H.shape[1]), np.nan))
 
 
+def planned_class(row):
+    """The class whose kernel steps `row` in the plan of an operator on
+    two or more states: `credal._Greedy` for an interval row on at most
+    `credal.GREEDY_STATES` states whose lower bounds sum to at most one,
+    else the row's own class."""
+    if (
+        type(row) is ProbInterval
+        and len(row.space) <= credal.GREEDY_STATES
+        and row.lower_mass.sum() <= 1.0
+    ):
+        return credal._Greedy
+    return type(row)
+
+
 def random_any_model(rng: np.random.Generator, space: StateSpace):
     return random_model(rng, space, str(rng.choice(FAMILIES)))
 
@@ -211,3 +225,34 @@ def six_family_chain(seed: int, horizon: int, stationary: bool = True, s: int = 
     initial = model(str(rng.choice(FAMILIES)))
     transitions = op() if stationary else [op() for _ in range(horizon - 1)]
     return ImpreciseMarkovChain(initial, transitions, horizon)
+
+
+def near_degenerate_interval(rng: np.random.Generator, space: StateSpace) -> ProbInterval:
+    """Interval bounds around a random mass function m, one constraint
+    binding within 1e-13 to 1e-9: the lower bounds summing just below one,
+    the upper bounds just above or just below one, or one bound just
+    reachable or just out of reach; the lower bounds sum to at most one."""
+    s = len(space)
+    while True:
+        m = rng.dirichlet(np.ones(s))
+        near = 10.0 ** rng.uniform(-13, -9, size=s)
+        lo = np.clip(m - rng.uniform(0.0, 0.3, size=s), 0.0, 1.0)
+        up = np.clip(m + rng.uniform(0.0, 0.3, size=s), 0.0, 1.0)
+        kind, x, sign = rng.integers(5), rng.integers(s), rng.choice([-1.0, 1.0])
+        if kind == 0:
+            lo = m - near / s
+        elif kind == 1:
+            up = m + near / s
+        elif kind == 2:
+            up = m - near / s
+            lo = np.minimum(lo, up)
+        elif kind == 3:
+            lo[x] = 1.0 - (up.sum() - up[x]) + sign * near[0]
+        else:
+            up[x] = 1.0 - (lo.sum() - lo[x]) + sign * near[0]
+        try:
+            row = ProbInterval(space, lo, up)
+        except ValueError:  # out of [0, 1] or past MASS_TOL: draw again
+            continue
+        if row.lower_mass.sum() <= 1.0:
+            return row

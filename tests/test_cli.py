@@ -976,6 +976,7 @@ _BAD_NUMBERS = {
     "nan": [float("nan"), 0.5],
     "infinity": [float("inf"), 0.5],
     "string": ["0.5", 0.5],
+    "ragged": [0.5, [0.5]],
 }
 
 _BAD_MODELS = {
@@ -988,26 +989,39 @@ _BAD_MODELS = {
 
 
 def _bad_number_cases():
+    # Each case: the patch, the path its error names, and the message that
+    # ends its error when it is certain (the rule's shape message for a
+    # ragged nest of lists), else None.
     for kind, bad in _BAD_NUMBERS.items():
         for name, model in _BAD_MODELS.items():
+            what = "interval bounds" if name.startswith("interval") else "weights"
+            end = f"{what} must have shape (2,), got a ragged array" if kind == "ragged" else None
             rows = {"type": "rows", "rows": [_linear([0.5, 0.5]), model(bad)]}
-            yield pytest.param({"transition": rows}, "transition.rows[1]", id=f"{name}-row-{kind}")
-            yield pytest.param({"initial": model(bad)}, "initial", id=f"{name}-initial-{kind}")
+            yield pytest.param({"transition": rows}, "transition.rows[1]", end, id=f"{name}-row-{kind}")
+            yield pytest.param({"initial": model(bad)}, "initial", end, id=f"{name}-initial-{kind}")
         for side, other in (("lower", "upper"), ("upper", "lower")):
             op = {"type": "interval", side: [bad, bad], other: [[0.4, 0.6]] * 2}
-            yield pytest.param({"transition": op}, "transition", id=f"interval-{side}-matrix-{kind}")
+            end = "interval bounds must have shape (2, 2), got a ragged array" if kind == "ragged" else None
+            yield pytest.param({"transition": op}, "transition", end, id=f"interval-{side}-matrix-{kind}")
+    for side, other in (("lower", "upper"), ("upper", "lower")):
+        op = {"type": "interval", side: [[0.4, 0.6], [0.5, 0.5, 0.0]], other: [[0.4, 0.6]] * 2}
+        end = "interval bounds must have shape (2, 2), got a ragged array"
+        yield pytest.param({"transition": op}, "transition", end, id=f"interval-{side}-matrix-ragged-rows")
 
 
-@pytest.mark.parametrize(("patch", "where"), list(_bad_number_cases()))
-def test_malformed_numbers_are_schema_errors_at_their_path(capsys, tmp_path, patch, where):
+@pytest.mark.parametrize(("patch", "where", "end"), list(_bad_number_cases()))
+def test_malformed_numbers_are_schema_errors_at_their_path(capsys, tmp_path, patch, where, end):
     # One rule reads every number array on the states: a wrong length, a
-    # NaN or Infinity literal and a string all exit 2 as schema errors
-    # that name the array's path.
+    # NaN or Infinity literal, a string and a ragged nest of lists all
+    # exit 2 as schema errors that name the array's path; a ragged array
+    # gets the rule's shape message, not numpy's.
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({**_VALID_DOC, **patch}))
     code, out, err = _run(capsys, "evolve", str(p), "--event", "a")
     assert (code, out) == (2, "")
     assert err.startswith(f"error:schema-error: {where}: "), err
+    if end is not None:
+        assert err == f"error:schema-error: {where}: {end}\n"
 
 
 def test_verify_refuses_a_negative_seed(capsys):

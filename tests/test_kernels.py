@@ -36,6 +36,7 @@ from credalmc import credal
 from helpers import (
     FAMILIES,
     ROW_KINDS,
+    planned_class,
     random_any_model,
     random_mass,
     random_model,
@@ -101,14 +102,24 @@ def test_apply_many_matches_vertex_envelope(family):
 
 @pytest.mark.parametrize("family", FAMILIES + ("mixed",))
 def test_mass_bounds_match_per_row_indicators(family):
+    # A row that the operator's plan lowers to its greedy allocations has
+    # the bits of its own greedy-point block, and lies within a few ulp of
+    # the model's `upper`, which keeps the family kernel.
     rng = np.random.default_rng(len(family) + 1000)
     for _ in range(15):
         space, rows = _random_rows(rng, family)
         lower, upper = UpperTransitionOperator(space, rows)._mass_bounds
         for x, row in enumerate(rows):
+            cls = planned_class(row)
             for y, ind in enumerate(np.eye(len(space))):
-                u, minus_l = row.upper_many(np.stack([ind, -ind], axis=1))
+                H = np.stack([ind, -ind], axis=1)
+                u, minus_l = run_kernel(cls, cls.stack([row]), H, 1)[0]
                 assert (lower[x, y], upper[x, y]) == (-minus_l, u)
+                own = row.upper_many(H)
+                if cls is credal._Greedy:
+                    assert np.abs([u, minus_l] - own).max() <= 4 * np.finfo(float).eps
+                else:
+                    assert (u, minus_l) == tuple(own)
 
 
 def test_apply_many_checks_shape(ex54_op):

@@ -56,6 +56,15 @@ def test_gamble_rejects_nonfinite_and_wrong_shape():
         Gamble(AB, [1.0, 2.0, 3.0])
 
 
+def test_ragged_numbers_get_the_shape_message():
+    # numpy refuses a ragged nest of lists with its own "inhomogeneous
+    # shape" ValueError; the rule reports it as a shape mismatch.
+    with pytest.raises(DimensionMismatch, match=r"^gamble values must have shape \(2,\), got a ragged array$"):
+        Gamble(AB, [[1.0], 2.0])
+    with pytest.raises(DimensionMismatch, match=r"^weights must have shape \(2,\), got a ragged array$"):
+        MassFunction(AB, [0.5, [0.5]])
+
+
 def test_mass_function_renormalizes_within_tolerance():
     m = MassFunction(AB, [0.6 + 4e-10, 0.4])
     assert m.weights.sum() == pytest.approx(1.0, abs=1e-15)

@@ -7,15 +7,17 @@ from credalmc import (
     ImpreciseMarkovChain,
     Linear,
     MassFunction,
+    ProbInterval,
     StateSpace,
     UpperTransitionOperator,
 )
-from credalmc import credal
+from credalmc import credal, transition
 from credalmc.cli import load_bundled
 from credalmc.credal import CHUNK_CELLS, _step
 from helpers import (
     FAMILIES,
     ROW_KINDS,
+    planned_class,
     random_any_model,
     random_gamble,
     random_prob_interval,
@@ -151,11 +153,12 @@ def test_precise_apply_matches_matrix_product():
 
 
 def _scatter(op, H):
-    """One step as separate family results scattered to their states:
-    `out[idx] = kernel(params, H)` per family, in fresh arrays."""
+    """One step as separate results scattered to their states:
+    `out[idx] = kernel(params, H)` per planned kernel (`planned_class`),
+    in fresh arrays."""
     groups = {}
     for i, row in enumerate(op.rows):
-        groups.setdefault(type(row), []).append(i)
+        groups.setdefault(planned_class(row), []).append(i)
     out = np.empty((len(op.rows), H.shape[1]))
     for cls, idx in groups.items():
         out[idx] = run_kernel(cls, cls.stack([op.rows[i] for i in idx]), H, len(idx))
@@ -186,6 +189,68 @@ def test_row_block_plan_equals_the_scatter(family, s):
             assert np.array_equal(_step(op._plan, H), want), k
             assert np.array_equal(op.apply_many(H), want), k
         assert np.array_equal(op.apply(Gamble(space, H[:, 0])).values, want[:, 0])
+
+
+def _refuse(*args):
+    raise AssertionError("a plan enumerated points it must not")
+
+
+@pytest.mark.parametrize("s", [2, 3, 4, 5, 48])
+def test_interval_rows_are_lowered_on_at_most_four_states(s, monkeypatch):
+    # Up to GREEDY_STATES states the interval rows form one block of greedy
+    # allocations, built without `vertices()`; from five states on they
+    # keep the family block and enumerate nothing.  Other rows keep their
+    # own blocks either way.
+    monkeypatch.setattr(ProbInterval, "vertices", _refuse)
+    if s > credal.GREEDY_STATES:
+        monkeypatch.setattr(ProbInterval, "_greedy_points", _refuse)
+    rng = np.random.default_rng(s)
+    space = StateSpace([f"x{i}" for i in range(s)])
+    rows = [random_prob_interval(rng, space) for _ in range(s - 1)]
+    rows.insert(1, random_row(rng, space, "vertices", 1))
+    op = UpperTransitionOperator(space, rows)
+    lowered = s <= credal.GREEDY_STATES
+    kernels = [kernel for kernel, _, _ in op._plan[0]]
+    interval = credal.VertexSet.kernel if lowered else ProbInterval.kernel
+    assert kernels == [interval, credal.VertexSet.kernel]
+    H = rng.uniform(-1.0, 1.0, size=(s, 3))
+    assert np.array_equal(op.apply_many(H), _scatter(op, H))
+    # A model's own one-row plan keeps the family kernel.
+    (kernel, _, _), = rows[0]._plan[0]
+    assert kernel is ProbInterval.kernel
+
+
+def test_interval_rows_whose_lower_bounds_sum_above_one_keep_the_family_kernel():
+    # Lower bounds summing to 1 + 3e-10 leave a negative slack, which the
+    # interval kernel hands to the best state; no set of points has that
+    # upper expectation, so the row is not lowered and keeps its bits.
+    space = StateSpace(["a", "b", "c"])
+    over = ProbInterval(space, [0.2, 0.3, 0.5 + 3e-10], [0.2 + 1e-10, 0.3 + 1e-10, 0.5 + 4e-10])
+    assert over.lower_mass.sum() > 1.0
+    rows = [random_prob_interval(np.random.default_rng(1), space), over, over]
+    op = UpperTransitionOperator(space, rows)
+    blocks, inverse, _ = op._plan
+    assert [kernel for kernel, _, _ in blocks] == [credal.VertexSet.kernel, ProbInterval.kernel]
+    assert inverse is None
+    H = np.array([[1.0, -1.0], [0.0, 0.5], [-0.5, 0.0]])
+    got = op.apply_many(H)
+    assert np.array_equal(got[1:], run_kernel(ProbInterval, ProbInterval.stack([over] * 2), H, 2))
+
+
+def test_is_regular_steps_once_on_the_indicators(monkeypatch):
+    # The support U of T I_y(x) takes one step on the s indicators, not
+    # the 2s columns of the cached `_mass_bounds`.
+    calls = []
+
+    def counted(plan, H, out=None):
+        calls.append(H.shape)
+        return _step(plan, H, out)
+
+    op = load_bundled("example_5_4").transitions
+    monkeypatch.setattr(transition, "_step", counted)
+    assert op.is_regular() is not None
+    assert calls == [(3, 3)]
+    assert "_mass_bounds" not in vars(op)
 
 
 def _chained(op, H, n):
