@@ -40,8 +40,9 @@ All commands print CSV with a header row on stdout; numbers carry 12
 significant digits, making output byte-stable across runs.  A command
 returns its table as columns; `_emit` writes each block of EMIT_BLOCK
 rows from its own column slices with one %-format call, quoting labels
-as `csv.writer` does.  Exit code is 0 on success; failures print
-``error:<code>: message`` on stderr and exit nonzero.
+as `csv.writer` does.  Each command takes only the flags it reads.
+Exit code is 0 on success; every failure, a usage error too, prints
+``error:<code>: message`` on stderr and exits nonzero.
 """
 
 from __future__ import annotations
@@ -227,8 +228,7 @@ def bundled_scenario_path(name: str):
 
 
 def load_bundled(name: str) -> ImpreciseMarkovChain:
-    path = bundled_scenario_path(name)
-    return scenario_from_json(json.loads(path.read_text()))
+    return load_scenario(str(bundled_scenario_path(name)))
 
 
 # ----------------------------------------------------------------------
@@ -357,8 +357,6 @@ def _marginal_columns(chain: ImpreciseMarkovChain, indicators: list[Gamble]):
 
 
 def cmd_evolve(chain: ImpreciseMarkovChain, args) -> Table:
-    if not args.event:
-        raise ScenarioError("schema-error", "evolve needs --event")
     try:
         ind = chain.space.indicator([s.strip() for s in args.event.split(",")])
     except KeyError as exc:
@@ -367,8 +365,6 @@ def cmd_evolve(chain: ImpreciseMarkovChain, args) -> Table:
 
 
 def cmd_limit(chain: ImpreciseMarkovChain, args) -> Table:
-    if not args.gamble:
-        raise ScenarioError("schema-error", "limit needs --gamble")
     if not args.tol > 0:
         raise ScenarioError("schema-error", f"--tol must be positive, got {args.tol}")
     if args.max_iter < 0:
@@ -440,40 +436,51 @@ def cmd_verify(chain: ImpreciseMarkovChain, args) -> Table:
     )
 
 
+#: command -> (function, {flag: `add_argument` keywords}): a command's
+#: subparser takes the scenario and only the flags its function reads.
 COMMANDS = {
-    "evolve": cmd_evolve,
-    "limit": cmd_limit,
-    "regularity": cmd_regularity,
-    "joint": cmd_joint,
-    "credal-approx": cmd_credal_approx,
-    "verify": cmd_verify,
+    "evolve": (cmd_evolve, {"--event": dict(required=True, help="comma-separated state labels")}),
+    "limit": (cmd_limit, {
+        "--gamble": dict(required=True, help="label:value pairs, e.g. a:1,b:0"),
+        "--tol": dict(type=float, default=DEFAULT_TOL),
+        "--max-iter": dict(type=int, default=DEFAULT_MAX_ITER),
+    }),
+    "regularity": (cmd_regularity, {}),
+    "joint": (cmd_joint, {"--length": dict(type=int, help="path length (default: the horizon)")}),
+    "credal-approx": (cmd_credal_approx, {}),
+    "verify": (cmd_verify, {"--seed": dict(type=int, default=0)}),
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a scenario error, which `main` prints as one line."""
+
+    def error(self, message):
+        raise ScenarioError("schema-error", message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="credal-mc",
         description="Tight expectation bounds for imprecise Markov chains",
     )
-    parser.add_argument("command", choices=sorted(COMMANDS))
-    parser.add_argument("scenario", help="path to a scenario JSON file")
-    parser.add_argument("--event", help="comma-separated state labels")
-    parser.add_argument("--gamble", help="label:value pairs, e.g. a:1,b:0")
-    parser.add_argument("--length", type=int, help="path length for `joint`")
-    parser.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    parser.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
-    parser.add_argument("--seed", type=int, default=0)
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    for name, (_, flags) in COMMANDS.items():
+        sub = subparsers.add_parser(name)
+        sub.add_argument("scenario", help="path to a scenario JSON file")
+        for flag, keywords in flags.items():
+            sub.add_argument(flag, **keywords)
     return parser
 
 
 def run(command: str, chain: ImpreciseMarkovChain, args, out=None) -> None:
-    header, columns = COMMANDS[command](chain, args)
+    header, columns = COMMANDS[command][0](chain, args)
     _emit(header, columns, out if out is not None else sys.stdout)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         run(args.command, load_scenario(args.scenario), args)
     except CredalValidationError as exc:
         print(f"error:{exc.code}: {exc}", file=sys.stderr)

@@ -270,7 +270,7 @@ def test_criterion_11_cycle_detection(suite):
 
 def test_criterion_12_linear_time_marginals(monkeypatch):
     op = UpperTransitionOperator.from_interval_matrices(ABC, EX54_LOWER, EX54_UPPER)
-    chain = ImpreciseMarkovChain(Vacuous(ABC), op, 20001)
+    chain = ImpreciseMarkovChain(Vacuous(ABC), op, 40001)
     h = ABC.indicator(["a"])
     chain.marginal_upper(200, h)  # warm-up
 
@@ -280,9 +280,11 @@ def test_criterion_12_linear_time_marginals(monkeypatch):
         return time.perf_counter() - t0
 
     # Best of seven, the sizes interleaved so that a slow spell of a
-    # shared host weighs on both.
-    pairs = [(timed(10000), timed(20000)) for _ in range(7)]
-    t_10k, t_20k = (min(col) for col in zip(*pairs))
+    # shared host weighs on both.  At n = 20,000 a window lasts about
+    # 0.1 s on a 2 vCPU Xeon, long enough that one slow spell of the
+    # host does not decide the ratio.
+    pairs = [(timed(20000), timed(40000)) for _ in range(7)]
+    t_20k, t_40k = (min(col) for col in zip(*pairs))
     # The exact count: one operator step per backward step.
     calls = []
     inner = chain_module._step
@@ -292,10 +294,10 @@ def test_criterion_12_linear_time_marginals(monkeypatch):
         return inner(*args)
 
     monkeypatch.setattr(chain_module, "_step", counted)
-    for n in (10000, 20000):
+    for n in (20000, 40000):
         calls.clear()
         chain.marginal_upper(n, h)
         assert len(calls) == n - 1
-    assert t_10k < 5.0, f"n=10000 took {t_10k:.2f}s"
-    assert t_20k <= 2.5 * t_10k, f"scaling {t_20k / t_10k:.2f}x exceeds 2.5x"
-    _pass(12, f"n=10000 in {t_10k:.2f}s, doubling costs {t_20k / t_10k:.2f}x", t_10k, 5.0)
+    assert t_20k < 5.0, f"n=20000 took {t_20k:.2f}s"
+    assert t_40k <= 2.5 * t_20k, f"scaling {t_40k / t_20k:.2f}x exceeds 2.5x"
+    _pass(12, f"n=20000 in {t_20k:.2f}s, doubling costs {t_40k / t_20k:.2f}x", t_20k, 5.0)

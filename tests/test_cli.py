@@ -89,6 +89,12 @@ def test_parse_error(tmp_path):
     assert exc.value.code == "parse-error"
 
 
+def test_load_bundled_maps_a_missing_file_to_io_error():
+    with pytest.raises(ScenarioError) as exc:
+        load_bundled("no_such")
+    assert exc.value.code == "io-error"
+
+
 def test_round_trip_preserves_queries():
     chain = load_bundled("example_5_3")
     doc = scenario_to_json(chain)
@@ -294,10 +300,86 @@ def test_regularity_finds_the_wielandt_matrix_at_the_bound(capsys, tmp_path):
 
 def test_regularity_refuses_an_n_max_flag(capsys):
     path = str(bundled_scenario_path("example_5_4"))
+    assert _run(capsys, "regularity", path, "--n-max", "5") == (
+        2,
+        "",
+        "error:schema-error: unrecognized arguments: --n-max 5\n",
+    )
+
+
+#: Every flag of the CLI, with a value that the commands reading it accept.
+FLAG_VALUES = {
+    "--event": "a",
+    "--gamble": "a:1",
+    "--length": "1",
+    "--tol": "0.5",
+    "--max-iter": "3",
+    "--seed": "4",
+}
+#: The flags each command reads; it refuses the other ones.
+READS = {
+    "evolve": ("--event",),
+    "limit": ("--gamble", "--tol", "--max-iter"),
+    "regularity": (),
+    "joint": ("--length",),
+    "credal-approx": (),
+    "verify": ("--seed",),
+}
+REQUIRED = {"evolve": ("--event", "a"), "limit": ("--gamble", "a:1")}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, f) for c, reads in READS.items() for f in FLAG_VALUES if f not in reads],
+)
+def test_commands_refuse_the_flags_they_do_not_read(capsys, command, flag):
+    path = str(bundled_scenario_path("example_5_3_n2"))
+    value = FLAG_VALUES[flag]
+    argv = (command, path, *REQUIRED.get(command, ()), flag, value)
+    assert _run(capsys, *argv) == (
+        2,
+        "",
+        f"error:schema-error: unrecognized arguments: {flag} {value}\n",
+    )
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_command_help_lists_only_the_flags_it_reads(capsys, command):
     with pytest.raises(SystemExit) as caught:
-        main(["regularity", path, "--n-max", "5"])
-    assert caught.value.code == 2
-    assert "unrecognized arguments: --n-max 5" in capsys.readouterr().err
+        main([command, "-h"])
+    assert caught.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: credal-mc {command} ")
+    assert [f for f in FLAG_VALUES if f in out] == list(READS[command])
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as caught:
+        main(["-h"])
+    assert caught.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: credal-mc ")
+
+
+@pytest.mark.parametrize("command", sorted(REQUIRED))
+def test_evolve_and_limit_require_their_flag(capsys, command):
+    path = str(bundled_scenario_path("example_5_3_n2"))
+    flag = REQUIRED[command][0]
+    code, out, err = _run(capsys, command, path)
+    assert (code, out) == (2, "")
+    assert err == f"error:schema-error: the following arguments are required: {flag}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("no-such-command", "{path}"), ("joint", "{path}", "--length", "x"), ()],
+    ids=["unknown-command", "length-not-an-integer", "no-arguments"],
+)
+def test_usage_errors_print_one_error_line(capsys, argv):
+    path = str(bundled_scenario_path("example_5_3_n2"))
+    code, out, err = _run(capsys, *(a.format(path=path) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:schema-error: ")
+    assert err.count("\n") == 1 and "usage:" not in err
 
 
 def test_regularity_counts_a_tiny_positive_mass(capsys, tmp_path):
